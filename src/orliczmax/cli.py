@@ -24,7 +24,8 @@ from .errors import (BudgetExceeded, NoBracket, NonFinite, OrliczMaxError,
                      VerdictConflict)
 from .grid import GridFunction, Rect, read_grid, write_grid
 from .maximal import (CUBES, DEFAULT_BUDGET, DYADIC, RECTANGLES, Basis,
-                      multilinear_orlicz_maximal, orlicz_maximal, strong_maximal)
+                      multilinear_maximal, multilinear_orlicz_maximal, orlicz_maximal,
+                      strong_maximal)
 from .verify import run_suite
 from .weights import (RectFamilySpec, SetSamplerSpec, WeightSystem, ap_constant,
                       bump_constant, condition_A_estimate, power_bump_constant,
@@ -120,29 +121,25 @@ def _cmd_bp(args) -> dict:
 def _cmd_maximal(args) -> dict:
     if not args.input and not args.inputs:
         raise ValueError("need --input (or --inputs for the multilinear form)")
-    if args.inputs:
-        f = None
-    else:
-        f = read_grid(args.input)
     basis = _basis_from(args.basis, args.min_side, args.max_side)
     budget = args.budget if args.budget is not None else _default_budget()
-    if args.phi:
-        phis = [young_from_json(p) for p in args.phi]
-        if len(phis) == 1:
-            mf = orlicz_maximal(f, phis[0], basis, budget=budget, tol=args.tol)
-        else:
-            raise ValueError("one --phi per single input; multilinear needs --inputs")
-    elif args.inputs:
+    if args.inputs:
+        if args.phi:
+            raise ValueError("--phi takes a single --input; multilinear Orlicz uses --phis")
         fs = [read_grid(p) for p in args.inputs]
         phis = [young_from_json(p) for p in (args.phis or [])]
         if phis:
             mf = multilinear_orlicz_maximal(fs, phis, basis, budget=budget, tol=args.tol)
         else:
-            from .maximal import multilinear_maximal
-
             mf = multilinear_maximal(fs, basis, budget=budget, jobs=args.jobs)
+    elif args.phi:
+        f = read_grid(args.input)
+        phis = [young_from_json(p) for p in args.phi]
+        if len(phis) != 1:
+            raise ValueError("one --phi per single input; multilinear needs --inputs")
+        mf = orlicz_maximal(f, phis[0], basis, budget=budget, tol=args.tol)
     else:
-        mf = strong_maximal(f, basis, budget=budget, jobs=args.jobs)
+        mf = strong_maximal(read_grid(args.input), basis, budget=budget, jobs=args.jobs)
     write_grid(mf.field, args.out)
     sidecar = args.out + ".json"
     with open(sidecar, "w") as fh:
@@ -274,7 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help=f"member budget (default ${_BUDGET_ENV} or {DEFAULT_BUDGET})")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # a fixed default keeps run_config, and so replayed output, the same on
+    # every machine
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_maximal)
 
     p = sub.add_parser("weights", help="weight-condition constants")

@@ -216,7 +216,9 @@ def luxemburg_batch(rows: np.ndarray, phi: YoungFunction, tol: float = 1e-9,
 
     Returns per-row inf{lam > 0 : mean Phi(row / lam) <= 1}; all-zero rows
     give 0. Optional bracket hints must satisfy G(lo) >= 1 >= G(hi); they
-    tighten the start bracket without changing the limit.
+    tighten the start bracket without changing the limit. Each row bisects
+    until its own bracket is within tol, so a row's result is the same
+    whichever rows share its batch.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -251,14 +253,23 @@ def luxemburg_batch(rows: np.ndarray, phi: YoungFunction, tol: float = 1e-9,
         if np.all(floor_rows | ~low):
             break
 
+    # compacting only on iterations where some row converged keeps a batch
+    # whose rows all converge together at the cost of one shared loop
+    res = np.empty_like(hi)
+    idx = np.arange(hi.size)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         pred = _phi_mean(phi, sub, mid) <= 1.0
         hi = np.where(pred, mid, hi)
         lo = np.where(pred, lo, mid)
-        if np.all(hi - lo <= tol * hi):
-            break
-    res = hi
+        done = hi - lo <= tol * hi
+        if np.any(done):
+            res[idx[done]] = hi[done]
+            keep = ~done
+            idx, sub, lo, hi = idx[keep], sub[keep], lo[keep], hi[keep]
+            if idx.size == 0:
+                break
+    res[idx] = hi
     # Phi vanishing on the whole bracket means the true infimum is 0
     res = np.where(floor_rows, 0.0, res)
     out[active] = res

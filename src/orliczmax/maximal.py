@@ -21,6 +21,7 @@ sweep starts.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -171,6 +172,7 @@ def _position_extreme(values: np.ndarray, sides: tuple[int, ...], take_min: bool
 def _input_digest(*fs: GridFunction) -> str:
     h = hashlib.sha1()
     for f in fs:
+        h.update(repr((f.shape, f.origin, f.spacing)).encode())
         h.update(f.values.tobytes())
     return h.hexdigest()[:12]
 
@@ -375,19 +377,53 @@ def multilinear_maximal(fs: list[GridFunction], basis: Basis = Basis(),
     )
 
 
+def _inverse_tables(supp_table: np.ndarray, phi: YoungFunction,
+                    shapes: list[tuple[int, ...]]) -> dict[int, np.ndarray]:
+    """Phi^{-1}(ncells / supp) for every (ncells, supp) pair a sweep uses.
+
+    A member with ncells cells, supp of them nonzero, has the indicator
+    bounds max/inv(ncells) <= norm <= max/inv(ncells/supp); supp counts as
+    1 where the function vanishes. table[ncells][supp] holds the inverse
+    at ncells/supp for every pair some position of some shape has, plus
+    supp = 1 for the lower bound; other entries are NaN. The pairs come
+    from the whole sweep, whether pruning is on or not, and are solved in
+    one vectorized inverse call, so every lookup sees the same value in
+    either mode.
+    """
+    used: dict[int, np.ndarray] = {}
+    for sides in shapes:
+        ncells = math.prod(sides)
+        if ncells not in used:
+            used[ncells] = np.zeros(ncells + 1, dtype=bool)
+            used[ncells][1] = True
+        supp = np.maximum(_window_sums(supp_table, sides), 1.0)
+        used[ncells][supp.astype(np.intp)] = True
+    if not used:
+        return {}
+    pairs = [(n, np.flatnonzero(mask)) for n, mask in used.items()]
+    vals = inverse(phi, np.concatenate([n / ks for n, ks in pairs]))
+    tables = {}
+    start = 0
+    for n, ks in pairs:
+        tables[n] = np.full(n + 1, np.nan)
+        tables[n][ks] = vals[start:start + ks.size]
+        start += ks.size
+    return tables
+
+
 def _norm_planes(values: np.ndarray, supp_table: np.ndarray, phi: YoungFunction,
-                 sides: tuple[int, ...], tol: float,
-                 skip: np.ndarray | None) -> np.ndarray:
+                 inv_tables: dict[int, np.ndarray], sides: tuple[int, ...],
+                 tol: float, skip: np.ndarray | None) -> np.ndarray:
     """Luxemburg norms of one function at every position of one shape.
 
     Positions flagged in skip (and positions where the function vanishes
     on the rectangle) are left at 0. Bisection brackets come from the
     two-sided indicator bounds max/inv(cells) <= norm <= max/inv(cells/supp),
-    both certified, so the hint never changes the limit.
+    both certified, so the hint never changes the limit; the inverses are
+    looked up in the sweep's table from _inverse_tables.
     """
-    ncells = 1
-    for s in sides:
-        ncells *= s
+    ncells = math.prod(sides)
+    inv = inv_tables[ncells]
     maxv = _position_extreme(values, sides, take_min=False)
     live = maxv > 0
     if skip is not None:
@@ -395,10 +431,10 @@ def _norm_planes(values: np.ndarray, supp_table: np.ndarray, phi: YoungFunction,
     plane = np.zeros(maxv.shape)
     if not np.any(live):
         return plane
-    supp = _window_sums(supp_table, sides)[live]
+    supp = _window_sums(supp_table, sides)[live].astype(np.intp)
     m = maxv[live]
-    lo = m / float(inverse(phi, float(ncells)))
-    hi = m / inverse(phi, ncells / supp)
+    lo = m / inv[1]
+    hi = m / inv[supp]
     rows = sliding_window_view(values, sides)[live].reshape(-1, ncells)
     plane[live] = luxemburg_batch(rows, phi, tol=tol, lo_hint=lo, hi_hint=hi)
     return plane
@@ -412,10 +448,19 @@ def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
     Phi(t) = t makes the Luxemburg norm the plain average, so Power(r=1)
     dispatches to strong_maximal and inherits its exact arithmetic.
 
-    Pruning skips a position when its certified upper bound cannot beat
-    the minimum of the running output over the cells the rectangle covers;
-    since the output only grows, a skipped rectangle can never change the
-    final field, and the on/off results agree exactly.
+    All inverse values the sweep needs come from one table, solved in one
+    vectorized call before the shape loop (see _inverse_tables).
+
+    Pruning skips a position when its certified upper bound, widened by
+    4 * tol, cannot beat the minimum of the running output over the cells
+    the rectangle covers. The widening covers a tight bound (an indicator
+    window) that rounding makes look infeasible as a hint: the solver then
+    widens its bracket and may return its upper end up to tol above the
+    bound. Since the output only grows, a skipped rectangle can never
+    change the final field. The on/off results agree exactly because nothing else differs
+    between the modes: the inverse table is the same, and luxemburg_batch
+    stops each row on its own, so a norm does not depend on which other
+    rows share its batch.
     """
     if isinstance(phi, Power) and phi.r == 1.0 and phi.domain_cap is None:
         mf = strong_maximal(f, basis, budget=budget)
@@ -434,20 +479,19 @@ def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
 
     count = _check_budget(basis, f.shape, budget)
     supp_table = SummedAreaTable(f.with_values((f.values > 0).astype(float))).table
+    shapes = list(basis.shapes(f.shape))
+    inv_tables = _inverse_tables(supp_table, phi, shapes)
     out = np.zeros(f.shape)
     pruned = 0
-    for sides in basis.shapes(f.shape):
+    for sides in shapes:
         skip = None
         if prune:
-            ncells = 1
-            for s in sides:
-                ncells *= s
             maxv = _position_extreme(f.values, sides, take_min=False)
-            supp = np.maximum(_window_sums(supp_table, sides), 1.0)
-            bound = maxv / inverse(phi, ncells / supp)
-            skip = bound <= _position_extreme(out, sides, take_min=True)
+            supp = np.maximum(_window_sums(supp_table, sides), 1.0).astype(np.intp)
+            bound = maxv / inv_tables[math.prod(sides)][supp]
+            skip = bound * (1.0 + 4.0 * tol) <= _position_extreme(out, sides, take_min=True)
             pruned += int(skip.sum())
-        plane = _norm_planes(f.values, supp_table, phi, sides, tol, skip)
+        plane = _norm_planes(f.values, supp_table, phi, inv_tables, sides, tol, skip)
         np.maximum(out, _cover_max(plane, sides), out=out)
     return MaximalField(
         field=f.with_values(out),
@@ -485,11 +529,14 @@ def multilinear_orlicz_maximal(fs: list[GridFunction], phis: list[YoungFunction]
     supp_tables = [
         SummedAreaTable(f.with_values((f.values > 0).astype(float))).table for f in fs
     ]
+    shapes = list(basis.shapes(base.shape))
+    inv_tables = [_inverse_tables(st, phi, shapes) for st, phi in zip(supp_tables, phis)]
     out = np.zeros(base.shape)
-    for sides in basis.shapes(base.shape):
-        plane = _norm_planes(fs[0].values, supp_tables[0], phis[0], sides, tol, None)
-        for f, st, phi in zip(fs[1:], supp_tables[1:], phis[1:]):
-            plane = plane * _norm_planes(f.values, st, phi, sides, tol, None)
+    for sides in shapes:
+        plane = _norm_planes(fs[0].values, supp_tables[0], phis[0], inv_tables[0],
+                             sides, tol, None)
+        for f, st, phi, it in zip(fs[1:], supp_tables[1:], phis[1:], inv_tables[1:]):
+            plane = plane * _norm_planes(f.values, st, phi, it, sides, tol, None)
         np.maximum(out, _cover_max(plane, sides), out=out)
     return MaximalField(
         field=base.with_values(out),

@@ -140,3 +140,27 @@ def test_out_file_written(capsys, tmp_path):
     assert code == 0
     assert json.loads(out) == {"written": dest}
     assert json.load(open(dest))["verdict"]["label"] == "Converges"
+
+
+def test_phi_with_multilinear_inputs_is_a_json_error(capsys, tmp_path):
+    a, b = str(tmp_path / "a.grid"), str(tmp_path / "b.grid")
+    run(capsys, "gen", "--kind", "random", "--shape", "6,6", "--out", a)
+    run(capsys, "gen", "--kind", "random", "--shape", "6,6", "--seed", "1", "--out", b)
+    code, out, err = run(capsys, "maximal", "--inputs", a, b, "--phi",
+                         '{"kind": "power", "r": 2}', "--out", str(tmp_path / "m.grid"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_maximal_run_config_does_not_depend_on_core_count(capsys, tmp_path, monkeypatch):
+    src = str(tmp_path / "f.grid")
+    run(capsys, "gen", "--kind", "random", "--shape", "6,6", "--out", src)
+    outs = []
+    for cores in (1, 8):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        code, out, _ = run(capsys, "maximal", "--input", src,
+                           "--out", str(tmp_path / "m.grid"))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]

@@ -7,7 +7,7 @@ from orliczmax.errors import DimensionError, EmptyRect, GeometryMismatch
 from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch,
                             luxemburg_norm, norm_lp, read_grid, rect_average,
                             write_grid)
-from orliczmax.young import Power, PowerLog
+from orliczmax.young import Power, PowerLog, complementary
 
 
 def grid2(vals, spacing=0.5):
@@ -103,6 +103,24 @@ def test_luxemburg_batch_matches_singles():
     for i in range(rows.shape[0]):
         single = luxemburg_norm(f, Rect((i, 0), (i + 1, 12)), phi)
         assert batch[i] == pytest.approx(single, rel=1e-9)
+
+
+@pytest.mark.parametrize("phi", [PowerLog(1.8, 1.0), complementary(Power(1.5))])
+def test_luxemburg_batch_row_does_not_depend_on_batch(phi):
+    rng = np.random.default_rng(6)
+    # rows of very different scale and spread converge after different
+    # numbers of bisection steps
+    rows = rng.uniform(0.0, 4.0, size=(10, 9)) * np.geomspace(1e-3, 1e3, 10)[:, None]
+    rows[3] = 0.0
+    rows[4, 1:] = 0.0
+    m = rows.max(axis=1)
+    lo, hi = m / 9.0, m * 4.0
+    batch = luxemburg_batch(rows, phi)
+    hinted = luxemburg_batch(rows, phi, lo_hint=lo, hi_hint=hi)
+    for i in range(rows.shape[0]):
+        assert batch[i] == luxemburg_batch(rows[i:i + 1], phi)[0]
+        assert hinted[i] == luxemburg_batch(rows[i:i + 1], phi, lo_hint=lo[i:i + 1],
+                                            hi_hint=hi[i:i + 1])[0]
 
 
 def test_norm_lp_and_weight():

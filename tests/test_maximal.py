@@ -8,7 +8,7 @@ from orliczmax.grid import GridFunction, Rect, rect_average, SummedAreaTable
 from orliczmax.maximal import (CUBES, DYADIC, Basis, indicator_far_field,
                                multilinear_maximal, multilinear_orlicz_maximal,
                                orlicz_maximal, strong_maximal)
-from orliczmax.young import Power, PowerLog
+from orliczmax.young import Power, PowerLog, PowerLogLog
 
 
 def grid(vals, spacing=0.5):
@@ -128,6 +128,36 @@ def test_orlicz_prune_is_exact():
     assert np.array_equal(on, off)
 
 
+def step_grid(shape, seed):
+    """Zero except 30% of cells, which hold 1, 2 or 3."""
+    rng = np.random.default_rng(seed)
+    vals = np.where(rng.random(shape) < 0.3, rng.integers(1, 4, size=shape), 0)
+    return grid(vals.astype(float))
+
+
+def test_orlicz_prune_is_exact_on_step_grids():
+    # step grids make the indicator bound tight and leave many members
+    # with equal norms, where a skip decision sits right at the margin
+    phis = [PowerLog(1.8, 1.0), PowerLog(2.0, 1.5), PowerLogLog(2.0, 2.0, 1.5)]
+    for seed in range(40):
+        shape = tuple(int(x) for x in np.random.default_rng([seed, 1]).integers(4, 10, size=2))
+        f = step_grid(shape, seed)
+        for phi in phis:
+            on = orlicz_maximal(f, phi, prune=True).field.values
+            off = orlicz_maximal(f, phi, prune=False).field.values
+            assert np.array_equal(on, off), (seed, phi)
+
+
+def test_orlicz_prune_is_exact_on_zero_heavy_and_constant_grids():
+    rng = np.random.default_rng(19)
+    vals = np.exp(rng.normal(size=(9, 8))) * (rng.random((9, 8)) < 0.5)
+    phi = PowerLog(1.8, 1.0)
+    for f in (grid(vals), grid(np.full((7, 6), 2.5))):
+        on = orlicz_maximal(f, phi, prune=True).field.values
+        off = orlicz_maximal(f, phi, prune=False).field.values
+        assert np.array_equal(on, off)
+
+
 def test_orlicz_dominates_scaled_input():
     f = rand_grid((10, 10), seed=11)
     phi = PowerLog(1.8, 1.0)
@@ -174,6 +204,14 @@ def test_indicator_far_field_formula():
     ys = np.array([[2.0, 3.0], [4.0, 1.6]])
     vals = indicator_far_field(ys)
     assert np.allclose(vals, 1.0 / (ys[:, 0] * ys[:, 1]))
+
+
+def test_input_digest_covers_geometry():
+    vals = np.arange(36.0)
+    a = strong_maximal(grid(vals.reshape(4, 9))).provenance["inputs"]
+    b = strong_maximal(grid(vals.reshape(6, 6))).provenance["inputs"]
+    c = strong_maximal(grid(vals.reshape(6, 6), spacing=0.25)).provenance["inputs"]
+    assert len({a, b, c}) == 3
 
 
 def test_provenance_present():
