@@ -30,8 +30,6 @@ from .young import Power, PowerLog, PowerLogLog, YoungFunction, phi_n_eval
 __all__ = [
     "TailIntegralTrace",
     "Verdict",
-    "bp_partial",
-    "bp_star_partial",
     "classify",
     "analytic_verdict",
     "CONVERGES",
@@ -62,45 +60,6 @@ def _integrand(phi: YoungFunction, p: float, n: int, mode: str, t: np.ndarray) -
         bad = t[~np.isfinite(out)][0]
         raise NonFinite(f"integrand not finite at t={bad:.6g}")
     return out
-
-
-def _trapezoid_log(phi, p, n, mode, c, T, per_decade) -> float:
-    decades = math.log10(T / c)
-    m = max(2, int(math.ceil(per_decade * decades)) + 1)
-    u = np.linspace(math.log(c), math.log(T), m)
-    t = np.exp(u)
-    g = _integrand(phi, p, n, mode, t) * t  # du measure
-    return float(np.trapezoid(g, u))
-
-
-def _partial(phi, p, n, mode, c, T, rel_tol=1e-6, start=64, cap=4096) -> float:
-    per = start
-    prev = _trapezoid_log(phi, p, n, mode, c, T, per)
-    while per < cap:
-        per *= 2
-        cur = _trapezoid_log(phi, p, n, mode, c, T, per)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
-
-
-def bp_partial(phi: YoungFunction, p: float, c: float = 1.0, T: float = 1e12,
-               rel_tol: float = 1e-6) -> float:
-    """Partial tail integral of Phi(t)/t^(p+1) over [c, T]."""
-    if not (0 < c < T):
-        raise ValueError("need 0 < c < T")
-    return _partial(phi, p, 1, "bp", c, T, rel_tol)
-
-
-def bp_star_partial(phi: YoungFunction, p: float, n: int, c: float = 1.0,
-                    T: float = 1e12, rel_tol: float = 1e-6) -> float:
-    """Partial tail integral of PhiN(Phi(t))/t^(p+1) over [c, T]."""
-    if not (0 < c < T):
-        raise ValueError("need 0 < c < T")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("n must be an integer >= 1")
-    return _partial(phi, p, int(n), "bp_star", c, T, rel_tol)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyRect, GeometryMismatch, DimensionError
-from .young import YoungFunction
+from .young import YoungFunction, _itp_solve
 
 __all__ = [
     "GridFunction",
@@ -158,9 +158,6 @@ class Rect:
     def contains_cell(self, idx: Sequence[int]) -> bool:
         return all(a <= i < b for a, i, b in zip(self.lo, idx, self.hi))
 
-    def volume(self, spacing: Sequence[float]) -> float:
-        return self.ncells * float(np.prod(spacing))
-
 
 class SummedAreaTable:
     """Padded cumulative sums; rectangle sums by nested axis differencing.
@@ -214,10 +211,17 @@ def luxemburg_batch(rows: np.ndarray, phi: YoungFunction, tol: float = 1e-9,
                     max_iter: int = 200) -> np.ndarray:
     """Luxemburg norms of the rows of a matrix under the normalized mean.
 
-    Returns per-row inf{lam > 0 : mean Phi(row / lam) <= 1}; all-zero rows
-    give 0. Optional bracket hints must satisfy G(lo) >= 1 >= G(hi); they
-    tighten the start bracket without changing the limit. Each row bisects
-    until its own bracket is within tol, so a row's result is the same
+    Returns per-row inf{lam > 0 : G(lam) <= 1}, G(lam) = mean Phi(row / lam);
+    all-zero rows give 0. Optional bracket hints must satisfy
+    G(lo) >= 1 >= G(hi); they tighten the start bracket without changing
+    the limit. The bracket is widened by factors of 10 until certified,
+    then shrunk by ITP steps on log G over log lam (young._itp_solve) until
+    hi - lo <= tol * hi; the returned value is the feasible upper end, so
+    G <= 1 there and it never undershoots the true norm by more than the
+    bracket width. Each row is divided by the power of two 2**e with
+    2**(e-1) <= max(row) < 2**e, and its hints with it, and the result is
+    multiplied back, so scaling a row by a power of two scales its norm
+    exactly. Each row stops on its own, so a row's result is the same
     whichever rows share its batch.
     """
     rows = np.asarray(rows, dtype=float)
@@ -229,50 +233,62 @@ def luxemburg_batch(rows: np.ndarray, phi: YoungFunction, tol: float = 1e-9,
     active = vmax > 0
     if not np.any(active):
         return out
-    sub = rows[active]
-    m = vmax[active]
+    # log-space iterates are not scale-equivariant to the bit; solving the
+    # row scaled into [1/2, 1) makes power-of-two scalings exact
+    e = np.frexp(vmax[active])[1]
+    sub = np.ldexp(rows[active], -e[:, None])
+    m = np.ldexp(vmax[active], -e)
 
-    lo = (m * 1e-14) if lo_hint is None else np.asarray(lo_hint, dtype=float)[active]
-    hi = (m * 1e3) if hi_hint is None else np.asarray(hi_hint, dtype=float)[active]
+    if lo_hint is None:
+        lo = m * 1e-14
+    else:
+        lo = np.ldexp(np.asarray(lo_hint, dtype=float)[active], -e)
+    if hi_hint is None:
+        hi = m * 1e3
+    else:
+        hi = np.ldexp(np.asarray(hi_hint, dtype=float)[active], -e)
     lo = np.minimum(np.maximum(lo, 1e-300), hi)
 
-    # geometric expansion until the bracket is certified
+    # geometric expansion until the bracket is certified; an end that
+    # fails its test becomes the other end, and only the rows that moved
+    # are evaluated again
+    ghi = _phi_mean(phi, sub, hi)
+    glo = np.empty_like(lo)
+    known = np.zeros(lo.shape, dtype=bool)
     for _ in range(60):
-        bad = _phi_mean(phi, sub, hi) > 1.0
+        bad = ghi > 1.0
         if not np.any(bad):
             break
-        hi = np.where(bad, hi * 10.0, hi)
+        lo[bad], glo[bad], known[bad] = hi[bad], ghi[bad], True
+        hi[bad] *= 10.0
+        ghi[bad] = _phi_mean(phi, sub[bad], hi[bad])
+    if not np.all(known):
+        glo[~known] = _phi_mean(phi, sub[~known], lo[~known])
     floor_rows = np.zeros(lo.shape, dtype=bool)
     for _ in range(60):
-        low = _phi_mean(phi, sub, lo) <= 1.0
-        if not np.any(low):
+        low = glo <= 1.0
+        floor_rows = low & (lo <= 1e-280)
+        move = low & ~floor_rows
+        if not np.any(move):
             break
-        hit = low & (lo <= 1e-280)
-        floor_rows |= hit
-        lo = np.where(low & ~hit, lo * 0.1, lo)
-        if np.all(floor_rows | ~low):
-            break
+        hi[move], ghi[move] = lo[move], glo[move]
+        lo[move] *= 0.1
+        glo[move] = _phi_mean(phi, sub[move], lo[move])
 
-    # compacting only on iterations where some row converged keeps a batch
-    # whose rows all converge together at the cost of one shared loop
-    res = np.empty_like(hi)
-    idx = np.arange(hi.size)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        pred = _phi_mean(phi, sub, mid) <= 1.0
-        hi = np.where(pred, mid, hi)
-        lo = np.where(pred, lo, mid)
-        done = hi - lo <= tol * hi
-        if np.any(done):
-            res[idx[done]] = hi[done]
-            keep = ~done
-            idx, sub, lo, hi = idx[keep], sub[keep], lo[keep], hi[keep]
-            if idx.size == 0:
-                break
-    res[idx] = hi
     # Phi vanishing on the whole bracket means the true infimum is 0
-    res = np.where(floor_rows, 0.0, res)
-    out[active] = res
+    res = np.zeros(lo.shape)
+    solve = ~floor_rows
+    sub = sub[solve]
+
+    def probe(idx, lam):
+        g = _phi_mean(phi, sub[idx], lam)
+        with np.errstate(divide="ignore"):
+            return np.log(g), g <= 1.0
+
+    with np.errstate(divide="ignore"):
+        flo, fhi = np.log(glo[solve]), np.log(ghi[solve])
+    res[solve] = _itp_solve(lo[solve], hi[solve], flo, fhi, probe, tol, max_iter, upper=True)
+    out[active] = np.ldexp(res, e)
     return out
 
 
@@ -280,10 +296,10 @@ def luxemburg_norm(f: GridFunction, rect: Rect, phi: YoungFunction,
                    tol: float = 1e-9) -> float:
     """Luxemburg norm of f over a rectangle w.r.t. the normalized mean.
 
-    inf{lam > 0 : (1/|r|) sum_r Phi(f/lam) <= 1}, found by bracketing
-    bisection; the returned value is the certified-feasible upper end of
-    the final bracket, so it never undershoots the true norm by more than
-    the bracket width.
+    inf{lam > 0 : (1/|r|) sum_r Phi(f/lam) <= 1}, found by luxemburg_batch:
+    ITP steps in log space on a certified bracket; the returned value is
+    the certified-feasible upper end of the final bracket, so it never
+    undershoots the true norm by more than the bracket width.
     """
     rect.check_within(f.shape)
     vals = f.values[rect.slices].reshape(1, -1)

@@ -45,8 +45,6 @@ __all__ = [
     "multilinear_maximal",
     "multilinear_orlicz_maximal",
     "indicator_far_field",
-    "cube_indicator_far_field",
-    "cube_geometry_constant",
 ]
 
 RECTANGLES = "rectangles"
@@ -411,31 +409,37 @@ def _inverse_tables(supp_table: np.ndarray, phi: YoungFunction,
     return tables
 
 
-def _norm_planes(values: np.ndarray, supp_table: np.ndarray, phi: YoungFunction,
-                 inv_tables: dict[int, np.ndarray], sides: tuple[int, ...],
+def _window_max_and_support(values: np.ndarray, supp_table: np.ndarray,
+                            sides: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Window max of the values and the nonzero count, at least 1, at every
+    position of one shape; the prune bound and the norm hints share them."""
+    maxv = _position_extreme(values, sides, take_min=False)
+    supp = np.maximum(_window_sums(supp_table, sides), 1.0).astype(np.intp)
+    return maxv, supp
+
+
+def _norm_planes(values: np.ndarray, maxv: np.ndarray, supp: np.ndarray,
+                 phi: YoungFunction, inv: np.ndarray, sides: tuple[int, ...],
                  tol: float, skip: np.ndarray | None) -> np.ndarray:
     """Luxemburg norms of one function at every position of one shape.
 
-    Positions flagged in skip (and positions where the function vanishes
-    on the rectangle) are left at 0. Bisection brackets come from the
-    two-sided indicator bounds max/inv(cells) <= norm <= max/inv(cells/supp),
-    both certified, so the hint never changes the limit; the inverses are
-    looked up in the sweep's table from _inverse_tables.
+    maxv and supp come from _window_max_and_support. Positions flagged in
+    skip (and positions where the function vanishes on the rectangle) are
+    left at 0. The solver's start brackets come from the two-sided
+    indicator bounds max/inv(cells) <= norm <= max/inv(cells/supp), both
+    certified, so the hint never changes the limit; inv is the sweep's
+    table for this cell count from _inverse_tables, indexed by supp.
     """
-    ncells = math.prod(sides)
-    inv = inv_tables[ncells]
-    maxv = _position_extreme(values, sides, take_min=False)
     live = maxv > 0
     if skip is not None:
         live &= ~skip
     plane = np.zeros(maxv.shape)
     if not np.any(live):
         return plane
-    supp = _window_sums(supp_table, sides)[live].astype(np.intp)
     m = maxv[live]
     lo = m / inv[1]
-    hi = m / inv[supp]
-    rows = sliding_window_view(values, sides)[live].reshape(-1, ncells)
+    hi = m / inv[supp[live]]
+    rows = sliding_window_view(values, sides)[live].reshape(-1, math.prod(sides))
     plane[live] = luxemburg_batch(rows, phi, tol=tol, lo_hint=lo, hi_hint=hi)
     return plane
 
@@ -484,14 +488,14 @@ def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
     out = np.zeros(f.shape)
     pruned = 0
     for sides in shapes:
+        inv = inv_tables[math.prod(sides)]
+        maxv, supp = _window_max_and_support(f.values, supp_table, sides)
         skip = None
         if prune:
-            maxv = _position_extreme(f.values, sides, take_min=False)
-            supp = np.maximum(_window_sums(supp_table, sides), 1.0).astype(np.intp)
-            bound = maxv / inv_tables[math.prod(sides)][supp]
+            bound = maxv / inv[supp]
             skip = bound * (1.0 + 4.0 * tol) <= _position_extreme(out, sides, take_min=True)
             pruned += int(skip.sum())
-        plane = _norm_planes(f.values, supp_table, phi, inv_tables, sides, tol, skip)
+        plane = _norm_planes(f.values, maxv, supp, phi, inv, sides, tol, skip)
         np.maximum(out, _cover_max(plane, sides), out=out)
     return MaximalField(
         field=f.with_values(out),
@@ -533,10 +537,12 @@ def multilinear_orlicz_maximal(fs: list[GridFunction], phis: list[YoungFunction]
     inv_tables = [_inverse_tables(st, phi, shapes) for st, phi in zip(supp_tables, phis)]
     out = np.zeros(base.shape)
     for sides in shapes:
-        plane = _norm_planes(fs[0].values, supp_tables[0], phis[0], inv_tables[0],
-                             sides, tol, None)
-        for f, st, phi, it in zip(fs[1:], supp_tables[1:], phis[1:], inv_tables[1:]):
-            plane = plane * _norm_planes(f.values, st, phi, it, sides, tol, None)
+        ncells = math.prod(sides)
+        plane = None
+        for f, st, phi, it in zip(fs, supp_tables, phis, inv_tables):
+            maxv, supp = _window_max_and_support(f.values, st, sides)
+            norms = _norm_planes(f.values, maxv, supp, phi, it[ncells], sides, tol, None)
+            plane = norms if plane is None else plane * norms
         np.maximum(out, _cover_max(plane, sides), out=out)
     return MaximalField(
         field=base.with_values(out),
@@ -565,18 +571,3 @@ def indicator_far_field(ys: np.ndarray, phi: YoungFunction | None = None) -> np.
     if phi is None:
         return 1.0 / prods
     return 1.0 / inverse(phi, prods)
-
-
-def cube_indicator_far_field(ys: np.ndarray, phi: YoungFunction) -> np.ndarray:
-    """Cube-basis analogue: the best enclosing cube has side max_k y_k."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    side = np.max(ys, axis=-1)
-    n = ys.shape[-1]
-    return 1.0 / inverse(phi, side**n)
-
-
-def cube_geometry_constant(ys: np.ndarray) -> np.ndarray:
-    """b with cube far field 1/Phi^{-1}(|y|^n / b); b = (|y|/max_k y_k)^n."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n = ys.shape[-1]
-    return (np.linalg.norm(ys, axis=-1) / np.max(ys, axis=-1)) ** n

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSet, GeometryMismatch
-from .grid import GridFunction, Rect, SummedAreaTable, luxemburg_norm, rect_average
+from .grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch, luxemburg_norm,
+                   rect_average)
 from .maximal import CUBES, Basis, strong_maximal
 from .young import YoungFunction
 
@@ -214,11 +215,10 @@ def _report(kind: str, values: list[float], rects: list[Rect], family: dict,
 
 
 def bump_value(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
-               rect: Rect, _sat_up: SummedAreaTable | None = None,
-               _vinv: GridFunction | None = None) -> float:
+               rect: Rect) -> float:
     """(mean_R u^p)^{1/p} * ||v^{-1}||_{Phi,R} on a single rectangle."""
-    sat = _sat_up if _sat_up is not None else SummedAreaTable(u.with_values(u.values**p))
-    vinv = _vinv if _vinv is not None else v.with_values(1.0 / _positive_values(v, "v"))
+    sat = SummedAreaTable(u.with_values(u.values**p))
+    vinv = v.with_values(1.0 / _positive_values(v, "v"))
     return rect_average(sat, rect) ** (1.0 / p) * luxemburg_norm(vinv, rect, phi)
 
 
@@ -238,7 +238,16 @@ def bump_constant(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float
     sat = SummedAreaTable(u.with_values(u.values**p))
     vinv = v.with_values(1.0 / _positive_values(v, "v"))
     rects = family.members(u.shape, basis)
-    vals = [bump_value(u, v, phi, p, r, _sat_up=sat, _vinv=vinv) for r in rects]
+    # one solver call per shape; each row stops on its own, so every norm
+    # is bit-identical to bump_value's single-rectangle solve
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, r in enumerate(rects):
+        by_shape.setdefault(r.sides(), []).append(i)
+    norms = np.empty(len(rects))
+    for members in by_shape.values():
+        rows = np.stack([vinv.values[rects[i].slices].ravel() for i in members])
+        norms[members] = luxemburg_batch(rows, phi)
+    vals = [rect_average(sat, r) ** (1.0 / p) * float(n) for r, n in zip(rects, norms)]
     return _report("bump", vals, rects, {**family.to_dict(), "basis": basis.to_dict()},
                    {"p": p})
 

@@ -30,13 +30,10 @@ __all__ = [
     "PowerLogLog",
     "Tabulated",
     "NumericComplement",
-    "PhiN",
     "complementary",
     "inverse",
     "phi_n_eval",
     "tabulate",
-    "legendre_sup_golden",
-    "power_pair",
     "SamplingSpec",
     "ProbeReport",
     "probe_submultiplicative",
@@ -379,50 +376,100 @@ def complementary(phi: YoungFunction) -> NumericComplement:
     return NumericComplement(phi)
 
 
-def legendre_sup_golden(phi: YoungFunction, s: float, t_lo: float = 1e-12,
-                        t_hi: float = 1e12, iters: int = 200) -> float:
-    """Reference conjugate by golden-section search over log t.
+# Points per block of one inverse call: the solver keeps about a dozen
+# arrays per point, so long vectors are solved a block at a time.
+_INVERSE_CHUNK = 8192
+# The bracket search multiplies by a factor that squares at every step,
+# up to this cap.
+_BRACKET_FACTOR_CAP = 1e16
+_T_MAX = float(np.finfo(float).max)
 
-    Slow scalar oracle kept for cross-validation of NumericComplement.
+
+def _itp_point(a, b, fa, fb, j, nmax, eps, k1):
+    """Next ITP probe (Oliveira & Takahashi, ACM TOMS 2020) in each [a, b].
+
+    fa and fb are the values at the ends, of opposite sign around the root.
+    The regula falsi point moves toward the midpoint by the truncation
+    delta = max(k1 * w**2, eps) (kappa_2 = 2), then is projected into the
+    minmax interval of radius eps * 2**(nmax - j) - w/2 about the midpoint;
+    both steps act on its distance from the midpoint. The floor eps on
+    delta keeps the truncation above float resolution on narrow brackets,
+    where it would otherwise vanish and leave the slowest problems to the
+    projection's halving. Where the regula falsi point is not strictly
+    inside the bracket (an end value is not finite, or the values do not
+    change sign), the probe is the midpoint.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(t_lo), math.log(t_hi)
+    w = b - a
+    h = 0.5 * w
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = h + fa * w / (fb - fa)  # midpoint minus regula falsi point
+    dist = np.abs(d)
+    # NaN and inf fail the test, so sigma = 0 leaves those at the midpoint
+    sigma = np.where(dist < h, np.sign(d), 0.0)
+    delta = np.maximum(k1 * w * w, eps)
+    dist = np.fmax(np.fmin(dist - delta, eps * np.exp2(nmax - j) - h), 0.0)
+    return a + h - sigma * dist
 
-    def obj(u: float) -> float:
-        t = math.exp(u)
-        v = s * t - phi.eval(t)
-        return v if np.isfinite(v) else -math.inf
 
-    # detect an unbounded objective at the top of the bracket
-    if obj(b) > obj(b - 1e-6) and obj(b) > 0 and phi.domain_cap is None:
-        return math.inf
+def _itp_solve(lo, hi, flo, fhi, probe, tol: float, max_iter: int, upper: bool):
+    """Shrink brackets [lo, hi] of positive floats by ITP steps in log space.
 
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
-    best = max(fc, fd, 0.0, obj(a), obj(b))
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = obj(d)
-        best = max(best, fc, fd)
-        if b - a < 1e-15:
-            break
-    return best
+    Each problem has one feasible end: hi when upper, else lo. flo and fhi
+    are the values at the ends on a log scale, of opposite sign around the
+    root. probe(idx, t) returns (value, feasible) for the problems idx at
+    the points t; a probe is evaluated at exactly the float that becomes
+    the new end, and a feasible probe replaces the feasible end. A problem
+    stops once hi - lo <= tol * (its feasible end), and that end is
+    returned, so every result is certified by a probe. Problems drop out
+    as they stop, so each one takes the same steps whichever problems
+    share the call.
+    """
+    eps = 0.5 * (-math.log1p(-tol) if upper else math.log1p(tol))
+    lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    a, b = np.log(lo), np.log(hi)
+    w0 = b - a
+    with np.errstate(divide="ignore"):
+        k1 = 0.2 / w0
+        nmax = np.ceil(np.log2(np.maximum(w0 / (2.0 * eps), 1.0))) + 1.0
+    res = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    for j in range(max_iter):
+        end = hi if upper else lo
+        done = hi - lo <= tol * end
+        if np.any(done):
+            res[idx[done]] = end[done]
+            keep = ~done
+            idx, lo, hi, a, b, flo, fhi, k1, nmax = (
+                v[keep] for v in (idx, lo, hi, a, b, flo, fhi, k1, nmax))
+            if idx.size == 0:
+                return res
+        x = _itp_point(a, b, flo, fhi, j, nmax, eps, k1)
+        t = np.exp(x)
+        val, feasible = probe(idx, t)
+        above = feasible if upper else ~feasible
+        below = ~above
+        for new, upper_end, lower_end in ((t, hi, lo), (x, b, a), (val, fhi, flo)):
+            np.copyto(upper_end, new, where=above)
+            np.copyto(lower_end, new, where=below)
+    res[idx] = hi if upper else lo
+    return res
 
 
 def inverse(phi: YoungFunction, y, tol: float = 1e-10, max_iter: int = 200):
-    """Generalized inverse sup{t >= 0 : Phi(t) <= y} by bracketing bisection.
+    """Generalized inverse sup{t >= 0 : Phi(t) <= y}.
 
-    For continuous strictly increasing Phi this satisfies
-    |Phi(t) - y| <= tol * max(1, y); where Phi jumps to +inf the bisection
-    converges to the jump point. Raises NoBracket only when an explicit
-    domain cap makes y unreachable.
+    Each positive y is bracketed by t_lo > 0 with Phi(t_lo) <= y and t_hi
+    with Phi(t_hi) > y, found from t = 1 by steps of 2, 4, 16, ... (each
+    factor the square of the last, at most 1e16). ITP steps on
+    log Phi(t) / y over log t (see _itp_solve) then shrink the bracket
+    until t_hi - t_lo <= tol * t_lo, and t_lo is returned: Phi(t_lo) <= y
+    holds exactly, and t_lo is within a factor 1 + tol below the exact
+    inverse; where Phi jumps to +inf the bracket closes on the jump point.
+    A y so small that t_lo underflows gives 0. Every point is
+    solved on its own, so its result does not depend on the rest of the
+    vector; long vectors are solved in blocks of _INVERSE_CHUNK points.
+    Raises NoBracket when an explicit domain cap makes y unreachable, or
+    when Phi stays <= y up to the largest float.
     """
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
@@ -443,24 +490,52 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10, max_iter: int = 200):
         return float(out[0]) if scalar else out
 
     yq = arr[pos]
-    hi = np.ones_like(yq)
-    for _ in range(1200):
-        need = phi.eval(hi) <= yq
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-        if np.all(hi[need] > 1e308 / 4):
-            raise NoBracket("could not bracket the inverse from above")
-    lo = np.zeros_like(yq)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        pred = phi.eval(mid) <= yq
-        lo = np.where(pred, mid, lo)
-        hi = np.where(pred, hi, mid)
-        if np.all(hi - lo <= tol * np.maximum(lo, 1e-300)):
-            break
-    out[pos] = lo
+    phi_one = phi.eval(np.ones(1))[0]
+    out[pos] = np.concatenate([
+        _inverse_block(phi, yq[i:i + _INVERSE_CHUNK], phi_one, tol, max_iter)
+        for i in range(0, yq.size, _INVERSE_CHUNK)
+    ])
     return float(out[0]) if scalar else out
+
+
+def _inverse_block(phi: YoungFunction, y: np.ndarray, phi_one: float, tol: float,
+                   max_iter: int) -> np.ndarray:
+    """inverse() on one block of positive y."""
+    lo, hi = np.ones(y.size), np.ones(y.size)
+    flo, fhi = np.full(y.size, phi_one), np.full(y.size, phi_one)
+    # t = 1 is one end: search upward for t_hi where it is feasible,
+    # downward for t_lo elsewhere
+    upward = phi_one <= y
+    idx = np.arange(y.size)
+    factor = 2.0
+    while idx.size:
+        up = upward[idx]
+        with np.errstate(over="ignore"):
+            t = np.where(up, np.minimum(lo[idx] * factor, _T_MAX), hi[idx] / factor)
+        ft = phi.eval(t)
+        feasible = ft <= y[idx]
+        if np.any(feasible & (t == _T_MAX)):
+            raise NoBracket("could not bracket the inverse from above")
+        lo[idx[feasible]], flo[idx[feasible]] = t[feasible], ft[feasible]
+        hi[idx[~feasible]], fhi[idx[~feasible]] = t[~feasible], ft[~feasible]
+        idx = idx[feasible == up]
+        factor = min(factor * factor, _BRACKET_FACTOR_CAP)
+
+    # a lower end that underflowed to 0 is itself the answer: Phi(0) = 0
+    res = np.zeros(y.size)
+    live = lo > 0
+    yl = y[live]
+    logy = np.log(yl)
+
+    def probe(idx, t):
+        ft = phi.eval(t)
+        with np.errstate(divide="ignore"):
+            return np.log(ft) - logy[idx], ft <= yl[idx]
+
+    with np.errstate(divide="ignore"):
+        flo, fhi = np.log(flo[live]) - logy, np.log(fhi[live]) - logy
+    res[live] = _itp_solve(lo[live], hi[live], flo, fhi, probe, tol, max_iter, upper=False)
+    return res
 
 
 def phi_n_eval(n: int, t):
@@ -472,22 +547,6 @@ def phi_n_eval(n: int, t):
     arr = np.atleast_1d(arr)
     out = arr * np.log(_E + arr) ** (n - 1)
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class PhiN:
-    """Callable wrapper for the companion scale of a fixed order."""
-
-    n: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError("PhiN requires an integer n >= 1")
-
-    def eval(self, t):
-        return phi_n_eval(self.n, t)
-
-    __call__ = eval
 
 
 @dataclass(frozen=True)
@@ -568,21 +627,6 @@ def probe_doubling(phi: YoungFunction, samples: SamplingSpec = SamplingSpec(),
     mx = float(ratio[i])
     passed = np.isfinite(mx) if bound is None else mx <= bound * (1.0 + tol)
     return ProbeReport("doubling", mx, (float(pts[ok][i]),), bool(passed), tol, int(ratio.size))
-
-
-def power_pair(p: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Exact normalized conjugate pair t**p / p and s**p' / p' (test oracle)."""
-    if not p > 1:
-        raise ValueError("power_pair needs p > 1")
-    q = p / (p - 1.0)
-
-    def primal(t):
-        return np.asarray(t, dtype=float) ** p / p
-
-    def conj(s):
-        return np.asarray(s, dtype=float) ** q / q
-
-    return primal, conj
 
 
 _KINDS = {"power", "power_log", "power_log_log", "tabulated", "complement_of"}

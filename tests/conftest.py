@@ -1,0 +1,22 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from orliczmax.young import Power, PowerLog, Tabulated, complementary
+
+# One Young function of each kind the root finders meet: smooth powers, a
+# zero stretch below the first knot, a jump to +inf past the asymptotic
+# slope of a complement, and a jump past a domain cap.
+SOLVER_PHIS = [
+    Power(2.0),
+    PowerLog(1.8, 1.0),
+    Tabulated([(0.5, 0.0), (1.0, 0.5), (2.0, 3.0), (8.0, 64.0)]),
+    complementary(Power(1.5)),
+    Power(2.0, domain_cap=10.0),
+]
+SOLVER_IDS = ["power", "power_log", "tabulated", "complement", "capped"]
+
+
+@pytest.fixture(params=SOLVER_PHIS, ids=SOLVER_IDS)
+def solver_phi(request):
+    return request.param

@@ -7,7 +7,7 @@ from orliczmax.errors import DimensionError, EmptyRect, GeometryMismatch
 from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch,
                             luxemburg_norm, norm_lp, read_grid, rect_average,
                             write_grid)
-from orliczmax.young import Power, PowerLog, complementary
+from orliczmax.young import Power, PowerLog, YoungFunction, complementary
 
 
 def grid2(vals, spacing=0.5):
@@ -121,6 +121,66 @@ def test_luxemburg_batch_row_does_not_depend_on_batch(phi):
         assert batch[i] == luxemburg_batch(rows[i:i + 1], phi)[0]
         assert hinted[i] == luxemburg_batch(rows[i:i + 1], phi, lo_hint=lo[i:i + 1],
                                             hi_hint=hi[i:i + 1])[0]
+
+
+def solver_rows():
+    """Lognormal rows plus a row with zeros, single spikes and extreme scales."""
+    rng = np.random.default_rng(8)
+    rows = np.exp(rng.normal(size=(12, 20)))
+    rows[0, 5:] = 0.0
+    rows[1] = 0.0
+    rows[1, 7] = 3.0
+    rows[2] = 0.0
+    rows[2, 0] = 1e-3
+    rows[3] *= 1e-150
+    rows[4] *= 1e150
+    return rows
+
+
+@pytest.mark.parametrize("phi", [PowerLog(2.0, 1.0), complementary(Power(1.5))])
+def test_luxemburg_power_of_two_scaling_is_exact(phi):
+    rng = np.random.default_rng(10)
+    rows = rng.uniform(0.2, 5.0, size=(50, 12))
+    base = luxemburg_batch(rows, phi)
+    for c in (4.0, 0.03125, 1024.0):
+        assert np.array_equal(luxemburg_batch(c * rows, phi), c * base)
+
+
+def phi_mean(phi, rows, lam):
+    return np.mean(phi.eval(rows / lam[:, None]), axis=1)
+
+
+def test_luxemburg_returns_certified_upper_end(solver_phi):
+    # G <= 1 at the returned lam, and G > 1 a relative tol below it
+    rows = solver_rows()
+    tol = 1e-9
+    lam = luxemburg_batch(rows, solver_phi, tol=tol)
+    assert np.all(lam > 0)
+    assert np.all(phi_mean(solver_phi, rows, lam) <= 1.0)
+    assert np.all(phi_mean(solver_phi, rows, lam * (1.0 - tol)) > 1.0)
+
+
+class CountingPhi(YoungFunction):
+    """Counts the evaluations of a wrapped Young function."""
+
+    def __init__(self, base):
+        self.base = base
+        self.domain_cap = base.domain_cap
+        self.calls = 0
+
+    def eval(self, t):
+        self.calls += 1
+        return self.base.eval(t)
+
+
+def test_unhinted_luxemburg_row_takes_few_phi_means(solver_phi):
+    # a single row makes each Phi evaluation one Phi-mean; fixed bisection
+    # took 44-45 from the unhinted bracket
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        counting = CountingPhi(solver_phi)
+        luxemburg_batch(np.exp(rng.normal(size=(1, 30))), counting)
+        assert counting.calls <= 16
 
 
 def test_norm_lp_and_weight():

@@ -11,7 +11,7 @@ from orliczmax.weights import (RectFamilySpec, SetSamplerSpec, WeightSystem,
                                condition_A_estimate, condition_A_value,
                                power_bump_constant, power_bump_value,
                                sawyer_constant, sawyer_value)
-from orliczmax.young import Power, PowerLog
+from orliczmax.young import Power, PowerLog, complementary
 
 
 def grid(vals, spacing=0.5):
@@ -70,6 +70,20 @@ def test_bump_witness_reevaluates():
     phi = Power(2.0)
     rep = bump_constant(u, v, phi, 2.0, FAM)
     assert bump_value(u, v, phi, 2.0, rep.argmax_rect) == rep.sup_constant
+
+
+@pytest.mark.parametrize("phi", [PowerLog(2.0, 1.0), complementary(Power(1.5))])
+@pytest.mark.parametrize("fam", [RectFamilySpec(mode="exhaustive"), FAM])
+def test_bump_constant_matches_bump_value_loop(phi, fam):
+    # the batched norms must reproduce the per-rectangle values bit for bit
+    u = rand_weight((7, 6), seed=11)
+    v = rand_weight((7, 6), seed=12)
+    rep = bump_constant(u, v, phi, 2.0, fam)
+    rects = fam.members(u.shape)
+    vals = [bump_value(u, v, phi, 2.0, r) for r in rects]
+    best = int(np.argmax(vals))
+    assert rep.sup_constant == vals[best]
+    assert rep.argmax_rect == rects[best]
 
 
 def test_bump_geometry_check():

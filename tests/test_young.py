@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from orliczmax.errors import InvalidYoungFunction, NonFinite
-from orliczmax.young import (NumericComplement, Power, PowerLog, PowerLogLog,
-                             Tabulated, complementary, inverse, probe_doubling,
-                             probe_submultiplicative, tabulate, young_from_json,
-                             young_to_json)
+from orliczmax.young import (_INVERSE_CHUNK, NumericComplement, Power, PowerLog,
+                             PowerLogLog, Tabulated, complementary, inverse,
+                             probe_doubling, probe_submultiplicative, tabulate,
+                             young_from_json, young_to_json)
+
+
+def solver_ys(phi):
+    """More than one inverse block of y, with a tiny and a huge value."""
+    top = 1e300 if phi.domain_cap is None else float(phi.eval(phi.domain_cap))
+    rng = np.random.default_rng(7)
+    y = np.exp(rng.uniform(np.log(1e-8), np.log(min(top, 1e8)), size=_INVERSE_CHUNK + 9))
+    y[[5, _INVERSE_CHUNK - 1, _INVERSE_CHUNK]] = [1e-300, top, 1.0]
+    return y
 
 
 def test_power_eval():
@@ -98,6 +107,25 @@ def test_inverse_product_sandwich():
         prod = np.asarray(inverse(phi, t)) * np.asarray(inverse(phibar, t))
         assert np.all(prod >= t * (1 - 1e-6))
         assert np.all(prod <= 2 * t * (1 + 1e-6))
+
+
+def test_inverse_point_does_not_depend_on_its_vector(solver_phi):
+    y = solver_ys(solver_phi)
+    t = inverse(solver_phi, y)
+    rng = np.random.default_rng(8)
+    picks = [0, 5, _INVERSE_CHUNK - 1, _INVERSE_CHUNK, y.size - 1]
+    picks += rng.integers(0, y.size, size=20).tolist()
+    for i in picks:
+        assert t[i] == inverse(solver_phi, y[i:i + 1])[0], (i, y[i])
+
+
+def test_inverse_returns_certified_lower_end(solver_phi):
+    # Phi(t) <= y at the returned t, and t is within tol of the exact inverse
+    y = solver_ys(solver_phi)
+    t = inverse(solver_phi, y, tol=1e-10)
+    assert np.all(t > 0)
+    assert np.all(solver_phi.eval(t) <= y)
+    assert np.all(solver_phi.eval(t * (1.0 + 2e-10)) > y)
 
 
 def test_tabulated_interpolates_between_knots():
