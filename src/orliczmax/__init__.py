@@ -16,8 +16,8 @@ from .maximal import (CUBES, DEFAULT_BUDGET, DYADIC, RECTANGLES, Basis,
                       multilinear_orlicz_maximal, orlicz_maximal, strong_maximal)
 from .verify import (ProbeSuite, RatioReport, counterexample_divergence,
                      fefferman_stein_probe, holder_orlicz_suite, lp_bound_probe,
-                     multilinear_two_weight_probe, necessity_construction,
-                     run_suite, two_weight_probe, weighted_transfer_probe)
+                     necessity_construction, run_suite, two_weight_probe,
+                     weighted_transfer_probe)
 from .weights import (ConditionReport, RectFamilySpec, SetSamplerSpec,
                       WeightSystem, ap_constant, ap_value, bump_constant,
                       bump_value, condition_A_estimate, condition_A_value,

@@ -121,6 +121,8 @@ def _cmd_bp(args) -> dict:
 def _cmd_maximal(args) -> dict:
     if not args.input and not args.inputs:
         raise ValueError("need --input (or --inputs for the multilinear form)")
+    if args.jobs < 1:  # checked here too: the Orlicz paths take no jobs
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     basis = _basis_from(args.basis, args.min_side, args.max_side)
     budget = args.budget if args.budget is not None else _default_budget()
     if args.inputs:

@@ -3,12 +3,17 @@
 Every operator here is a pointwise supremum over the members of a
 rectangle basis containing the evaluation cell: of plain averages
 (strong_maximal), of Luxemburg norms (orlicz_maximal), or of products of
-either across several functions (the multilinear variants).
+either across several functions (the multilinear variants). The four
+public functions are thin wrappers over one input check, one provenance
+builder and two sweeps.
 
-The enumeration is exhaustive by shape: for each admissible side-length
-vector the quantity for all positions of that shape comes from the shared
-summed-area table in one vectorized pass, and the per-cell supremum is
-folded in through a separable padded sliding-window maximum. Differencing
+The average sweep (_average_sweep) runs a corner DP over the summed-area
+tables: each side of the leading axis is differenced off and its
+positions join a batch, recursively, and the last axis takes the maxima
+over all (lo, hi) pairs at once. The Orlicz sweep (_orlicz_field) goes
+shape by shape, solving the norms of all positions of one shape in one
+vectorized pass. Every per-cell supremum and every window extreme comes
+from one block prefix/suffix min/max filter (_window_extreme). Differencing
 the table axis by axis in the fixed canonical order keeps every average
 bit-identical to rect_average on the same rectangle, which is what the
 brute-force comparisons rely on.
@@ -140,31 +145,51 @@ def _window_sums(table: np.ndarray, sides: tuple[int, ...]) -> np.ndarray:
     return a
 
 
-def _cover_max(plane: np.ndarray, sides: tuple[int, ...]) -> np.ndarray:
-    """Per-cell max over the positions whose rectangle covers the cell.
+def _window_extreme(a: np.ndarray, s: int, axis: int, take_min: bool = False,
+                    cover: bool = False) -> np.ndarray:
+    """Max (or min) over every run of s consecutive entries along one axis.
 
-    plane is indexed by position (anchor corner); a cell x is covered by
-    anchors in (x - side, x], so a sliding max over a zero-padded plane
-    recovers the per-cell value. Zero padding is safe: all folded
-    quantities are nonnegative.
+    Without cover, entry i is the extreme of a[i:i+s]: one value per
+    position of a member with side s. With cover, a is indexed by position
+    and entry x is the extreme over the positions whose member covers cell
+    x, those in (x - s, x]; the axis grows by s - 1. Block prefix and
+    suffix extremes (van Herk 1992; Gil & Werman 1993) cost O(1) per
+    element whatever s is. Max and min are exact, so the result does not
+    depend on the method; it is C-contiguous when a is.
     """
-    a = plane
+    if s == 1:
+        return a
+    n = a.shape[axis]
+    off = s - 1 if cover else 0
+    length = n + 2 * off
+    blocks = -(-length // s)
+    ufunc = np.minimum if take_min else np.maximum
+    lead = (slice(None),) * axis
+    buf = np.full(a.shape[:axis] + (blocks * s,) + a.shape[axis + 1:],
+                  np.inf if take_min else -np.inf)
+    buf[lead + (slice(off, off + n),)] = a
+    split = buf.reshape(a.shape[:axis] + (blocks, s) + a.shape[axis + 1:])
+    suffix = np.empty_like(split)
+    rev = lead + (slice(None), slice(None, None, -1))
+    ufunc.accumulate(split[rev], axis=axis + 1, out=suffix[rev])
+    ufunc.accumulate(split, axis=axis + 1, out=split)  # prefix extremes, into buf
+    suffix = suffix.reshape(buf.shape)
+    return ufunc(suffix[lead + (slice(0, length - s + 1),)],
+                 buf[lead + (slice(s - 1, length),)])
+
+
+def _cover_max(plane: np.ndarray, sides: tuple[int, ...]) -> np.ndarray:
+    """Per-cell max over the positions whose member of one shape covers the cell."""
     for ax, s in enumerate(sides):
-        if s > 1:
-            pad = [(0, 0)] * a.ndim
-            pad[ax] = (s - 1, s - 1)
-            a = np.pad(a, pad, constant_values=0.0)
-        a = sliding_window_view(a, s, axis=ax).max(axis=-1)
-    return a
+        plane = _window_extreme(plane, s, ax, cover=True)
+    return plane
 
 
 def _position_extreme(values: np.ndarray, sides: tuple[int, ...], take_min: bool) -> np.ndarray:
     """Window min/max of the grid values at every position of one shape."""
-    a = values
     for ax, s in enumerate(sides):
-        w = sliding_window_view(a, s, axis=ax)
-        a = w.min(axis=-1) if take_min else w.max(axis=-1)
-    return a
+        values = _window_extreme(values, s, ax, take_min)
+    return values
 
 
 def _input_digest(*fs: GridFunction) -> str:
@@ -175,8 +200,14 @@ def _input_digest(*fs: GridFunction) -> str:
     return h.hexdigest()[:12]
 
 
-def _check_budget(basis: Basis, shape: tuple[int, ...], budget: int) -> int:
-    count = basis.rect_count(shape)
+def _checked_inputs(fs: list[GridFunction], basis: Basis, budget: int) -> int:
+    """Member count of the basis, after the geometry and budget checks."""
+    if not fs:
+        raise ValueError("need at least one function")
+    for g in fs[1:]:
+        if not fs[0].same_geometry(g):
+            raise GeometryMismatch("multilinear inputs must share grid geometry")
+    count = basis.rect_count(fs[0].shape)
     if count > budget:
         raise BudgetExceeded(
             f"{count} basis rectangles exceed the budget of {budget}; "
@@ -185,78 +216,77 @@ def _check_budget(basis: Basis, shape: tuple[int, ...], budget: int) -> int:
     return count
 
 
-def _chunked(seq: list, parts: int) -> list[list]:
-    parts = max(1, min(parts, len(seq)))
-    return [seq[i::parts] for i in range(parts)]
+def _field(fs: list[GridFunction], out: np.ndarray, basis: Basis, count: int,
+           **prov) -> MaximalField:
+    """The field on the inputs' grid, with the provenance every operator shares."""
+    prov.update(basis=basis.to_dict(), grid_shape=list(fs[0].shape), rect_count=count,
+                inputs=_input_digest(*fs))
+    return MaximalField(field=fs[0].with_values(out), provenance=prov)
 
 
-def _cover_axis0(a: np.ndarray, w: int) -> np.ndarray:
-    """Expand position maxima to cell maxima along axis 0.
-
-    a[i] belongs to the member anchored at i with side w, which covers
-    cells i .. i+w-1, so cell r takes the max of a over the w-window
-    ending at r. Computed as a block prefix/suffix max filter: O(1) work
-    per element independent of w.
-    """
-    if w == 1:
-        return a
-    npos = a.shape[0]
-    n = npos + 2 * (w - 1)
-    blocks = -(-n // w)
-    rest = a.shape[1:]
-    p = np.full((blocks * w,) + rest, -np.inf)
-    p[w - 1:w - 1 + npos] = a
-    b = p.reshape(blocks, w, *rest)
-    f = np.maximum.accumulate(b, axis=1).reshape(blocks * w, *rest)
-    g = np.maximum.accumulate(b[:, ::-1], axis=1)[:, ::-1].reshape(blocks * w, *rest)
-    return np.maximum(g[:n - w + 1], f[w - 1:n])
-
-
-def _bad_pairs(size_plus1: int, allowed: list[int]) -> np.ndarray:
-    """Mask of (lo, hi) index pairs whose side count is not admissible."""
-    d = np.arange(size_plus1)[None, :] - np.arange(size_plus1)[:, None]
-    return ~(np.isin(d, allowed) & (d > 0))
+# pair cells (batch rows times (n+1)^2) per block of the last-axis DP; bounds
+# the DP's temporaries whatever the batch is
+_DP_BLOCK = 1 << 18
 
 
 def _dp_last_axis(slabs: list[np.ndarray], pref: int, dmat: np.ndarray,
                   bad: np.ndarray) -> np.ndarray:
     """Per-cell maxima over all (lo, hi) choices of the last table axis.
 
-    slabs[j] holds, for each position along the leading batch axis, the
-    partially differenced table of function j (shape (npos, s+1)). The
-    average over the pair (lo, hi) is (slab[hi] - slab[lo]) / (pref * d),
-    matching rect_sum's nested differencing and rect_average's division
-    bit for bit; products across functions multiply in input order. The
-    two max-accumulations turn the pair matrix into corner maxima, whose
-    (x, x+1) diagonal is the best member containing cell x.
+    slabs[j] holds, for each row of the batch, the partially differenced
+    table of function j (shape (batch, n+1)). The average over the pair
+    (lo, hi) is (slab[hi] - slab[lo]) / (pref * d), matching rect_sum's
+    nested differencing and rect_average's division bit for bit; products
+    across functions multiply in input order. Pairs flagged in bad are not
+    admissible. The two max-accumulations turn the pair matrix into corner
+    maxima, whose (x, x+1) diagonal is the best member containing cell x.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = slabs[0][:, None, :] - slabs[0][:, :, None]
-        v /= pref * dmat
-        for t in slabs[1:]:
-            w = t[:, None, :] - t[:, :, None]
-            w /= pref * dmat
-            v *= w
-    v[:, bad] = -np.inf
-    np.maximum.accumulate(v, axis=1, out=v)
-    r = v[:, :, ::-1]
-    np.maximum.accumulate(r, axis=2, out=r)
-    s = v.shape[1] - 1
-    ar = np.arange(s)
-    return v[:, ar, ar + 1]
+    batch, size = slabs[0].shape
+    out = np.empty((batch, size - 1))  # C order: norm_lp sums a field in memory order
+    scale = pref * dmat
+    ar = np.arange(size - 1)
+    step = max(1, _DP_BLOCK // (size * size))
+    for lo in range(0, batch, step):
+        block = [t[lo:lo + step] for t in slabs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = block[0][:, None, :] - block[0][:, :, None]
+            v /= scale
+            for t in block[1:]:
+                w = t[:, None, :] - t[:, :, None]
+                w /= scale
+                v *= w
+        v[:, bad] = -np.inf
+        np.maximum.accumulate(v, axis=1, out=v)
+        r = v[:, :, ::-1]
+        np.maximum.accumulate(r, axis=2, out=r)
+        out[lo:lo + step] = v[:, ar, ar + 1]
+    return out
 
 
-def _dp_plane(tables: list[np.ndarray], pref: int,
-              side_lists: list[list[int]]) -> np.ndarray:
-    """Cell maxima for rank-2 tables: loop the first axis side, DP the last."""
-    s2p = tables[0].shape[1]
-    dmat = (np.arange(s2p)[None, :] - np.arange(s2p)[:, None]).astype(float)
-    bad = _bad_pairs(s2p, side_lists[1])
-    out = np.full((tables[0].shape[0] - 1, s2p - 1), -np.inf)
+def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: int,
+                  dmat: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """Per-cell maxima over every member with sides from side_lists, any rank.
+
+    tables[j] is the summed-area table of function j behind a leading batch
+    axis, shape (batch, n_1+1, ..., n_k+1); the result has shape
+    (batch, n_1, ..., n_k), -inf where no member covers a cell. Each side
+    d of the leading axis is differenced off, its positions are folded
+    into the batch for the remaining axes, and the per-position maxima are
+    expanded back to cells with a cover max. The last axis is the pair DP,
+    with dmat and bad built once per sweep; pref is the product of the
+    sides already differenced off.
+    """
+    if len(side_lists) == 1:
+        return _dp_last_axis(tables, pref, dmat, bad)
+    out = None
     for d in side_lists[0]:
-        slabs = [t[d:] - t[:-d] for t in tables]
-        u = _dp_last_axis(slabs, pref * d, dmat, bad)
-        np.maximum(out, _cover_axis0(u, d), out=out)
+        slabs = [t[:, d:] - t[:, :-d] for t in tables]
+        batch, npos = slabs[0].shape[:2]
+        rest = slabs[0].shape[2:]
+        u = _corner_sweep([s.reshape((batch * npos,) + rest) for s in slabs],
+                          side_lists[1:], pref * d, dmat, bad)
+        u = _window_extreme(u.reshape((batch, npos) + u.shape[1:]), d, 1, cover=True)
+        out = u if out is None else np.maximum(out, u, out=out)
     return out
 
 
@@ -264,19 +294,19 @@ def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarra
     """Sup over basis members of the product of per-function averages.
 
     Cube bases couple the sides, so they go through one vectorized pass
-    per side count; the uncoupled bases run the corner-DP sweep, whose
-    outermost side loop is the parallel partition when jobs > 1. Cells
-    covered by no admissible member report 0 (empty supremum).
+    per side count; the uncoupled bases run the corner sweep, whose first
+    side list is split across jobs threads when jobs > 1. Cells covered by
+    no admissible member report 0 (empty supremum).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     shape = fs[0].shape
     tables = [SummedAreaTable(f).table for f in fs]
 
     if basis.kind == CUBES:
         out = np.zeros(shape)
         for sides in basis.shapes(shape):
-            ncells = 1
-            for s in sides:
-                ncells *= s
+            ncells = math.prod(sides)
             plane = _window_sums(tables[0], sides) / ncells
             for t in tables[1:]:
                 plane = plane * (_window_sums(t, sides) / ncells)
@@ -286,48 +316,26 @@ def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarra
     side_lists = [basis.side_choices(e) for e in shape]
     if any(not lst for lst in side_lists):
         return np.zeros(shape)
+    d = np.arange(shape[-1] + 1)[None, :] - np.arange(shape[-1] + 1)[:, None]
+    dmat = d.astype(float)
+    admissible = np.zeros(shape[-1] + 1, dtype=bool)
+    admissible[side_lists[-1]] = True  # index 0 stays False: d <= 0 is no member
+    bad = ~admissible[np.maximum(d, 0)]
+    tables = [t[None] for t in tables]
 
-    if len(shape) == 1:
-        u = _dp_last_axis([t[None, :] for t in tables], 1,
-                          (np.arange(shape[0] + 1)[None, :]
-                           - np.arange(shape[0] + 1)[:, None]).astype(float),
-                          _bad_pairs(shape[0] + 1, side_lists[0]))
-        return np.maximum(u[0], 0.0)
+    def sweep(firsts: list[int]) -> np.ndarray:
+        return _corner_sweep(tables, [firsts] + side_lists[1:], 1, dmat, bad)
 
-    def run_d1(d1: int) -> np.ndarray:
-        slabs = [t[d1:] - t[:-d1] for t in tables]
-        if len(shape) == 2:
-            u = _dp_last_axis(slabs, d1, dmat, bad)
-        else:
-            u = np.stack([
-                _dp_plane([s[i] for s in slabs], d1, side_lists[1:])
-                for i in range(slabs[0].shape[0])
-            ])
-        return _cover_axis0(u, d1)
-
-    if len(shape) == 2:
-        s2p = shape[1] + 1
-        dmat = (np.arange(s2p)[None, :] - np.arange(s2p)[:, None]).astype(float)
-        bad = _bad_pairs(s2p, side_lists[1])
-
-    d1s = side_lists[0]
-    if jobs <= 1 or len(d1s) < 2:
-        planes = map(run_d1, d1s)
+    firsts = side_lists[0]
+    # in 1-D the first side list is the pair DP's own, fixed in bad
+    parts = min(jobs, len(firsts)) if len(shape) > 1 else 1
+    if parts == 1:
+        out = sweep(firsts)
     else:
-        chunks = _chunked(d1s, jobs)
-
-        def run_chunk(ds: list[int]) -> np.ndarray:
-            local = np.full(shape, -np.inf)
-            for d in ds:
-                np.maximum(local, run_d1(d), out=local)
-            return local
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            planes = list(pool.map(run_chunk, chunks))
-    out = np.full(shape, -np.inf)
-    for p in planes:
-        np.maximum(out, p, out=out)
-    return np.maximum(out, 0.0)
+        chunks = [firsts[i::parts] for i in range(parts)]
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            out = np.maximum.reduce(list(pool.map(sweep, chunks)))
+    return np.maximum(out[0], 0.0)
 
 
 def strong_maximal(f: GridFunction, basis: Basis = Basis(),
@@ -337,42 +345,17 @@ def strong_maximal(f: GridFunction, basis: Basis = Basis(),
     Admits the single-cell rectangle (when min_side is 1), so the output
     dominates the input pointwise.
     """
-    count = _check_budget(basis, f.shape, budget)
-    out = _average_sweep([f], basis, jobs)
-    return MaximalField(
-        field=f.with_values(out),
-        provenance={
-            "operator": "strong_maximal",
-            "basis": basis.to_dict(),
-            "grid_shape": list(f.shape),
-            "rect_count": count,
-            "inputs": _input_digest(f),
-        },
-    )
+    count = _checked_inputs([f], basis, budget)
+    return _field([f], _average_sweep([f], basis, jobs), basis, count,
+                  operator="strong_maximal")
 
 
 def multilinear_maximal(fs: list[GridFunction], basis: Basis = Basis(),
                         budget: int = DEFAULT_BUDGET, jobs: int = 1) -> MaximalField:
     """Sup over basis members of the product of the m averages."""
-    if not fs:
-        raise ValueError("need at least one function")
-    base = fs[0]
-    for g in fs[1:]:
-        if not base.same_geometry(g):
-            raise GeometryMismatch("multilinear inputs must share grid geometry")
-    count = _check_budget(basis, base.shape, budget)
-    out = _average_sweep(list(fs), basis, jobs)
-    return MaximalField(
-        field=base.with_values(out),
-        provenance={
-            "operator": "multilinear_maximal",
-            "m": len(fs),
-            "basis": basis.to_dict(),
-            "grid_shape": list(base.shape),
-            "rect_count": count,
-            "inputs": _input_digest(*fs),
-        },
-    )
+    count = _checked_inputs(fs, basis, budget)
+    return _field(fs, _average_sweep(fs, basis, jobs), basis, count,
+                  operator="multilinear_maximal", m=len(fs))
 
 
 def _inverse_tables(supp_table: np.ndarray, phi: YoungFunction,
@@ -409,21 +392,13 @@ def _inverse_tables(supp_table: np.ndarray, phi: YoungFunction,
     return tables
 
 
-def _window_max_and_support(values: np.ndarray, supp_table: np.ndarray,
-                            sides: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Window max of the values and the nonzero count, at least 1, at every
-    position of one shape; the prune bound and the norm hints share them."""
-    maxv = _position_extreme(values, sides, take_min=False)
-    supp = np.maximum(_window_sums(supp_table, sides), 1.0).astype(np.intp)
-    return maxv, supp
-
-
 def _norm_planes(values: np.ndarray, maxv: np.ndarray, supp: np.ndarray,
                  phi: YoungFunction, inv: np.ndarray, sides: tuple[int, ...],
                  tol: float, skip: np.ndarray | None) -> np.ndarray:
     """Luxemburg norms of one function at every position of one shape.
 
-    maxv and supp come from _window_max_and_support. Positions flagged in
+    maxv and supp are the window max and the nonzero count (at least 1)
+    at every position, which the prune bound shares. Positions flagged in
     skip (and positions where the function vanishes on the rectangle) are
     left at 0. The solver's start brackets come from the two-sided
     indicator bounds max/inv(cells) <= norm <= max/inv(cells/supp), both
@@ -444,72 +419,88 @@ def _norm_planes(values: np.ndarray, maxv: np.ndarray, supp: np.ndarray,
     return plane
 
 
+def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
+                  budget: int, tol: float, prune: bool, /, **prov) -> MaximalField:
+    """Sup over basis members of the product of per-function Luxemburg norms.
+
+    When every phi is an uncapped Power with one exponent r, the norm is
+    (mean_R f^r)^{1/r} in closed form and the outer 1/r power commutes
+    with the sup, so the field is the average sweep of the f_j^r to the
+    1/r: r = 1 is the plain average sweep (dispatch "average"), any other
+    r is dispatch "power_mean". Each f_j is first divided by the power of
+    two 2**e_j with 2**(e_j-1) <= max f_j < 2**e_j, and the field is
+    multiplied back by 2**(sum e_j), so f^r neither under- nor overflows
+    and scaling an input by a power of two scales the field exactly.
+
+    Otherwise every norm is solved. All inverse values the sweep needs
+    come from one table per function, solved in one vectorized call
+    before the shape loop (see _inverse_tables). Pruning skips a position
+    when the product of the certified upper bounds, each widened by
+    4 * tol, cannot beat the minimum of the running output over the cells
+    the rectangle covers. The widening covers a tight bound (an indicator
+    window) that rounding makes look infeasible as a hint: the solver then
+    widens its bracket and may return its upper end up to tol above the
+    bound. Since the output only grows, a skipped rectangle can never
+    change the final field. The on/off results agree exactly because
+    nothing else differs between the modes: the inverse tables are the
+    same, and luxemburg_batch stops each row on its own, so a norm does
+    not depend on which other rows share its batch.
+    """
+    count = _checked_inputs(fs, basis, budget)
+    if (all(isinstance(p, Power) and p.domain_cap is None for p in phis)
+            and len({p.r for p in phis}) == 1):
+        r = phis[0].r
+        if r == 1.0:
+            return _field(fs, _average_sweep(fs, basis, 1), basis, count, **prov,
+                          dispatch="average")
+        es = [int(np.frexp(f.values.max())[1]) for f in fs]
+        powered = [f.with_values(np.ldexp(f.values, -e) ** r) for f, e in zip(fs, es)]
+        out = np.ldexp(_average_sweep(powered, basis, 1) ** (1.0 / r), sum(es))
+        return _field(fs, out, basis, count, **prov, dispatch="power_mean")
+
+    shape = fs[0].shape
+    supp_tables = [
+        SummedAreaTable(f.with_values((f.values > 0).astype(float))).table for f in fs
+    ]
+    shapes = list(basis.shapes(shape))
+    inv_tables = [_inverse_tables(st, phi, shapes) for st, phi in zip(supp_tables, phis)]
+    widen = (1.0 + 4.0 * tol) ** len(fs)
+    out = np.zeros(shape)
+    pruned = 0
+    for sides in shapes:
+        ncells = math.prod(sides)
+        extents = [(_position_extreme(f.values, sides, take_min=False),
+                    np.maximum(_window_sums(st, sides), 1.0).astype(np.intp))
+                   for f, st in zip(fs, supp_tables)]
+        skip = None
+        if prune:
+            bound = None
+            for (maxv, supp), it in zip(extents, inv_tables):
+                b = maxv / it[ncells][supp]
+                bound = b if bound is None else bound * b
+            skip = bound * widen <= _position_extreme(out, sides, take_min=True)
+            pruned += int(skip.sum())
+        plane = None
+        for f, (maxv, supp), phi, it in zip(fs, extents, phis, inv_tables):
+            norms = _norm_planes(f.values, maxv, supp, phi, it[ncells], sides, tol, skip)
+            plane = norms if plane is None else plane * norms
+        np.maximum(out, _cover_max(plane, sides), out=out)
+    return _field(fs, out, basis, count, **prov, pruned=pruned, tol=tol)
+
+
 def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
                    budget: int = DEFAULT_BUDGET, tol: float = 1e-9,
                    prune: bool = True) -> MaximalField:
     """Pointwise sup of Luxemburg norms over basis members containing x.
 
     Phi(t) = t makes the Luxemburg norm the plain average, so Power(r=1)
-    dispatches to strong_maximal and inherits its exact arithmetic.
-
-    All inverse values the sweep needs come from one table, solved in one
-    vectorized call before the shape loop (see _inverse_tables).
-
-    Pruning skips a position when its certified upper bound, widened by
-    4 * tol, cannot beat the minimum of the running output over the cells
-    the rectangle covers. The widening covers a tight bound (an indicator
-    window) that rounding makes look infeasible as a hint: the solver then
-    widens its bracket and may return its upper end up to tol above the
-    bound. Since the output only grows, a skipped rectangle can never
-    change the final field. The on/off results agree exactly because nothing else differs
-    between the modes: the inverse table is the same, and luxemburg_batch
-    stops each row on its own, so a norm does not depend on which other
-    rows share its batch.
+    runs the average sweep of strong_maximal and inherits its exact
+    arithmetic; other uncapped powers use the closed form. Pruning skips
+    members that provably cannot raise the field, so prune on and off
+    give the same field bit for bit (see _orlicz_field).
     """
-    if isinstance(phi, Power) and phi.r == 1.0 and phi.domain_cap is None:
-        mf = strong_maximal(f, basis, budget=budget)
-        prov = dict(mf.provenance)
-        prov.update(operator="orlicz_maximal", phi=young_to_json(phi), dispatch="average")
-        return MaximalField(field=mf.field, provenance=prov)
-    if isinstance(phi, Power) and phi.domain_cap is None:
-        # ||f||_{Phi,R} = (mean_R f^r)^{1/r} in closed form, and the outer
-        # 1/r power commutes with the sup over members
-        mf = strong_maximal(f.with_values(f.values ** phi.r), basis, budget=budget)
-        prov = dict(mf.provenance)
-        prov.update(operator="orlicz_maximal", phi=young_to_json(phi),
-                    dispatch="power_mean", inputs=_input_digest(f))
-        return MaximalField(field=f.with_values(mf.field.values ** (1.0 / phi.r)),
-                            provenance=prov)
-
-    count = _check_budget(basis, f.shape, budget)
-    supp_table = SummedAreaTable(f.with_values((f.values > 0).astype(float))).table
-    shapes = list(basis.shapes(f.shape))
-    inv_tables = _inverse_tables(supp_table, phi, shapes)
-    out = np.zeros(f.shape)
-    pruned = 0
-    for sides in shapes:
-        inv = inv_tables[math.prod(sides)]
-        maxv, supp = _window_max_and_support(f.values, supp_table, sides)
-        skip = None
-        if prune:
-            bound = maxv / inv[supp]
-            skip = bound * (1.0 + 4.0 * tol) <= _position_extreme(out, sides, take_min=True)
-            pruned += int(skip.sum())
-        plane = _norm_planes(f.values, maxv, supp, phi, inv, sides, tol, skip)
-        np.maximum(out, _cover_max(plane, sides), out=out)
-    return MaximalField(
-        field=f.with_values(out),
-        provenance={
-            "operator": "orlicz_maximal",
-            "phi": young_to_json(phi),
-            "basis": basis.to_dict(),
-            "grid_shape": list(f.shape),
-            "rect_count": count,
-            "pruned": pruned,
-            "tol": tol,
-            "inputs": _input_digest(f),
-        },
-    )
+    return _orlicz_field([f], [phi], basis, budget, tol, prune,
+                         operator="orlicz_maximal", phi=young_to_json(phi))
 
 
 def multilinear_orlicz_maximal(fs: list[GridFunction], phis: list[YoungFunction],
@@ -518,45 +509,9 @@ def multilinear_orlicz_maximal(fs: list[GridFunction], phis: list[YoungFunction]
     """Sup over basis members of the product of per-function Luxemburg norms."""
     if not fs or len(fs) != len(phis):
         raise ValueError("need one Young function per input function")
-    base = fs[0]
-    for g in fs[1:]:
-        if not base.same_geometry(g):
-            raise GeometryMismatch("multilinear inputs must share grid geometry")
-    if all(isinstance(p, Power) and p.r == 1.0 and p.domain_cap is None for p in phis):
-        mf = multilinear_maximal(fs, basis, budget=budget)
-        prov = dict(mf.provenance)
-        prov.update(operator="multilinear_orlicz_maximal", dispatch="average",
-                    phis=[young_to_json(p) for p in phis])
-        return MaximalField(field=mf.field, provenance=prov)
-
-    count = _check_budget(basis, base.shape, budget)
-    supp_tables = [
-        SummedAreaTable(f.with_values((f.values > 0).astype(float))).table for f in fs
-    ]
-    shapes = list(basis.shapes(base.shape))
-    inv_tables = [_inverse_tables(st, phi, shapes) for st, phi in zip(supp_tables, phis)]
-    out = np.zeros(base.shape)
-    for sides in shapes:
-        ncells = math.prod(sides)
-        plane = None
-        for f, st, phi, it in zip(fs, supp_tables, phis, inv_tables):
-            maxv, supp = _window_max_and_support(f.values, st, sides)
-            norms = _norm_planes(f.values, maxv, supp, phi, it[ncells], sides, tol, None)
-            plane = norms if plane is None else plane * norms
-        np.maximum(out, _cover_max(plane, sides), out=out)
-    return MaximalField(
-        field=base.with_values(out),
-        provenance={
-            "operator": "multilinear_orlicz_maximal",
-            "m": len(fs),
-            "phis": [young_to_json(p) for p in phis],
-            "basis": basis.to_dict(),
-            "grid_shape": list(base.shape),
-            "rect_count": count,
-            "tol": tol,
-            "inputs": _input_digest(*fs),
-        },
-    )
+    return _orlicz_field(fs, phis, basis, budget, tol, False,
+                         operator="multilinear_orlicz_maximal", m=len(fs),
+                         phis=[young_to_json(p) for p in phis])
 
 
 def indicator_far_field(ys: np.ndarray, phi: YoungFunction | None = None) -> np.ndarray:

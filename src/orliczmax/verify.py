@@ -20,9 +20,8 @@ from .covering import (RectFamily, cf_overlap_check, choose_cf_subfamily,
                        weight_growth_sweep)
 from .errors import DegenerateSet, DivisionDegenerate
 from .grid import GridFunction, Rect, luxemburg_batch, norm_lp
-from .maximal import Basis, MaximalField, orlicz_maximal, strong_maximal
-from .weights import (SetSamplerSpec, WeightSystem, bump_constant,
-                      condition_A_estimate, power_bump_constant)
+from .maximal import Basis, orlicz_maximal, strong_maximal
+from .weights import SetSamplerSpec, bump_constant, condition_A_estimate
 from .young import YoungFunction, complementary, inverse, tabulate, young_to_json
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "weighted_transfer_probe",
     "fefferman_stein_probe",
     "two_weight_probe",
-    "multilinear_two_weight_probe",
     "necessity_construction",
     "holder_orlicz_suite",
     "counterexample_divergence",
@@ -334,35 +332,6 @@ def two_weight_probe(u: GridFunction, v: GridFunction, phi: YoungFunction,
             rows.append({"test": name, "resolution": res, "ratio": num / den})
     expect = bool(cert) and cert.get("complement_bp_star", {}).get("label") == "Diverges"
     return _make_report("two_weight", rows, cert, expect, skipped)
-
-
-def multilinear_two_weight_probe(sys: WeightSystem, r: float = 1.5,
-                                 suite: ProbeSuite = ProbeSuite()) -> RatioReport:
-    """m-linear ratio ||nu * M(f_1..f_m)||_p / prod ||w_j f_j||_{p_j}.
-
-    Runs on the weight system's own grid; the power-bump constant at
-    exponent r is attached as the hypothesis certificate.
-    """
-    from .maximal import multilinear_maximal
-
-    cert = {"power_bump": power_bump_constant(sys, r).to_dict()}
-    shape = sys.nu.shape
-    spacing = sys.nu.spacing[0]
-    funcs = suite.functions_at(shape, spacing)
-    rows, skipped = [], 0
-    for k in range(len(funcs) - sys.m + 1):
-        group = funcs[k:k + sys.m]
-        den = 1.0
-        for (name, f), w, pj in zip(group, sys.ws, sys.ps):
-            den *= norm_lp(f.with_values(w.values * f.values), pj)
-        if den == 0.0:
-            skipped += 1
-            continue
-        mf = multilinear_maximal([f for _, f in group]).field.values
-        num = norm_lp(sys.nu.with_values(sys.nu.values * mf), sys.p)
-        rows.append({"test": "+".join(n for n, _ in group),
-                     "resolution": shape[0], "ratio": num / den})
-    return _make_report("multilinear_two_weight", rows, cert, False, skipped)
 
 
 def necessity_construction(g: GridFunction, p: float,

@@ -164,3 +164,16 @@ def test_maximal_run_config_does_not_depend_on_core_count(capsys, tmp_path, monk
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("phi", [[], ["--phi", '{"kind": "power_log", "alpha": 1.8, "beta": 1}']],
+                         ids=["strong", "orlicz"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_nonpositive_jobs_is_a_json_error(capsys, tmp_path, jobs, phi):
+    src = str(tmp_path / "f.grid")
+    run(capsys, "gen", "--kind", "random", "--shape", "6,6", "--out", src)
+    code, out, err = run(capsys, "maximal", "--input", src, "--jobs", jobs, *phi,
+                         "--out", str(tmp_path / "m.grid"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"

@@ -1,11 +1,14 @@
 """Maximal operators over rectangle bases."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from orliczmax import maximal
 from orliczmax.errors import BudgetExceeded, GeometryMismatch
-from orliczmax.grid import GridFunction, Rect, rect_average, SummedAreaTable
-from orliczmax.maximal import (CUBES, DYADIC, Basis, indicator_far_field,
+from orliczmax.grid import GridFunction, Rect, luxemburg_norm, rect_average, SummedAreaTable
+from orliczmax.maximal import (CUBES, DYADIC, Basis, _window_extreme, indicator_far_field,
                                multilinear_maximal, multilinear_orlicz_maximal,
                                orlicz_maximal, strong_maximal)
 from orliczmax.young import Power, PowerLog, PowerLogLog
@@ -220,3 +223,147 @@ def test_provenance_present():
     assert prov["operator"] == "strong_maximal"
     assert prov["grid_shape"] == [8, 8]
     assert prov["rect_count"] > 0
+
+
+def brute_field(fs, basis, member_value):
+    """Per-cell max of member_value(rect) over the basis members covering the cell."""
+    shape = fs[0].shape
+    out = np.zeros(shape)
+    for sides in basis.shapes(shape):
+        for lo in itertools.product(*(range(e - s + 1) for e, s in zip(shape, sides))):
+            rect = Rect(lo, tuple(a + s for a, s in zip(lo, sides)))
+            np.maximum(out[rect.slices], member_value(rect), out=out[rect.slices])
+    return out
+
+
+def brute_average(fs, basis):
+    """Sup over members of the product of rect_average, in input order."""
+    sats = [SummedAreaTable(f) for f in fs]
+
+    def value(rect):
+        v = rect_average(sats[0], rect)
+        for sat in sats[1:]:
+            v = v * rect_average(sat, rect)
+        return v
+
+    return brute_field(fs, basis, value)
+
+
+def brute_norms(fs, phis, basis):
+    """Sup over members of the product of per-rectangle Luxemburg norms."""
+    def value(rect):
+        v = luxemburg_norm(fs[0], rect, phis[0])
+        for f, phi in zip(fs[1:], phis[1:]):
+            v = v * luxemburg_norm(f, rect, phi)
+        return v
+
+    return brute_field(fs, basis, value)
+
+
+def max_rel_diff(got, want):
+    assert np.array_equal(got == 0, want == 0)
+    live = want != 0
+    return float(np.max(np.abs(got[live] - want[live]) / want[live], initial=0.0))
+
+
+BRUTE_BASES = [Basis(), Basis(CUBES), Basis(DYADIC), Basis(min_side=3, max_side=6)]
+BRUTE_BASIS_IDS = ["rect", "cubes", "dyadic", "sides3to6"]
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("basis", BRUTE_BASES, ids=BRUTE_BASIS_IDS)
+@pytest.mark.parametrize("shape", [(9,), (1, 8), (8, 1), (5, 4, 3)], ids=str)
+def test_average_sweeps_equal_rect_average_loops(shape, basis, jobs):
+    f = rand_grid(shape, seed=20)
+    g = rand_grid(shape, seed=21)
+    strong = strong_maximal(f, basis, jobs=jobs).field.values
+    assert np.array_equal(strong, brute_average([f], basis))
+    pair = multilinear_maximal([f, g], basis, jobs=jobs).field.values
+    assert np.array_equal(pair, brute_average([f, g], basis))
+    # a field's memory order fixes the summation order of norm_lp over it
+    assert strong.flags.c_contiguous and pair.flags.c_contiguous
+
+
+def test_average_sweep_is_exact_across_dp_blocks(monkeypatch):
+    # 100 pair cells per block splits every batch into uneven blocks of rows
+    monkeypatch.setattr(maximal, "_DP_BLOCK", 100)
+    for shape in [(7, 6), (5, 4, 3)]:
+        f = rand_grid(shape, seed=30)
+        g = rand_grid(shape, seed=31)
+        assert np.array_equal(strong_maximal(f).field.values, brute_average([f], Basis()))
+        assert np.array_equal(multilinear_maximal([f, g]).field.values,
+                              brute_average([f, g], Basis()))
+
+
+@pytest.mark.parametrize("shape, basis", [
+    ((6, 5), Basis(CUBES)),
+    ((6, 5), Basis(DYADIC)),
+    ((6, 5), Basis(max_side=3)),
+    ((9,), Basis()),
+    ((4, 3, 2), Basis()),
+], ids=["cubes", "dyadic", "max_side3", "1d", "3d"])
+def test_orlicz_sweeps_match_brute_force_norms(shape, basis):
+    f = rand_grid(shape, seed=22)
+    g = step_grid(shape, seed=23)
+    phi, psi = PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)
+    one = orlicz_maximal(f, phi, basis).field.values
+    assert max_rel_diff(one, brute_norms([f], [phi], basis)) <= 2e-9
+    two = multilinear_orlicz_maximal([f, g], [phi, psi], basis).field.values
+    assert max_rel_diff(two, brute_norms([f, g], [phi, psi], basis)) <= 2e-9
+
+
+def test_multilinear_power_mean_dispatch_matches_solver():
+    f = rand_grid((8, 8), seed=24)
+    g = rand_grid((8, 8), seed=25)
+    mf = multilinear_orlicz_maximal([f, g], [Power(2.0), Power(2.0)])
+    assert mf.provenance["dispatch"] == "power_mean"
+    capped = Power(2.0, domain_cap=1e300)
+    slow = multilinear_orlicz_maximal([f, g], [capped, capped]).field.values
+    assert max_rel_diff(mf.field.values, slow) < 5e-9
+    # unequal exponents have no closed form for the product: solved
+    mixed = multilinear_orlicz_maximal([f, g], [Power(2.0), Power(3.0)])
+    assert "dispatch" not in mixed.provenance
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_power_dispatch_at_extreme_scales_matches_solver(scale):
+    f = rand_grid((5, 5), seed=26)
+    f = f.with_values(f.values * scale)
+    fast = orlicz_maximal(f, Power(2.0)).field.values
+    slow = orlicz_maximal(f, Power(2.0, domain_cap=1e300)).field.values
+    assert max_rel_diff(fast, slow) <= 5e-9
+
+
+def test_power_dispatch_scales_by_powers_of_two_exactly():
+    f = rand_grid((9, 7), seed=27)
+    small = orlicz_maximal(f.with_values(f.values * 2.0**-31), Power(1.5)).field.values
+    assert np.array_equal(small, orlicz_maximal(f, Power(1.5)).field.values * 2.0**-31)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_nonpositive_jobs_rejected(jobs):
+    f = rand_grid((4, 4), seed=28)
+    with pytest.raises(ValueError):
+        strong_maximal(f, jobs=jobs)
+    with pytest.raises(ValueError):
+        multilinear_maximal([f, f], jobs=jobs)
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["position", "cover"])
+@pytest.mark.parametrize("take_min", [False, True], ids=["max", "min"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_window_extreme_matches_direct_windows(axis, take_min, cover):
+    # one decimal leaves ties between neighbours
+    a = np.round(np.random.default_rng(29).normal(size=(5, 4, 6)), 1)
+    n = a.shape[axis]
+    pick = np.min if take_min else np.max
+    for s in range(1, n + 3 if cover else n + 1):
+        if cover:  # cell x is covered by the positions in (x - s, x]
+            spans = [range(max(0, x - s + 1), min(n, x + 1)) for x in range(n + s - 1)]
+        else:
+            spans = [range(i, i + s) for i in range(n - s + 1)]
+        want = np.stack([pick(np.take(a, list(idx), axis=axis), axis=axis) for idx in spans],
+                        axis=axis)
+        got = _window_extreme(a, s, axis, take_min=take_min, cover=cover)
+        assert np.array_equal(got, want), s
+        assert got.flags.c_contiguous, s
