@@ -166,10 +166,22 @@ class SummedAreaTable:
     half-open rectangle is obtained by differencing axis 0 first, then axis
     1, and so on. That fixed order is the package's canonical averaging
     arithmetic.
+
+    When max * size could reach the top of the float range, the running
+    sums would overflow, so the values are first divided by the smallest
+    power of two 2**exponent that keeps that bound below 2**1023, and the
+    sums and averages are multiplied back. The scaling is exact, and on
+    every other input exponent is 0 and the table holds the plain sums.
     """
 
     def __init__(self, f: GridFunction):
         t = f.values
+        top = float(t.max())
+        self.exponent = 0
+        if top > 0:
+            self.exponent = max(0, int(np.frexp(top)[1]) + t.size.bit_length() - 1023)
+        if self.exponent:
+            t = np.ldexp(t, -self.exponent)
         for ax in range(f.ndim):
             t = np.cumsum(t, axis=ax)
             pad = [(0, 0)] * f.ndim
@@ -180,21 +192,28 @@ class SummedAreaTable:
         self.shape = f.shape
         self.cell_volume = f.cell_volume
 
-    def rect_sum(self, rect: Rect) -> float:
+    def _scaled_sum(self, rect: Rect) -> float:
         rect.check_within(self.shape)
         a = self.table
         for lo, hi in zip(rect.lo, rect.hi):
             a = a[hi] - a[lo]
         return float(a)
 
+    def rect_sum(self, rect: Rect) -> float:
+        """Sum over the rectangle; inf when the sum itself exceeds the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(self._scaled_sum(rect), self.exponent))
+
 
 def rect_average(sat: SummedAreaTable, rect: Rect) -> float:
     """Mean of the covered samples: rect_sum / cell count.
 
     Equal to (sum of value * cellvol) / rect volume since the cell volume
-    cancels; the division by the integer count is the canonical form.
+    cancels; the division by the integer count is the canonical form. A
+    scaled table divides before it scales back, so the mean of values near
+    the top of the float range stays finite.
     """
-    return sat.rect_sum(rect) / rect.ncells
+    return float(np.ldexp(sat._scaled_sum(rect) / rect.ncells, sat.exponent))
 
 
 def _phi_mean(phi: YoungFunction, mat: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -10,13 +10,21 @@ builder and two sweeps.
 The average sweep (_average_sweep) runs a corner DP over the summed-area
 tables: each side of the leading axis is differenced off and its
 positions join a batch, recursively, and the last axis takes the maxima
-over all (lo, hi) pairs at once. The Orlicz sweep (_orlicz_field) goes
-shape by shape, solving the norms of all positions of one shape in one
-vectorized pass. Every per-cell supremum and every window extreme comes
-from one block prefix/suffix min/max filter (_window_extreme). Differencing
-the table axis by axis in the fixed canonical order keeps every average
-bit-identical to rect_average on the same rectangle, which is what the
-brute-force comparisons rely on.
+over all (lo, hi) pairs at once. Differencing the table axis by axis in
+the fixed canonical order keeps every average bit-identical to
+rect_average on the same rectangle, which is what the brute-force
+comparisons rely on.
+
+The Orlicz sweep (_orlicz_field) brackets every member's Luxemburg norm
+from a ladder of summed-area tables of Phi(f / lam_k), one per rung of a
+geometric ladder of lam (Crow, SIGGRAPH 1984, for the tables): G(lam) =
+mean_R Phi(f / lam) is one box sum per rung, and a rung certifies a side
+of the norm only when that sum clears the cell count by an explicit
+rounding bound. The brackets give a lower envelope of the field, every
+member whose upper bound cannot reach it is skipped, and the few members
+left are solved with luxemburg_batch, one call per cell count. Every
+per-cell supremum and every window extreme comes from one block
+prefix/suffix min/max filter (_window_extreme).
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -30,6 +38,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -301,7 +310,11 @@ def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarra
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     shape = fs[0].shape
-    tables = [SummedAreaTable(f).table for f in fs]
+    sats = [SummedAreaTable(f) for f in fs]
+    tables = [sat.table for sat in sats]
+    # averages of tables scaled against overflow are scaled back once, at
+    # the end; a power of two commutes with the division and the products
+    scale = sum(sat.exponent for sat in sats)
 
     if basis.kind == CUBES:
         out = np.zeros(shape)
@@ -311,7 +324,7 @@ def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarra
             for t in tables[1:]:
                 plane = plane * (_window_sums(t, sides) / ncells)
             np.maximum(out, _cover_max(plane, sides), out=out)
-        return out
+        return np.ldexp(out, scale) if scale else out
 
     side_lists = [basis.side_choices(e) for e in shape]
     if any(not lst for lst in side_lists):
@@ -335,7 +348,8 @@ def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarra
         chunks = [firsts[i::parts] for i in range(parts)]
         with ThreadPoolExecutor(max_workers=parts) as pool:
             out = np.maximum.reduce(list(pool.map(sweep, chunks)))
-    return np.maximum(out[0], 0.0)
+    out = np.maximum(out[0], 0.0)
+    return np.ldexp(out, scale) if scale else out
 
 
 def strong_maximal(f: GridFunction, basis: Basis = Basis(),
@@ -358,65 +372,193 @@ def multilinear_maximal(fs: list[GridFunction], basis: Basis = Basis(),
                   operator="multilinear_maximal", m=len(fs))
 
 
-def _inverse_tables(supp_table: np.ndarray, phi: YoungFunction,
-                    shapes: list[tuple[int, ...]]) -> dict[int, np.ndarray]:
-    """Phi^{-1}(ncells / supp) for every (ncells, supp) pair a sweep uses.
+# Consecutive rungs of the lambda ladder differ by _LADDER_RATIO, unless the
+# range needs more than _MAX_RUNGS rungs; then the ratio widens instead.
+_LADDER_RATIO = 1.01
+_MAX_RUNGS = 1024
+# Phi values per Phi call while a ladder is built; bounds the temporaries of
+# one call (a numeric complement keeps about twenty arrays of that length)
+_LADDER_CHUNK = 1 << 13
+# members per block of the ladder search (whole shapes, at least one)
+_SEARCH_BLOCK = 1 << 15
+# row cells per luxemburg_batch call (whole shapes, at least one)
+_SOLVE_CELLS = 1 << 20
 
-    A member with ncells cells, supp of them nonzero, has the indicator
-    bounds max/inv(ncells) <= norm <= max/inv(ncells/supp); supp counts as
-    1 where the function vanishes. table[ncells][supp] holds the inverse
-    at ncells/supp for every pair some position of some shape has, plus
-    supp = 1 for the lower bound; other entries are NaN. The pairs come
-    from the whole sweep, whether pruning is on or not, and are solved in
-    one vectorized inverse call, so every lookup sees the same value in
-    either mode.
+
+class _Ladder(NamedTuple):
+    """Summed-area tables of min(Phi(f / lam_k), clip) for one function.
+
+    tables[k] is the padded table of rung k, flattened; lam[k + 2] is
+    lam_k for k = -2 .. rungs + 1 (the two rungs past each end have no
+    table and serve only as solver hints); slack[k] bounds the rounding
+    error of one box sum of rung k.
     """
-    used: dict[int, np.ndarray] = {}
-    for sides in shapes:
-        ncells = math.prod(sides)
-        if ncells not in used:
-            used[ncells] = np.zeros(ncells + 1, dtype=bool)
-            used[ncells][1] = True
-        supp = np.maximum(_window_sums(supp_table, sides), 1.0)
-        used[ncells][supp.astype(np.intp)] = True
-    if not used:
-        return {}
-    pairs = [(n, np.flatnonzero(mask)) for n, mask in used.items()]
-    vals = inverse(phi, np.concatenate([n / ks for n, ks in pairs]))
-    tables = {}
-    start = 0
-    for n, ks in pairs:
-        tables[n] = np.full(n + 1, np.nan)
-        tables[n][ks] = vals[start:start + ks.size]
-        start += ks.size
-    return tables
+
+    lam: np.ndarray
+    tables: np.ndarray
+    slack: np.ndarray
+
+    @property
+    def rungs(self) -> int:
+        return self.tables.shape[0]
 
 
-def _norm_planes(values: np.ndarray, maxv: np.ndarray, supp: np.ndarray,
-                 phi: YoungFunction, inv: np.ndarray, sides: tuple[int, ...],
-                 tol: float, skip: np.ndarray | None) -> np.ndarray:
-    """Luxemburg norms of one function at every position of one shape.
+def _ladder(f: GridFunction, phi: YoungFunction, n_max: int) -> _Ladder:
+    """The ladder of one function, for members of at most n_max cells.
 
-    maxv and supp are the window max and the nonzero count (at least 1)
-    at every position, which the prune bound shares. Positions flagged in
-    skip (and positions where the function vanishes on the rectangle) are
-    left at 0. The solver's start brackets come from the two-sided
-    indicator bounds max/inv(cells) <= norm <= max/inv(cells/supp), both
-    certified, so the hint never changes the limit; inv is the sweep's
-    table for this cell count from _inverse_tables, indexed by supp.
+    A member R with a positive value has min f+ / Phi^{-1}(n_max) <=
+    ||f||_{Phi,R} <= max f / Phi^{-1}(1), where min f+ is the least
+    positive value; both inverses come from one call. The rungs are
+    lam_lo * q**k up to lam_hi. Each rung's Phi values are clipped at
+    4 * cells, so a cell whose Phi is +inf (a cap, a complement past its
+    slope, an overflow) alone puts any member above n_R, and every table
+    entry stays finite.
     """
-    live = maxv > 0
-    if skip is not None:
-        live &= ~skip
-    plane = np.zeros(maxv.shape)
-    if not np.any(live):
-        return plane
-    m = maxv[live]
-    lo = m / inv[1]
-    hi = m / inv[supp[live]]
-    rows = sliding_window_view(values, sides)[live].reshape(-1, math.prod(sides))
-    plane[live] = luxemburg_batch(rows, phi, tol=tol, lo_hint=lo, hi_hint=hi)
-    return plane
+    vals = f.values
+    positive = vals[vals > 0]
+    ys = np.array([float(n_max), 1.0])
+    cap = phi.domain_cap
+    if cap is not None and np.isfinite(cap):
+        # past the cap Phi^{-1}(y) is the cap itself, which inverse() refuses
+        ys = np.minimum(ys, phi.eval(float(cap)))
+    t_n, t_1 = inverse(phi, ys)
+    log_lo = math.log(positive.min()) - math.log(t_n)
+    span = math.log(positive.max()) - math.log(t_1) - log_lo
+    step = math.log(_LADDER_RATIO)
+    rungs = max(2, math.ceil(span / step) + 1)
+    if rungs > _MAX_RUNGS:
+        rungs = _MAX_RUNGS
+        step = span / (rungs - 1)
+    # a floor above 0 keeps 0 / lam from NaN when the least value is subnormal
+    lam = np.maximum(np.exp(log_lo + step * np.arange(-2, rungs + 2)),
+                     np.finfo(float).smallest_subnormal)
+
+    d, cells = vals.ndim, vals.size
+    tables = np.zeros((rungs,) + tuple(n + 1 for n in vals.shape))
+    inner = (slice(1, None),) * d
+    per_call = max(1, _LADDER_CHUNK // cells)
+    for k in range(0, rungs, per_call):
+        ks = slice(k, min(k + per_call, rungs))
+        with np.errstate(divide="ignore", over="ignore"):
+            t = vals / lam[ks.start + 2:ks.stop + 2].reshape((-1,) + (1,) * d)
+        block = np.fmin(phi.eval(t.ravel()), 4.0 * cells).reshape(t.shape)
+        for ax in range(1, d + 1):
+            np.cumsum(block, axis=ax, out=block)
+        tables[(ks,) + inner] = block
+    tables = tables.reshape(rungs, -1)
+    # A padded sum carries at most (sum of extents) * u * total of error,
+    # each of the 2**d corners of a box sum one such, and the differences
+    # and the solver's pairwise mean of the same Phi values (compared at
+    # the very same floats f / lam_k) add a few u * total more; the factor
+    # 2**(d+2) * (cells + 4) covers all of it twice over. max(total, cells)
+    # keeps the margin above the rounding of n_R itself.
+    u = 2.0 ** -53
+    slack = 2.0 ** (d + 2) * (cells + 4) * u * np.maximum(tables[:, -1], float(cells))
+    return _Ladder(lam, tables, slack)
+
+
+def _box_sums(flat: np.ndarray, idx: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
+    """Sums over boxes of a flattened padded table.
+
+    idx is the flat index of each box's low corner, steps[i] the flat
+    offset of its side along axis i; 2**d gathers, differenced axis by axis.
+    """
+    if not steps:
+        return flat[idx]
+    return _box_sums(flat, idx + steps[0], steps[1:]) - _box_sums(flat, idx, steps[1:])
+
+
+def _brackets(lad: _Ladder, base: np.ndarray, steps: list[np.ndarray],
+              ncells: np.ndarray):
+    """Ladder brackets of one function on a block of members.
+
+    A binary search finds, per member, the first rung k whose box sum S_k
+    is at most n_R. Rung k-1 (else k-2) is a certified lower bound L when
+    S - slack > n_R there; rung k (else k+1) is a certified upper bound U
+    when S + slack <= n_R. Uncertified ends give L = 0 and U = inf. Returns
+    L, U and the solver hints: the rungs of L and U, or of k-2 and k+1
+    where uncertified.
+    """
+    rungs = lad.rungs
+    width = lad.tables.shape[1]
+    flat = lad.tables.reshape(-1)
+
+    def sums(k):
+        return _box_sums(flat, k * width + base, steps)
+
+    lo = np.zeros(base.size, dtype=np.intp)
+    hi = np.full(base.size, rungs, dtype=np.intp)
+    for _ in range(rungs.bit_length()):
+        mid = (lo + hi) // 2
+        open_ = lo < hi
+        over = sums(np.minimum(mid, rungs - 1)) > ncells
+        lo = np.where(open_ & over, mid + 1, lo)
+        hi = np.where(open_ & ~over, mid, hi)
+
+    def certified(k, above):
+        kc = np.clip(k, 0, rungs - 1)
+        s, e = sums(kc), lad.slack[kc]
+        ok = s - e > ncells if above else s + e <= ncells
+        return ok & (k >= 0) & (k < rungs)
+
+    low1, low2 = certified(lo - 1, True), certified(lo - 2, True)
+    up1, up2 = certified(lo, False), certified(lo + 1, False)
+    lo_hint = lad.lam[np.where(low1, lo - 1, lo - 2) + 2]
+    hi_hint = lad.lam[np.where(up1, lo, lo + 1) + 2]
+    lower = np.where(low1 | low2, lo_hint, 0.0)
+    upper = np.where(up1 | up2, hi_hint, np.inf)
+    return lower, upper, lo_hint, hi_hint
+
+
+class _Block(NamedTuple):
+    """Members of whole shapes, flattened in shape order, positions C-ordered."""
+
+    shapes: list[tuple[tuple[int, ...], slice]]  # sides, and their members' slice
+    base: np.ndarray          # flat index of the low corner in a padded table
+    steps: list[np.ndarray]   # flat offset of the side along each axis
+    ncells: np.ndarray        # n_R as floats
+
+
+def _runs(items: list, sizes: list[int], limit: int):
+    """Consecutive runs of items whose sizes add up to at most limit, or one item."""
+    run, total = [], 0
+    for item, size in zip(items, sizes):
+        if run and total + size > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
+
+
+def _position_grid(grid_shape: tuple[int, ...], sides: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(n - s + 1 for n, s in zip(grid_shape, sides))
+
+
+def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
+    """The members of shapes in blocks of about _SEARCH_BLOCK."""
+    padded = tuple(n + 1 for n in grid_shape)
+    strides = [math.prod(padded[i + 1:]) for i in range(len(padded))]
+
+    def block(group):
+        bases, slices, start = [], [], 0
+        for sides in group:
+            b = np.zeros((), dtype=np.intp)
+            for p, st in zip(_position_grid(grid_shape, sides), strides):
+                b = np.add.outer(b, np.arange(p, dtype=np.intp) * st)
+            bases.append(b.ravel())
+            slices.append((sides, slice(start, start + b.size)))
+            start += b.size
+        counts = [b.size for b in bases]
+        steps = [np.repeat([s[i] * st for s in group], counts).astype(np.intp)
+                 for i, st in enumerate(strides)]
+        ncells = np.repeat([float(math.prod(s)) for s in group], counts)
+        return _Block(slices, np.concatenate(bases), steps, ncells)
+
+    sizes = [math.prod(_position_grid(grid_shape, sides)) for sides in shapes]
+    for group in _runs(shapes, sizes, _SEARCH_BLOCK):
+        yield block(group)
 
 
 def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
@@ -432,19 +574,43 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     multiplied back by 2**(sum e_j), so f^r neither under- nor overflows
     and scaling an input by a power of two scales the field exactly.
 
-    Otherwise every norm is solved. All inverse values the sweep needs
-    come from one table per function, solved in one vectorized call
-    before the shape loop (see _inverse_tables). Pruning skips a position
-    when the product of the certified upper bounds, each widened by
-    4 * tol, cannot beat the minimum of the running output over the cells
-    the rectangle covers. The widening covers a tight bound (an indicator
-    window) that rounding makes look infeasible as a hint: the solver then
-    widens its bracket and may return its upper end up to tol above the
-    bound. Since the output only grows, a skipped rectangle can never
-    change the final field. The on/off results agree exactly because
-    nothing else differs between the modes: the inverse tables are the
-    same, and luxemburg_batch stops each row on its own, so a norm does
-    not depend on which other rows share its batch.
+    Otherwise the sweep runs in four steps.
+
+    1. Ladder (_ladder). Per function, summed-area tables of Phi(f/lam_k)
+       on a geometric ladder lam_k (ratio 1.01, or wider past _MAX_RUNGS
+       rungs) that spans every member's norm. For a member R with n_R
+       cells, G(lam) = mean_R Phi(f/lam) is a box sum S_k / n_R, so a
+       rung with S_k > n_R lies below the norm and one with S_k <= n_R
+       above it; a rung counts only when S_k clears n_R by slack_k, an
+       explicit bound on the rounding of the box sum and of the solver's
+       own mean of the same Phi values. Memory is the tables, one block
+       of members and the candidates, never one entry per member.
+    2. Brackets (_brackets). Per block of members, a binary search over
+       the rungs gives L_j(R) <= N_j(R) <= U_j(R), where N_j is the norm
+       the solver returns: with lo hint L, certified infeasible, and hi
+       hint U, certified feasible, the solver's bracket only shrinks.
+       Where neither of the two nearest rungs is certified, L = 0 and
+       U = inf, and the member stays a candidate.
+    3. Skip rule. LB(x) = max over members R containing x of prod_j
+       L_j(R), folded with _cover_max. R is a candidate when prod_j
+       U_j(R) * (1 + 4 tol)**m >= min over x in R of LB(x). A skipped R
+       has prod N(R) <= prod U(R) < min_R LB <= LB(x) <= field(x) at every
+       cell x of R (floating products are monotone in each factor), so it
+       is never the maximum at any cell it covers and the field does not
+       change. The member attaining LB(x) is always a candidate, since
+       min_R LB <= LB(x) = prod L <= prod U on it. Building LB needs every
+       member's L, so the search runs once for LB and again for U.
+    4. Solve. All candidates with the same cell count go through
+       luxemburg_batch together (split only past _SOLVE_CELLS row cells),
+       rows stacked across shapes, with the hints of step 2.
+
+    prune=False runs the same path with every live member (every f_j
+    positive somewhere on it) as a candidate. The two modes agree bit for
+    bit: each candidate gets the same rows and hints in both, and
+    luxemburg_batch stops each row on its own, so a norm does not depend
+    on which other rows share its batch. Provenance counts rects_solved
+    (candidates), pruned (live members skipped) and ladder_rungs (tables
+    built, over all functions).
     """
     count = _checked_inputs(fs, basis, budget)
     if (all(isinstance(p, Power) and p.domain_cap is None for p in phis)
@@ -459,33 +625,73 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         return _field(fs, out, basis, count, **prov, dispatch="power_mean")
 
     shape = fs[0].shape
-    supp_tables = [
-        SummedAreaTable(f.with_values((f.values > 0).astype(float))).table for f in fs
-    ]
     shapes = list(basis.shapes(shape))
-    inv_tables = [_inverse_tables(st, phi, shapes) for st, phi in zip(supp_tables, phis)]
-    widen = (1.0 + 4.0 * tol) ** len(fs)
     out = np.zeros(shape)
-    pruned = 0
-    for sides in shapes:
-        ncells = math.prod(sides)
-        extents = [(_position_extreme(f.values, sides, take_min=False),
-                    np.maximum(_window_sums(st, sides), 1.0).astype(np.intp))
-                   for f, st in zip(fs, supp_tables)]
-        skip = None
+    if not shapes or not all(np.any(f.values > 0) for f in fs):
+        return _field(fs, out, basis, count, **prov, pruned=0, rects_solved=0,
+                      ladder_rungs=0, tol=tol)
+    n_max = max(math.prod(s) for s in shapes)
+    ladders = [_ladder(f, phi, n_max) for f, phi in zip(fs, phis)]
+    supports = [SummedAreaTable(f.with_values((f.values > 0).astype(float))).table.ravel()
+                for f in fs]
+
+    if prune:
+        # a member on which some f_j vanishes has S = 0 <= n_R on every rung
+        # of that f_j, hence L_j = 0: it adds nothing to LB
+        lb = np.zeros(shape)
+        for blk in _blocks(shape, shapes):
+            lower = math.prod(_brackets(lad, blk.base, blk.steps, blk.ncells)[0]
+                              for lad in ladders)
+            for sides, sl in blk.shapes:
+                plane = lower[sl].reshape(_position_grid(shape, sides))
+                np.maximum(lb, _cover_max(plane, sides), out=lb)
+        widen = (1.0 + 4.0 * tol) ** len(fs)
+
+    groups: dict[int, list] = {}
+    live = solved = 0
+    for blk in _blocks(shape, shapes):
+        brackets = [_brackets(lad, blk.base, blk.steps, blk.ncells) for lad in ladders]
+        cand = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
+        live += int(cand.sum())
         if prune:
-            bound = None
-            for (maxv, supp), it in zip(extents, inv_tables):
-                b = maxv / it[ncells][supp]
-                bound = b if bound is None else bound * b
-            skip = bound * widen <= _position_extreme(out, sides, take_min=True)
-            pruned += int(skip.sum())
-        plane = None
-        for f, (maxv, supp), phi, it in zip(fs, extents, phis, inv_tables):
-            norms = _norm_planes(f.values, maxv, supp, phi, it[ncells], sides, tol, skip)
-            plane = norms if plane is None else plane * norms
-        np.maximum(out, _cover_max(plane, sides), out=out)
-    return _field(fs, out, basis, count, **prov, pruned=pruned, tol=tol)
+            floor = np.concatenate([_position_extreme(lb, sides, take_min=True).ravel()
+                                    for sides, _ in blk.shapes])
+            cand &= math.prod(b[1] for b in brackets) * widen >= floor
+        solved += int(cand.sum())
+        for sides, sl in blk.shapes:
+            pos = np.flatnonzero(cand[sl])
+            if pos.size:
+                at = sl.start + pos
+                groups.setdefault(math.prod(sides), []).append(
+                    (sides, pos, [b[2][at] for b in brackets], [b[3][at] for b in brackets]))
+
+    found: dict[tuple[int, ...], list] = {}
+    for ncells in sorted(groups):
+        entries = groups[ncells]
+        for chunk in _runs(entries, [e[1].size * ncells for e in entries], _SOLVE_CELLS):
+            norms = []
+            for j, (f, phi) in enumerate(zip(fs, phis)):
+                mat = np.concatenate([
+                    sliding_window_view(f.values, sides)[
+                        np.unravel_index(pos, _position_grid(shape, sides))].reshape(-1, ncells)
+                    for sides, pos, _, _ in chunk])
+                norms.append(luxemburg_batch(
+                    mat, phi, tol=tol,
+                    lo_hint=np.concatenate([e[2][j] for e in chunk]),
+                    hi_hint=np.concatenate([e[3][j] for e in chunk])))
+            value = math.prod(norms)
+            at = 0
+            for sides, pos, _, _ in chunk:
+                found.setdefault(sides, []).append((pos, value[at:at + pos.size]))
+                at += pos.size
+    for sides, parts in found.items():
+        plane = np.zeros(math.prod(_position_grid(shape, sides)))
+        for pos, value in parts:
+            plane[pos] = value
+        np.maximum(out, _cover_max(plane.reshape(_position_grid(shape, sides)), sides), out=out)
+    return _field(fs, out, basis, count, **prov, pruned=live - solved,
+                  rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
+                  tol=tol)
 
 
 def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
@@ -506,10 +712,14 @@ def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
 def multilinear_orlicz_maximal(fs: list[GridFunction], phis: list[YoungFunction],
                                basis: Basis = Basis(), budget: int = DEFAULT_BUDGET,
                                tol: float = 1e-9) -> MaximalField:
-    """Sup over basis members of the product of per-function Luxemburg norms."""
+    """Sup over basis members of the product of per-function Luxemburg norms.
+
+    Members whose product provably cannot raise the field are skipped, as
+    in orlicz_maximal; the field is the unpruned one bit for bit.
+    """
     if not fs or len(fs) != len(phis):
         raise ValueError("need one Young function per input function")
-    return _orlicz_field(fs, phis, basis, budget, tol, False,
+    return _orlicz_field(fs, phis, basis, budget, tol, True,
                          operator="multilinear_orlicz_maximal", m=len(fs),
                          phis=[young_to_json(p) for p in phis])
 

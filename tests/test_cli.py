@@ -177,3 +177,20 @@ def test_nonpositive_jobs_is_a_json_error(capsys, tmp_path, jobs, phi):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+def test_orlicz_maximal_sidecar_replays_byte_for_byte(capsys, tmp_path):
+    src = str(tmp_path / "f.grid")
+    run(capsys, "gen", "--kind", "random", "--shape", "7,6", "--seed", "3", "--out", src)
+    phi = '{"kind": "power_log", "alpha": 1.8, "beta": 1}'
+    sidecars = []
+    for name in ("a.grid", "b.grid"):
+        dst = str(tmp_path / name)
+        code, _, _ = run(capsys, "maximal", "--input", src, "--phi", phi, "--out", dst)
+        assert code == 0
+        with open(dst + ".json", "rb") as fh:
+            sidecars.append(fh.read())
+    assert sidecars[0] == sidecars[1]
+    prov = json.loads(sidecars[0])["provenance"]
+    assert prov["rects_solved"] + prov["pruned"] == prov["rect_count"]
+    assert prov["ladder_rungs"] > 0

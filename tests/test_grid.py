@@ -221,3 +221,19 @@ def test_read_grid_rejects_bad_header(tmp_path):
     path.write_text('{"dim": 2, "shape": [2], "origin": [0], "spacing": [1]}\n1 2\n')
     with pytest.raises((ValueError, GeometryMismatch)):
         read_grid(str(path))
+
+
+def test_sat_scales_only_when_the_running_total_would_overflow():
+    vals = np.random.default_rng(3).uniform(0.5, 2.0, size=(8, 8))
+    plain = SummedAreaTable(grid2(vals))
+    assert plain.exponent == 0
+    assert np.array_equal(plain.table[1:, 1:], np.cumsum(np.cumsum(vals, axis=0), axis=1))
+    sat = SummedAreaTable(grid2(vals * 2.0**1020))
+    assert sat.exponent > 0
+    for r in (Rect((0, 0), (8, 8)), Rect((2, 3), (5, 4)), Rect((7, 7), (8, 8))):
+        # the scaling is a power of two, so it commutes with the average exactly
+        assert rect_average(sat, r) == rect_average(plain, r) * 2.0**1020
+    # a sum past the float range is inf, its mean is not
+    ones = SummedAreaTable(grid2(np.full((8, 8), 1e307)))
+    assert ones.rect_sum(Rect((0, 0), (8, 8))) == np.inf
+    assert rect_average(ones, Rect((0, 0), (8, 8))) == pytest.approx(1e307, rel=1e-15)

@@ -7,7 +7,8 @@ import pytest
 
 from orliczmax import maximal
 from orliczmax.errors import BudgetExceeded, GeometryMismatch
-from orliczmax.grid import GridFunction, Rect, luxemburg_norm, rect_average, SummedAreaTable
+from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch, luxemburg_norm,
+                            rect_average)
 from orliczmax.maximal import (CUBES, DYADIC, Basis, _window_extreme, indicator_far_field,
                                multilinear_maximal, multilinear_orlicz_maximal,
                                orlicz_maximal, strong_maximal)
@@ -367,3 +368,153 @@ def test_window_extreme_matches_direct_windows(axis, take_min, cover):
         got = _window_extreme(a, s, axis, take_min=take_min, cover=cover)
         assert np.array_equal(got, want), s
         assert got.flags.c_contiguous, s
+
+
+def batch_field(fs, phis, basis):
+    """Sup over members of the product of norms, one unhinted luxemburg_batch per shape."""
+    shape = fs[0].shape
+    out = np.zeros(shape)
+    for sides in basis.shapes(shape):
+        grid_pos = tuple(e - s + 1 for e, s in zip(shape, sides))
+        value = None
+        for f, phi in zip(fs, phis):
+            rows = np.lib.stride_tricks.sliding_window_view(f.values, sides)
+            norms = luxemburg_batch(rows.reshape(-1, int(np.prod(sides))), phi)
+            value = norms if value is None else value * norms
+        for k, lo in enumerate(itertools.product(*(range(p) for p in grid_pos))):
+            sl = tuple(slice(a, a + s) for a, s in zip(lo, sides))
+            np.maximum(out[sl], value[k], out=out[sl])
+    return out
+
+
+def live_members(fs, basis):
+    """Members on which every function is positive somewhere."""
+    shape = fs[0].shape
+    total = 0
+    for sides in basis.shapes(shape):
+        live = True
+        for f in fs:
+            win = np.lib.stride_tricks.sliding_window_view(f.values, sides)
+            live = live & (win.max(axis=tuple(range(-len(sides), 0))) > 0)
+        total += int(np.sum(live))
+    return total
+
+
+def assert_prune_exact(fs, phis, basis=Basis()):
+    """Pruned field equals the unpruned one bit for bit; the counters add up."""
+    on = maximal._orlicz_field(fs, phis, basis, maximal.DEFAULT_BUDGET, 1e-9, True)
+    off = maximal._orlicz_field(fs, phis, basis, maximal.DEFAULT_BUDGET, 1e-9, False)
+    assert np.array_equal(on.field.values, off.field.values)
+    if "dispatch" not in on.provenance:
+        live = live_members(fs, basis)
+        assert on.provenance["rects_solved"] + on.provenance["pruned"] == live
+        assert off.provenance["rects_solved"] == live and off.provenance["pruned"] == 0
+        assert on.provenance["ladder_rungs"] == off.provenance["ladder_rungs"]
+    return on
+
+
+ORLICZ_SHAPES = [(9,), (5, 4), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("basis", BRUTE_BASES[:3], ids=BRUTE_BASIS_IDS[:3])
+@pytest.mark.parametrize("shape", ORLICZ_SHAPES, ids=str)
+def test_orlicz_sweeps_match_batch_brute_force_for_every_solver_phi(solver_phi, shape, basis):
+    f = rand_grid(shape, seed=40)
+    g = step_grid(shape, seed=41)
+    one = orlicz_maximal(f, solver_phi, basis)
+    assert max_rel_diff(one.field.values, batch_field([f], [solver_phi], basis)) <= 2e-9
+    assert np.array_equal(one.field.values,
+                          orlicz_maximal(f, solver_phi, basis, prune=False).field.values)
+    two = multilinear_orlicz_maximal([f, g], [solver_phi, solver_phi], basis)
+    assert max_rel_diff(two.field.values,
+                        batch_field([f, g], [solver_phi, solver_phi], basis)) <= 2e-9
+    assert np.array_equal(two.field.values,
+                          assert_prune_exact([f, g], [solver_phi, solver_phi], basis).field.values)
+
+
+@pytest.mark.parametrize("case", ["tiny", "huge", "range_1e300", "spike", "zero", "constant"])
+def test_orlicz_prune_is_exact_on_adversarial_grids(case):
+    rng = np.random.default_rng(42)
+    vals = np.exp(rng.normal(size=(7, 6)))
+    if case == "tiny":
+        vals *= 1e-150
+    elif case == "huge":
+        vals *= 1e150
+    elif case == "range_1e300":
+        vals = 10.0 ** rng.uniform(-150, 150, size=(7, 6))
+    elif case == "spike":
+        vals = np.zeros((7, 6))
+        vals[3, 2] = 5.0
+    elif case == "zero":
+        vals = np.zeros((7, 6))
+    elif case == "constant":
+        vals = np.full((7, 6), 2.5)
+    f = grid(vals)
+    g = rand_grid((7, 6), seed=43)
+    phi, psi = PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)
+    one = assert_prune_exact([f], [phi])
+    two = assert_prune_exact([f, g], [phi, psi])
+    assert np.array_equal(two.field.values,
+                          multilinear_orlicz_maximal([f, g], [phi, psi]).field.values)
+    if case == "zero":
+        assert not one.field.values.any() and one.provenance["rects_solved"] == 0
+        return
+    assert max_rel_diff(one.field.values, batch_field([f], [phi], Basis())) <= 2e-9
+    assert max_rel_diff(two.field.values, batch_field([f, g], [phi, psi], Basis())) <= 2e-9
+    if case == "range_1e300":  # the rung cap widens the ladder ratio
+        assert one.provenance["ladder_rungs"] == maximal._MAX_RUNGS
+
+
+def test_capped_power_on_more_cells_than_phi_reaches_at_its_cap():
+    # Phi^{-1}(y) is the cap for every y >= Phi(cap) = 100 < 11 * 10 cells
+    f = rand_grid((11, 10), seed=49)
+    phi = Power(2.0, domain_cap=10.0)
+    one = assert_prune_exact([f], [phi])
+    assert max_rel_diff(one.field.values, batch_field([f], [phi], Basis())) <= 2e-9
+
+
+def test_orlicz_ladder_leaves_few_members_to_solve():
+    f = rand_grid((12, 12), seed=44)
+    prov = orlicz_maximal(f, PowerLog(1.8, 1.0)).provenance
+    assert prov["rects_solved"] + prov["pruned"] == prov["rect_count"]
+    assert prov["rects_solved"] <= prov["rect_count"] // 10
+
+
+def test_orlicz_sweep_is_exact_across_search_and_solve_blocks(monkeypatch):
+    f = rand_grid((6, 5), seed=45)
+    g = step_grid((6, 5), seed=46)
+    phis = [PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)]
+    want = [orlicz_maximal(f, phis[0]).field.values,
+            multilinear_orlicz_maximal([f, g], phis).field.values]
+    # blocks of one shape each, and one solve call per shape
+    monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 1)
+    monkeypatch.setattr(maximal, "_SOLVE_CELLS", 1)
+    assert np.array_equal(orlicz_maximal(f, phis[0]).field.values, want[0])
+    assert np.array_equal(multilinear_orlicz_maximal([f, g], phis).field.values, want[1])
+
+
+def test_strong_maximal_near_the_top_of_the_float_range():
+    f = grid(np.full((8, 8), 1e307))
+    m = strong_maximal(f).field.values
+    assert np.all(np.isfinite(m))
+    assert np.allclose(m, 1e307, rtol=1e-14, atol=0.0)
+    g = rand_grid((6, 5), seed=47)
+    g = g.with_values(g.values * 1e306)
+    for fs in ([g], [g, rand_grid((6, 5), seed=48)]):
+        got = multilinear_maximal(fs).field.values
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, brute_average(fs, Basis()))
+        assert np.array_equal(multilinear_maximal(fs, Basis(CUBES)).field.values,
+                              brute_average(fs, Basis(CUBES)))
+
+
+@pytest.mark.parametrize("case", ["zero", "constant", "spike"])
+@pytest.mark.parametrize("basis", BRUTE_BASES, ids=BRUTE_BASIS_IDS)
+def test_average_sweeps_equal_rect_average_loops_on_flat_grids(basis, case):
+    vals = np.zeros((7, 6)) if case != "constant" else np.full((7, 6), 0.3)
+    if case == "spike":
+        vals[4, 1] = 7.0
+    f, g = grid(vals), rand_grid((7, 6), seed=50)
+    assert np.array_equal(strong_maximal(f, basis).field.values, brute_average([f], basis))
+    assert np.array_equal(multilinear_maximal([g, f], basis).field.values,
+                          brute_average([g, f], basis))

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from orliczmax.covering import RectFamily, select_scattered, verify_scattered
 from orliczmax.grid import GridFunction, Rect, luxemburg_batch
+from orliczmax.maximal import (multilinear_maximal, multilinear_orlicz_maximal, orlicz_maximal,
+                               strong_maximal)
 from orliczmax.young import Power, PowerLog, complementary, inverse
 
 PHI = PowerLog(2.0, 1.0)
@@ -54,3 +56,47 @@ def test_selection_always_verifies(raw, alpha):
     rep = verify_scattered(fam, select_scattered(fam, alpha))
     assert rep["ok"]
     assert rep["kept"] >= 1  # the first member is always admitted
+
+
+def _grid(vals):
+    return GridFunction(vals.shape, (0.0,) * vals.ndim, (0.5,) * vals.ndim, vals)
+
+
+grid_shapes = st.sampled_from([(7,), (4, 5), (6, 3), (3, 3, 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=grid_shapes, seed=st.integers(min_value=0, max_value=2**16),
+       k=st.sampled_from([-600, -40, -1, 1, 9, 600, 1020]))
+def test_average_maximal_is_power_of_two_homogeneous(shape, seed, k):
+    # 2**1020 pushes the summed-area table into its overflow scaling
+    rng = np.random.default_rng(seed)
+    f = _grid(rng.uniform(0.1, 4.0, size=shape) * (rng.random(shape) < 0.8))
+    g = _grid(rng.uniform(0.1, 4.0, size=shape))
+    scaled = f.with_values(np.ldexp(f.values, k))
+    assert np.array_equal(strong_maximal(scaled).field.values,
+                          np.ldexp(strong_maximal(f).field.values, k))
+    assert np.array_equal(multilinear_maximal([scaled, g]).field.values,
+                          np.ldexp(multilinear_maximal([f, g]).field.values, k))
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=st.sampled_from([(7,), (4, 5), (3, 3, 2)]),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_maximal_operators_are_monotone_in_f(shape, seed):
+    rng = np.random.default_rng(seed)
+    f = _grid(np.exp(rng.normal(size=shape)) * (rng.random(shape) < 0.7))
+    g = f.with_values(f.values + np.exp(rng.normal(size=shape)) * (rng.random(shape) < 0.5))
+    h = _grid(np.exp(rng.normal(size=shape)))
+    # box sums round against the grid total, norms within the solver's tol
+    atol = 1e-12 * g.values.sum()
+    hmax = h.values.max()
+    pairs = [
+        (strong_maximal(f), strong_maximal(g), 0.0, atol),
+        (multilinear_maximal([f, h]), multilinear_maximal([g, h]), 0.0, atol * hmax),
+        (orlicz_maximal(f, PHI), orlicz_maximal(g, PHI), 4e-9, atol),
+        (multilinear_orlicz_maximal([h, f], [PHI, PHI]),
+         multilinear_orlicz_maximal([h, g], [PHI, PHI]), 4e-9, atol * hmax),
+    ]
+    for small, large, rtol, tol in pairs:
+        assert np.all(small.field.values <= large.field.values * (1 + rtol) + tol)
