@@ -18,11 +18,12 @@ from .bp import classify
 from .covering import (RectFamily, cf_overlap_check, choose_cf_subfamily,
                        largest_passing_delta, select_scattered, verify_scattered,
                        weight_growth_sweep)
-from .errors import DegenerateSet, DivisionDegenerate
+from .errors import DegenerateSet
 from .grid import GridFunction, Rect, luxemburg_batch, norm_lp
 from .maximal import Basis, orlicz_maximal, strong_maximal
 from .weights import SetSamplerSpec, bump_constant, condition_A_estimate
-from .young import YoungFunction, complementary, inverse, tabulate, young_to_json
+from .young import (Power, PowerLog, YoungFunction, complementary, inverse, tabulate,
+                    young_to_json)
 
 __all__ = [
     "ProbeSuite",
@@ -226,28 +227,22 @@ def weighted_transfer_probe(phi: YoungFunction, p: float,
     cert = _verdict_cert(phibar, p, suite.dims, "bp_star")
     rows, skipped = [], 0
     for res in suite.resolutions:
-        funcs = suite.functions(res)
-        for k, (name, f) in enumerate(funcs):
+        mus: dict[int, np.ndarray] = {}  # M_phibar u^{1/p}, one sweep per weight
+        for k, (name, f) in enumerate(suite.functions(res)):
             u = suite.weight_field(res, which=k % 3)
-            try:
-                rows.append({"test": name, "resolution": res,
-                             "ratio": _transfer_ratio(f, u, phi, phibar, p)})
-            except DivisionDegenerate:
+            den = norm_lp(f, p, weight=u.with_values(1.0 / u.values))
+            if den == 0.0:
                 skipped += 1
+                continue
+            if k % 3 not in mus:
+                mus[k % 3] = orlicz_maximal(u.with_values(u.values ** (1.0 / p)),
+                                            phibar).field.values
+            mf = strong_maximal(f).field.values
+            rows.append({"test": name, "resolution": res,
+                         "ratio": norm_lp(f.with_values(mf / mus[k % 3]), p) / den})
     return _make_report("weighted_transfer", rows,
                         {"complement_bp_star": cert},
                         cert["label"] == "Diverges", skipped)
-
-
-def _transfer_ratio(f: GridFunction, u: GridFunction, phi: YoungFunction,
-                    phibar: YoungFunction, p: float) -> float:
-    den = norm_lp(f, p, weight=u.with_values(1.0 / u.values))
-    if den == 0.0:
-        raise DivisionDegenerate("right side vanishes")
-    mf = strong_maximal(f).field.values
-    mu = orlicz_maximal(u.with_values(u.values ** (1.0 / p)), phibar).field.values
-    num = norm_lp(f.with_values(mf / mu), p)
-    return num / den
 
 
 def _resample_to(w: GridFunction, template: GridFunction) -> GridFunction:
@@ -426,8 +421,6 @@ def counterexample_divergence(delta: float = 0.5, p: float = 2.0,
         wts[1:] += 0.5 * np.diff(y)
         return float(wts @ fvals @ wts)
 
-    from .young import Power
-
     control = Power(1.0)
     incs = [partial(phi, 2.0 * T) - partial(phi, float(T)) for T in doublings]
     ctrl = [partial(control, 2.0 * T) - partial(control, float(T)) for T in doublings]
@@ -456,23 +449,19 @@ def run_suite(name: str, config: dict | None = None) -> dict:
     out: dict = {"suite": name, "config": {**cfg, "seed": seed, "p": p,
                                            "resolutions": list(resolutions)}}
     if name == "t2":
-        from .young import Power
-
         phi = Power(float(cfg.get("power_r", 1.5)))
-        out["lp_bound"] = lp_bound_probe(phi, p, Basis(), suite).to_dict()
+        lp = lp_bound_probe(phi, p, Basis(), suite)
+        out["lp_bound"] = lp.to_dict()
         out["weighted_transfer"] = weighted_transfer_probe(phi, p, suite).to_dict()
         w = suite.weight_field(resolutions[0])
         out["fefferman_stein"] = fefferman_stein_probe(phi, p, w, 0.5, suite).to_dict()
         ones = suite.grid(resolutions[0]).with_values(
             np.ones((resolutions[0],) * suite.dims))
         fs1 = fefferman_stein_probe(phi, p, ones, 0.5, suite)
-        lp = lp_bound_probe(phi, p, Basis(), suite)
         out["reduction_identity"] = {
             "holds": [a["ratio"] for a in fs1.rows] == [b["ratio"] for b in lp.rows],
         }
     elif name == "t12":
-        from .young import Power
-
         phi = Power(float(cfg.get("power_r", 1.5)))
         res = resolutions[0]
         rng = np.random.default_rng([seed, 0x712])
@@ -485,8 +474,6 @@ def run_suite(name: str, config: dict | None = None) -> dict:
         out["divergence"] = counterexample_divergence(
             delta=float(cfg.get("delta", 0.5)), p=p)
     elif name == "holder":
-        from .young import Power, PowerLog
-
         fams = [Power(1.5), Power(2.0), PowerLog(1.8, 1.0)]
         out["families"] = [holder_orlicz_suite(f, suite,
                                                int(cfg.get("triples", 4000)))

@@ -4,19 +4,20 @@ Each estimator evaluates its defining quantity on a finite family of
 basis members and reports the maximum with a witness. The true condition
 constants are suprema over infinitely many rectangles, so every report is
 a certified lower bound; the family settings travel inside the report
-so the number can be reproduced and the witness re-evaluated.
+so the number can be reproduced and the witness re-evaluated bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSet, GeometryMismatch
-from .grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch, luxemburg_norm,
-                   rect_average)
-from .maximal import CUBES, Basis, strong_maximal
+from .grid import GridFunction, Rect, SummedAreaTable, luxemburg_batch
+from .maximal import CUBES, Basis, _window_sums, strong_maximal
 from .young import YoungFunction
 
 __all__ = [
@@ -106,6 +107,8 @@ class RectFamilySpec:
 
     def members(self, shape: tuple[int, ...], basis: Basis = Basis()) -> list[Rect]:
         total = basis.rect_count(shape)
+        if total == 0:
+            raise ValueError(f"basis {basis.to_dict()} admits no member on grid shape {shape}")
         mode = self.mode
         if mode == "auto":
             mode = "exhaustive" if total <= self.exhaustive_limit else "stratified"
@@ -117,15 +120,13 @@ class RectFamilySpec:
             return rects
         rng = np.random.default_rng(self.seed)
         rects = []
-        side_lists = [basis.side_choices(e) for e in shape]
-        if basis.kind == CUBES:
-            side_lists = [basis.side_choices(min(shape))]
+        cubes = basis.kind == CUBES  # one side draw, shared by every axis
+        side_lists = ([basis.side_choices(min(shape))] if cubes
+                      else [basis.side_choices(e) for e in shape])
         for _ in range(self.count):
-            if basis.kind == CUBES:
-                s = side_lists[0][_log_uniform_index(rng, len(side_lists[0]))]
-                sides = (s,) * len(shape)
-            else:
-                sides = tuple(lst[_log_uniform_index(rng, len(lst))] for lst in side_lists)
+            sides = tuple(lst[_log_uniform_index(rng, len(lst))] for lst in side_lists)
+            if cubes:
+                sides *= len(shape)
             anchor = tuple(int(rng.integers(0, e - s + 1)) for e, s in zip(shape, sides))
             rects.append(Rect(anchor, tuple(a + s for a, s in zip(anchor, sides))))
         return rects
@@ -178,7 +179,7 @@ class ConditionReport:
     """Max of a condition quantity over a finite family, with its witness.
 
     sup_constant is a lower bound for the true supremum; re-evaluating the
-    witness through the matching *_value function reproduces it to 1e-12.
+    witness through the matching *_value function reproduces it bit for bit.
     """
 
     kind: str
@@ -200,26 +201,65 @@ class ConditionReport:
         }
 
 
-def _report(kind: str, values: list[float], rects: list[Rect], family: dict,
-            extra: dict | None = None) -> ConditionReport:
-    arr = np.asarray(values)
-    best = int(np.argmax(arr))
-    return ConditionReport(
-        kind=kind,
-        sup_constant=float(arr[best]),
-        argmax_rect=rects[best],
-        samples_evaluated=len(values),
-        family=family,
-        extra=extra or {},
-    )
+def _report(kind: str, evaluate, shape: tuple[int, ...], family: RectFamilySpec,
+            basis: Basis, extra: dict) -> ConditionReport:
+    """The largest of evaluate(members) over the family's members, with its witness."""
+    rects = family.members(shape, basis)
+    values = np.asarray(evaluate(rects))
+    best = int(np.argmax(values))
+    return ConditionReport(kind, float(values[best]), rects[best], len(rects),
+                           {**family.to_dict(), "basis": basis.to_dict()}, extra)
+
+
+def _check_couple(u: GridFunction, v: GridFunction, p: float) -> None:
+    """One grid for u and v, p > 1 and u strictly positive."""
+    if not u.same_geometry(v):
+        raise GeometryMismatch("u and v must share grid geometry")
+    if p <= 1.0:
+        raise ValueError("p must exceed 1")
+    _positive_values(u, "u")
+
+
+def _per_shape(sats: list[SummedAreaTable], rects: list[Rect], value) -> np.ndarray:
+    """value(means, sides, anchors) of every member, one shape of rects at a time.
+
+    anchors are the members' low corners, one index array per axis; means
+    their means on each table, divided by the cell count and then scaled
+    back, as rect_average does. A member outside the grid raises.
+    """
+    shape = sats[0].shape
+    lo = np.array([r.lo for r in rects], dtype=np.intp)
+    hi = np.array([r.hi for r in rects], dtype=np.intp)
+    if lo.shape[1] != len(shape) or np.any(hi > np.array(shape)):
+        raise GeometryMismatch(f"every rectangle must lie within grid shape {shape}")
+    kinds, which = np.unique(hi - lo, axis=0, return_inverse=True)
+    out = np.empty(len(rects))
+    for k, row in enumerate(kinds):
+        members = np.flatnonzero(which.ravel() == k)
+        sides, anchors = tuple(row.tolist()), tuple(lo[members].T)
+        out[members] = value([
+            np.ldexp(_window_sums(sat.table, sides)[anchors] / math.prod(sides), sat.exponent)
+            for sat in sats], sides, anchors)
+    return out
+
+
+def _bump_values(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
+                 rects: list[Rect]) -> np.ndarray:
+    """bump_value on every member, with one luxemburg_batch call per shape."""
+    _check_couple(u, v, p)
+    sat = SummedAreaTable(u.with_values(u.values**p))
+    vinv = 1.0 / _positive_values(v, "v")
+
+    def value(means, sides, anchors):
+        rows = sliding_window_view(vinv, sides)[anchors].reshape(-1, math.prod(sides))
+        return means[0] ** (1.0 / p) * luxemburg_batch(rows, phi)
+    return _per_shape([sat], rects, value)
 
 
 def bump_value(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
                rect: Rect) -> float:
     """(mean_R u^p)^{1/p} * ||v^{-1}||_{Phi,R} on a single rectangle."""
-    sat = SummedAreaTable(u.with_values(u.values**p))
-    vinv = v.with_values(1.0 / _positive_values(v, "v"))
-    return rect_average(sat, rect) ** (1.0 / p) * luxemburg_norm(vinv, rect, phi)
+    return float(_bump_values(u, v, phi, p, [rect])[0])
 
 
 def bump_constant(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
@@ -230,99 +270,65 @@ def bump_constant(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float
     Scale invariance: replacing (u, v) by (cu, cv) leaves every member
     value unchanged, since the u-factor gains c and the v^{-1} norm c^{-1}.
     """
-    if not u.same_geometry(v):
-        raise GeometryMismatch("u and v must share grid geometry")
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    _positive_values(u, "u")
-    sat = SummedAreaTable(u.with_values(u.values**p))
-    vinv = v.with_values(1.0 / _positive_values(v, "v"))
-    rects = family.members(u.shape, basis)
-    # one solver call per shape; each row stops on its own, so every norm
-    # is bit-identical to bump_value's single-rectangle solve
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, r in enumerate(rects):
-        by_shape.setdefault(r.sides(), []).append(i)
-    norms = np.empty(len(rects))
-    for members in by_shape.values():
-        rows = np.stack([vinv.values[rects[i].slices].ravel() for i in members])
-        norms[members] = luxemburg_batch(rows, phi)
-    vals = [rect_average(sat, r) ** (1.0 / p) * float(n) for r, n in zip(rects, norms)]
-    return _report("bump", vals, rects, {**family.to_dict(), "basis": basis.to_dict()},
-                   {"p": p})
+    return _report("bump", lambda rects: _bump_values(u, v, phi, p, rects), u.shape,
+                   family, basis, {"p": p})
 
 
-def power_bump_value(sys: WeightSystem, r: float, rect: Rect,
-                     _sats: tuple[SummedAreaTable, ...] | None = None) -> float:
+def _power_bump_values(sys: WeightSystem, r: float, rects: list[Rect]) -> np.ndarray:
+    """power_bump_value on every member."""
+    if r <= 1.0:
+        raise ValueError("r must exceed 1")
+    sats = [SummedAreaTable(sys.nu)] + [
+        SummedAreaTable(w.with_values(w.values ** ((1.0 - q_conj) * r)))
+        for w, q_conj in zip(sys.ws, sys.conjugates())]
+    powers = [sys.p / (q_conj * r) for q_conj in sys.conjugates()]
+    return _per_shape(sats, rects, lambda means, *_: math.prod(
+        [means[0]] + [mean ** power for mean, power in zip(means[1:], powers)]))
+
+
+def power_bump_value(sys: WeightSystem, r: float, rect: Rect) -> float:
     """(mean_R nu) * prod_j (mean_R w_j^{(1-p'_j) r})^{p/(p'_j r)}."""
-    if _sats is None:
-        _sats = _power_bump_tables(sys, r)
-    sat_nu, *sat_ws = _sats
-    val = rect_average(sat_nu, rect)
-    for q_conj, sat in zip(sys.conjugates(), sat_ws):
-        val *= rect_average(sat, rect) ** (sys.p / (q_conj * r))
-    return val
-
-
-def _power_bump_tables(sys: WeightSystem, r: float) -> tuple[SummedAreaTable, ...]:
-    sats = [SummedAreaTable(sys.nu)]
-    for w, q_conj in zip(sys.ws, sys.conjugates()):
-        sats.append(SummedAreaTable(w.with_values(w.values ** ((1.0 - q_conj) * r))))
-    return tuple(sats)
+    return float(_power_bump_values(sys, r, [rect])[0])
 
 
 def power_bump_constant(sys: WeightSystem, r: float,
                         family: RectFamilySpec = RectFamilySpec(),
                         basis: Basis = Basis()) -> ConditionReport:
     """Multilinear power-bump constant; r > 1 strengthens the local norms."""
-    if r <= 1.0:
-        raise ValueError("r must exceed 1")
-    sats = _power_bump_tables(sys, r)
-    rects = family.members(sys.nu.shape, basis)
-    vals = [power_bump_value(sys, r, rect, _sats=sats) for rect in rects]
-    return _report("power_bump", vals, rects,
-                   {**family.to_dict(), "basis": basis.to_dict()},
+    return _report("power_bump", lambda rects: _power_bump_values(sys, r, rects),
+                   sys.nu.shape, family, basis,
                    {"r": r, "p": sys.p, "ps": list(sys.ps), "m": sys.m})
 
 
-def ap_value(w: GridFunction, p: float, rect: Rect,
-             _sats: tuple[SummedAreaTable, SummedAreaTable] | None = None) -> float:
-    """(mean_B w) * (mean_B w^{1-p'})^{p/p'} on a single member.
+def _ap_values(w: GridFunction, p: float, rects: list[Rect]) -> np.ndarray:
+    """ap_value on every member, evaluated on w divided by its max.
 
-    Evaluated on w normalized by its global max. The quantity is scale
-    invariant, so this changes nothing mathematically, but it makes a
-    constant weight produce exactly 1.0: the normalized array is all ones
-    and every downstream sum is exact integer arithmetic.
+    The quantity is scale invariant, and the division makes a constant
+    weight give exactly 1.0: all ones, so every sum is exact.
     """
-    if _sats is None:
-        _sats = _ap_tables(w, p)
-    sat_w, sat_dual = _sats
-    pc = p / (p - 1.0)
-    return rect_average(sat_w, rect) * rect_average(sat_dual, rect) ** (p / pc)
-
-
-def _ap_tables(w: GridFunction, p: float) -> tuple[SummedAreaTable, SummedAreaTable]:
+    if p <= 1.0:
+        raise ValueError("p must exceed 1")
     vals = _positive_values(w, "w")
     vals = vals / vals.max()
     pc = p / (p - 1.0)
-    return (SummedAreaTable(w.with_values(vals)),
-            SummedAreaTable(w.with_values(vals ** (1.0 - pc))))
+    sats = [SummedAreaTable(w.with_values(vals)),
+            SummedAreaTable(w.with_values(vals ** (1.0 - pc)))]
+    return _per_shape(sats, rects, lambda means, *_: means[0] * means[1] ** (p / pc))
+
+
+def ap_value(w: GridFunction, p: float, rect: Rect) -> float:
+    """(mean_B w) * (mean_B w^{1-p'})^{p/p'} on a single member."""
+    return float(_ap_values(w, p, [rect])[0])
 
 
 def ap_constant(w: GridFunction, p: float, basis: Basis = Basis(),
                 family: RectFamilySpec = RectFamilySpec()) -> ConditionReport:
     """Muckenhoupt-type constant over the chosen basis; always >= 1."""
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    sats = _ap_tables(w, p)
-    rects = family.members(w.shape, basis)
-    vals = [ap_value(w, p, rect, _sats=sats) for rect in rects]
-    return _report("ap", vals, rects, {**family.to_dict(), "basis": basis.to_dict()},
+    return _report("ap", lambda rects: _ap_values(w, p, rects), w.shape, family, basis,
                    {"p": p})
 
 
-def sawyer_value(u: GridFunction, v: GridFunction, p: float, cube: Rect,
-                 budget: int | None = None) -> float:
+def sawyer_value(u: GridFunction, v: GridFunction, p: float, cube: Rect) -> float:
     """Test-function ratio for one cube Q.
 
     g = chi_Q v^{-p'}, M g the cube-basis maximal field; the ratio is
@@ -346,16 +352,9 @@ def sawyer_constant(u: GridFunction, v: GridFunction, p: float,
     Homogeneous of degree p in u; the denominator weight v^{-p'}(Q) keeps
     it finite for v large on Q.
     """
-    if not u.same_geometry(v):
-        raise GeometryMismatch("u and v must share grid geometry")
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    _positive_values(u, "u")
-    basis = Basis(CUBES)
-    cubes = family.members(u.shape, basis)
-    vals = [sawyer_value(u, v, p, q) for q in cubes]
-    return _report("sawyer", vals, cubes, {**family.to_dict(), "basis": basis.to_dict()},
-                   {"p": p})
+    _check_couple(u, v, p)
+    return _report("sawyer", lambda cubes: [sawyer_value(u, v, p, q) for q in cubes],
+                   u.shape, family, Basis(CUBES), {"p": p})
 
 
 def condition_A_value(w: GridFunction, lam: float, rects: list[Rect]) -> float:

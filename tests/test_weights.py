@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from orliczmax.errors import GeometryMismatch
-from orliczmax.grid import GridFunction, Rect
-from orliczmax.maximal import CUBES, Basis
+from orliczmax.grid import GridFunction, Rect, SummedAreaTable
+from orliczmax.maximal import CUBES, DYADIC, Basis
 from orliczmax.weights import (RectFamilySpec, SetSamplerSpec, WeightSystem,
                                ap_constant, ap_value, bump_constant, bump_value,
                                condition_A_estimate, condition_A_value,
@@ -72,18 +72,78 @@ def test_bump_witness_reevaluates():
     assert bump_value(u, v, phi, 2.0, rep.argmax_rect) == rep.sup_constant
 
 
-@pytest.mark.parametrize("phi", [PowerLog(2.0, 1.0), complementary(Power(1.5))])
-@pytest.mark.parametrize("fam", [RectFamilySpec(mode="exhaustive"), FAM])
-def test_bump_constant_matches_bump_value_loop(phi, fam):
-    # the batched norms must reproduce the per-rectangle values bit for bit
-    u = rand_weight((7, 6), seed=11)
-    v = rand_weight((7, 6), seed=12)
-    rep = bump_constant(u, v, phi, 2.0, fam)
-    rects = fam.members(u.shape)
-    vals = [bump_value(u, v, phi, 2.0, r) for r in rects]
+def _constant_and_value(kind, shape):
+    """The constant over (family, basis) and the value on one member, for one kind."""
+    u, v, w = (rand_weight(shape, seed) for seed in (11, 12, 13))
+    if kind == "ap":
+        return (lambda fam, basis: ap_constant(u, 2.5, basis, fam),
+                lambda rect: ap_value(u, 2.5, rect))
+    if kind == "power_bump":
+        sys = WeightSystem(u, (v, w), 1.5, (3.0, 3.0))
+        return (lambda fam, basis: power_bump_constant(sys, 1.25, fam, basis),
+                lambda rect: power_bump_value(sys, 1.25, rect))
+    phi = PowerLog(2.0, 1.0) if kind == "bump" else complementary(Power(1.5))
+    return (lambda fam, basis: bump_constant(u, v, phi, 2.0, fam, basis),
+            lambda rect: bump_value(u, v, phi, 2.0, rect))
+
+
+@pytest.mark.parametrize("kind", ["ap", "power_bump", "bump", "bump_complement"])
+@pytest.mark.parametrize("shape", [(13,), (7, 6), (3, 3, 4)])
+@pytest.mark.parametrize("basis", [Basis(), Basis(CUBES), Basis(DYADIC)], ids=lambda b: b.kind)
+@pytest.mark.parametrize("fam", [RectFamilySpec(mode="exhaustive"), FAM], ids=lambda f: f.mode)
+def test_constant_matches_value_loop(kind, shape, basis, fam):
+    # the per-shape evaluation must reproduce the per-member values bit for bit
+    constant, value = _constant_and_value(kind, shape)
+    rep = constant(fam, basis)
+    rects = fam.members(shape, basis)
+    vals = [value(r) for r in rects]
     best = int(np.argmax(vals))
-    assert rep.sup_constant == vals[best]
+    assert rep.sup_constant == vals[best] == value(rep.argmax_rect)
     assert rep.argmax_rect == rects[best]
+    assert rep.samples_evaluated == len(rects)
+
+
+W = rand_weight((6, 6), seed=30)
+HOLE = W.with_values(np.where(np.arange(36).reshape(6, 6) == 7, 0.0, W.values))
+SYS = WeightSystem(W, (W,), 2.0, (2.0,))
+
+
+@pytest.mark.parametrize("error, constant, value, args", [
+    pytest.param(ValueError, ap_constant, ap_value, (W, 1.0), id="ap-p1"),
+    pytest.param(ValueError, ap_constant, ap_value, (W, 0.5), id="ap-p0.5"),
+    pytest.param(ValueError, ap_constant, ap_value, (HOLE, 2.0), id="ap-zero-cell"),
+    pytest.param(ValueError, power_bump_constant, power_bump_value, (SYS, 1.0), id="pb-r1"),
+    pytest.param(ValueError, power_bump_constant, power_bump_value, (SYS, 0.5), id="pb-r0.5"),
+    pytest.param(ValueError, bump_constant, bump_value, (W, W, Power(2.0), 1.0), id="bump-p1"),
+    pytest.param(ValueError, bump_constant, bump_value,
+                 (W.with_values(np.zeros((6, 6))), W, Power(2.0), 2.0), id="bump-u-zero"),
+    pytest.param(ValueError, bump_constant, bump_value, (W, HOLE, Power(2.0), 2.0),
+                 id="bump-v-zero-cell"),
+    pytest.param(GeometryMismatch, bump_constant, bump_value,
+                 (W, rand_weight((6, 7), seed=31), Power(2.0), 2.0), id="bump-grids"),
+])
+def test_value_rejects_what_constant_rejects(error, constant, value, args):
+    with pytest.raises(error):
+        constant(*args, family=FAM)
+    with pytest.raises(error):
+        value(*args, Rect((1, 1), (3, 4)))
+
+
+@pytest.mark.parametrize("rect", [Rect((4, 1), (7, 3)), Rect((0,), (2,)),
+                                  Rect((0, 0, 0), (1, 1, 1))], ids=str)
+def test_value_rejects_rect_outside_grid(rect):
+    for value in (lambda: ap_value(W, 2.0, rect),
+                  lambda: power_bump_value(SYS, 1.5, rect),
+                  lambda: bump_value(W, W, Power(2.0), 2.0, rect)):
+        with pytest.raises(GeometryMismatch):
+            value()
+
+
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "stratified"])
+def test_family_of_basis_without_members_names_basis_and_grid(mode):
+    w = rand_weight((8, 8), seed=32)
+    with pytest.raises(ValueError, match=r"'min_side': 9.*\(8, 8\)"):
+        ap_constant(w, 2.0, Basis(min_side=9), RectFamilySpec(mode=mode))
 
 
 def test_bump_geometry_check():
@@ -140,6 +200,22 @@ def test_power_bump_single_factor_formula():
     want = nu.values[sl].mean() * (w.values[sl] ** ((1 - pc) * 1.5)).mean() ** (
         2.0 / (pc * 1.5))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_power_bump_value_near_float_max():
+    # nu summed over the grid passes the float range, so its table is scaled
+    nu = rand_weight((8, 8), seed=28, lo=5e306, hi=1e307)
+    w = rand_weight((8, 8), seed=29)
+    assert SummedAreaTable(nu).exponent > 0
+    sys = WeightSystem(nu, (w,), 2.0, (2.0,))
+    r = Rect((1, 0), (8, 6))
+    sl = r.slices
+    mean_nu = np.ldexp(np.ldexp(nu.values[sl], -8).mean(), 8)
+    want = mean_nu * (w.values[sl] ** (-1.5)).mean() ** (2.0 / 3.0)
+    assert np.isfinite(want)
+    assert power_bump_value(sys, 1.5, r) == pytest.approx(want, rel=1e-12)
+    rep = power_bump_constant(sys, 1.5, RectFamilySpec(mode="exhaustive"))
+    assert power_bump_value(sys, 1.5, rep.argmax_rect) == rep.sup_constant
 
 
 def test_power_bump_constant_runs_multilinear():
