@@ -121,8 +121,6 @@ def _cmd_bp(args) -> dict:
 def _cmd_maximal(args) -> dict:
     if not args.input and not args.inputs:
         raise ValueError("need --input (or --inputs for the multilinear form)")
-    if args.jobs < 1:  # checked here too: the Orlicz paths take no jobs
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     basis = _basis_from(args.basis, args.min_side, args.max_side)
     budget = args.budget if args.budget is not None else _default_budget()
     if args.inputs:
@@ -133,7 +131,7 @@ def _cmd_maximal(args) -> dict:
         if phis:
             mf = multilinear_orlicz_maximal(fs, phis, basis, budget=budget, tol=args.tol)
         else:
-            mf = multilinear_maximal(fs, basis, budget=budget, jobs=args.jobs)
+            mf = multilinear_maximal(fs, basis, budget=budget)
     elif args.phi:
         f = read_grid(args.input)
         phis = [young_from_json(p) for p in args.phi]
@@ -141,7 +139,7 @@ def _cmd_maximal(args) -> dict:
             raise ValueError("one --phi per single input; multilinear needs --inputs")
         mf = orlicz_maximal(f, phis[0], basis, budget=budget, tol=args.tol)
     else:
-        mf = strong_maximal(read_grid(args.input), basis, budget=budget, jobs=args.jobs)
+        mf = strong_maximal(read_grid(args.input), basis, budget=budget)
     write_grid(mf.field, args.out)
     sidecar = args.out + ".json"
     with open(sidecar, "w") as fh:
@@ -237,9 +235,14 @@ def _cmd_gen(args) -> dict:
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    # raised, not printed, so main reports it as JSON; subparsers share the class
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="orliczmax",
-                                  description="Orlicz maximal operator laboratory")
+    top = _Parser(prog="orliczmax", description="Orlicz maximal operator laboratory")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("young", help="evaluate a Young function and friends")
@@ -273,9 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help=f"member budget (default ${_BUDGET_ENV} or {DEFAULT_BUDGET})")
     p.add_argument("--tol", type=float, default=1e-9)
-    # a fixed default keeps run_config, and so replayed output, the same on
-    # every machine
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_maximal)
 
     p = sub.add_parser("weights", help="weight-condition constants")
@@ -320,8 +320,11 @@ _LIMIT_ERRORS = (BudgetExceeded, NonFinite, NoBracket, VerdictConflict)
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 1
+    except argparse.ArgumentError as e:
+        _fail(e)
+        return 1
+    except SystemExit:  # --help printed the usage
+        return 0
     out_path = getattr(args, "out", None)
     if args.func is _cmd_maximal or args.func is _cmd_gen:
         out_path = None  # these write their grid themselves and report on stdout

@@ -135,21 +135,49 @@ def verify_scattered(family: RectFamily, selection: ScatterSelection) -> dict:
     }
 
 
-def _trimmed_masks(family: RectFamily, selection: ScatterSelection) -> list[np.ndarray]:
-    """Per-rect masks: kept rects stay whole, dropped ones lose cells
-    already covered by kept predecessors."""
+def _growth_reports(family: RectFamily, selection: ScatterSelection, w: GridFunction, js):
+    """weight_growth_check's report on every pair i < j, j in js, in (j, i) order.
+
+    The trimmed masks (kept rects whole, dropped ones without the cells kept
+    predecessors cover) and the masses of the prefix unions are built in
+    one pass; the tails of one j are unions grown from i = j-1 down, the
+    same masks a single check needs and so the same sums.
+    """
+    if w.shape != family.shape:
+        raise GeometryMismatch("weight shape does not match family shape")
+
+    def mass(mask: np.ndarray) -> float:
+        return float(w.values[mask].sum()) * w.cell_volume
+
     kept = set(selection.kept)
     covered = np.zeros(family.shape, dtype=bool)
-    out = []
-    for i, r in enumerate(family.rects):
+    union = np.zeros(family.shape, dtype=bool)
+    masks, prefix = [], [mass(union)]
+    for k, r in enumerate(family.rects):
         m = np.zeros(family.shape, dtype=bool)
         m[r.slices] = True
-        if i not in kept:
-            m &= ~covered
-        else:
+        if k in kept:
             covered |= m
-        out.append(m)
-    return out
+        else:
+            m &= ~covered
+        masks.append(m)
+        union[r.slices] = True
+        prefix.append(mass(union))
+    for j in js:
+        tail = np.zeros(family.shape, dtype=bool)
+        tails = []
+        for m in reversed(masks[:j]):
+            tail |= m
+            tails.append(mass(tail))
+        for i, part_tail in enumerate(reversed(tails)):
+            lhs, bracket = prefix[j], prefix[i] + part_tail
+            if bracket > 0.0:
+                implied = lhs / bracket
+            else:
+                implied = 1.0 if lhs == 0.0 else np.inf
+            yield {"i": i, "j": j, "lhs": lhs, "prefix_mass": prefix[i],
+                   "trimmed_tail_mass": part_tail, "bracket": bracket,
+                   "implied_constant": implied}
 
 
 def weight_growth_check(family: RectFamily, selection: ScatterSelection,
@@ -165,56 +193,17 @@ def weight_growth_check(family: RectFamily, selection: ScatterSelection,
     """
     if not (0 <= i < j <= len(family)):
         raise ValueError("need 0 <= i < j <= len(family)")
-    if w.shape != family.shape:
-        raise GeometryMismatch("weight shape does not match family shape")
-    masks = _trimmed_masks(family, selection)
-    full = np.zeros(family.shape, dtype=bool)
-    for r in family.rects[:j]:
-        full[r.slices] = True
-    prefix = np.zeros(family.shape, dtype=bool)
-    for r in family.rects[:i]:
-        prefix[r.slices] = True
-    tail = np.zeros(family.shape, dtype=bool)
-    for m in masks[i:j]:
-        tail |= m
-    cellvol = w.cell_volume
-    lhs = float(w.values[full].sum()) * cellvol
-    part_prefix = float(w.values[prefix].sum()) * cellvol
-    part_tail = float(w.values[tail].sum()) * cellvol
-    bracket = part_prefix + part_tail
-    if bracket > 0.0:
-        implied = lhs / bracket
-    else:
-        implied = 1.0 if lhs == 0.0 else np.inf
-    return {
-        "i": i,
-        "j": j,
-        "lhs": lhs,
-        "prefix_mass": part_prefix,
-        "trimmed_tail_mass": part_tail,
-        "bracket": bracket,
-        "implied_constant": implied,
-    }
+    return list(_growth_reports(family, selection, w, [j]))[i]
 
 
 def weight_growth_sweep(family: RectFamily, selection: ScatterSelection,
                         w: GridFunction) -> dict:
     """Max implied constant of weight_growth_check over all pairs i < j."""
     best = {"implied_constant": -np.inf}
-    n = len(family)
-    for j in range(1, n + 1):
-        for i in range(j):
-            rep = weight_growth_check(family, selection, w, i, j)
-            if rep["implied_constant"] > best["implied_constant"]:
-                best = rep
+    for rep in _growth_reports(family, selection, w, range(1, len(family) + 1)):
+        if rep["implied_constant"] > best["implied_constant"]:
+            best = rep
     return best
-
-
-def _overlap_count(family: RectFamily, subset: list[int] | tuple[int, ...]) -> np.ndarray:
-    counts = np.zeros(family.shape, dtype=np.int64)
-    for i in subset:
-        counts[family.rects[i].slices] += 1
-    return counts
 
 
 def cf_overlap_check(family: RectFamily, subset: list[int] | tuple[int, ...],
@@ -235,7 +224,9 @@ def cf_overlap_check(family: RectFamily, subset: list[int] | tuple[int, ...],
     subset = [int(i) for i in subset]
     if not subset:
         raise ValueError("subset must be nonempty")
-    counts = _overlap_count(family, subset)
+    counts = np.zeros(family.shape, dtype=np.int64)
+    for i in subset:
+        counts[family.rects[i].slices] += 1
     union = counts > 0
     ncover = int(np.count_nonzero(union))
     integral = float(np.exp((delta * counts[union]) ** (1.0 / (n - 1.0))).sum())

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -109,18 +110,10 @@ class Basis:
 
     def rect_count(self, grid_shape: tuple[int, ...]) -> int:
         if self.kind == CUBES:
-            total = 0
-            for s in self.side_choices(min(grid_shape)):
-                npos = 1
-                for e in grid_shape:
-                    npos *= e - s + 1
-                total += npos
-            return total
+            return sum(math.prod(e - s + 1 for e in grid_shape)
+                       for s in self.side_choices(min(grid_shape)))
         # positions factor across axes for uncoupled side choices
-        total = 1
-        for e in grid_shape:
-            total *= sum(e - s + 1 for s in self.side_choices(e))
-        return total
+        return math.prod(sum(e - s + 1 for s in self.side_choices(e)) for e in grid_shape)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "min_side": self.min_side, "max_side": self.max_side}
@@ -187,18 +180,17 @@ def _window_extreme(a: np.ndarray, s: int, axis: int, take_min: bool = False,
                  buf[lead + (slice(s - 1, length),)])
 
 
-def _cover_max(plane: np.ndarray, sides: tuple[int, ...]) -> np.ndarray:
-    """Per-cell max over the positions whose member of one shape covers the cell."""
-    for ax, s in enumerate(sides):
-        plane = _window_extreme(plane, s, ax, cover=True)
-    return plane
+def _window_extremes(a: np.ndarray, sides: tuple[int, ...], take_min: bool = False,
+                     cover: bool = False) -> np.ndarray:
+    """_window_extreme along every axis, for members of one shape.
 
-
-def _position_extreme(values: np.ndarray, sides: tuple[int, ...], take_min: bool) -> np.ndarray:
-    """Window min/max of the grid values at every position of one shape."""
+    With cover, a plane of per-position values becomes the per-cell max
+    over the positions whose member covers the cell; without, grid values
+    become their min or max over each position's member.
+    """
     for ax, s in enumerate(sides):
-        values = _window_extreme(values, s, ax, take_min)
-    return values
+        a = _window_extreme(a, s, ax, take_min, cover)
+    return a
 
 
 def _input_digest(*fs: GridFunction) -> str:
@@ -233,13 +225,28 @@ def _field(fs: list[GridFunction], out: np.ndarray, basis: Basis, count: int,
     return MaximalField(field=fs[0].with_values(out), provenance=prov)
 
 
-# pair cells (batch rows times (n+1)^2) per block of the last-axis DP; bounds
-# the DP's temporaries whatever the batch is
+# pair cells (batch rows times (n+1)^2) per block of the last-axis DP, shared
+# by all threads of a sweep; bounds the DP's buffers whatever the batch is
 _DP_BLOCK = 1 << 18
+# rows times (n+1) a block takes at least: numpy's accumulate holds the GIL
+# over 500 or fewer, and the threads of a sweep would run one at a time
+_DP_MIN_LINES = 501
+# grids of fewer cells sweep in the calling thread: on two cores, threads
+# break even near 1,200 cells in 2-D (40x40 gains a quarter) and 2,200 in 3-D
+_THREAD_MIN_CELLS = 2000
+
+
+def _sweep_threads(shape: tuple[int, ...], nfirst: int) -> int:
+    """Threads for a corner sweep with nfirst sides on its first axis: one per
+    usable core, at most one per side; in 1-D that list is the pair DP's own."""
+    if len(shape) == 1 or math.prod(shape) < _THREAD_MIN_CELLS:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, nfirst)
 
 
 def _dp_last_axis(slabs: list[np.ndarray], pref: int, dmat: np.ndarray,
-                  bad: np.ndarray) -> np.ndarray:
+                  bad: np.ndarray, block: int) -> np.ndarray:
     """Per-cell maxima over all (lo, hi) choices of the last table axis.
 
     slabs[j] holds, for each row of the batch, the partially differenced
@@ -249,31 +256,32 @@ def _dp_last_axis(slabs: list[np.ndarray], pref: int, dmat: np.ndarray,
     across functions multiply in input order. Pairs flagged in bad are not
     admissible. The two max-accumulations turn the pair matrix into corner
     maxima, whose (x, x+1) diagonal is the best member containing cell x.
+    Rows go through in blocks of block pair cells, or of _DP_MIN_LINES lines.
     """
     batch, size = slabs[0].shape
     out = np.empty((batch, size - 1))  # C order: norm_lp sums a field in memory order
     scale = pref * dmat
-    ar = np.arange(size - 1)
-    step = max(1, _DP_BLOCK // (size * size))
+    step = max(-(-_DP_MIN_LINES // size), block // (size * size))
+    bufs = [np.empty((min(step, batch), size, size)) for _ in slabs]  # reused by every block
     for lo in range(0, batch, step):
-        block = [t[lo:lo + step] for t in slabs]
+        n = min(step, batch - lo)
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = block[0][:, None, :] - block[0][:, :, None]
+            v, *ws = [np.subtract(t[lo:lo + n, None, :], t[lo:lo + n, :, None], out=b[:n])
+                      for t, b in zip(slabs, bufs)]
             v /= scale
-            for t in block[1:]:
-                w = t[:, None, :] - t[:, :, None]
+            for w in ws:
                 w /= scale
                 v *= w
-        v[:, bad] = -np.inf
+        np.copyto(v, -np.inf, where=bad)
         np.maximum.accumulate(v, axis=1, out=v)
         r = v[:, :, ::-1]
         np.maximum.accumulate(r, axis=2, out=r)
-        out[lo:lo + step] = v[:, ar, ar + 1]
+        out[lo:lo + n] = np.diagonal(v, 1, 1, 2)
     return out
 
 
 def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: int,
-                  dmat: np.ndarray, bad: np.ndarray) -> np.ndarray:
+                  dmat: np.ndarray, bad: np.ndarray, block: int) -> np.ndarray:
     """Per-cell maxima over every member with sides from side_lists, any rank.
 
     tables[j] is the summed-area table of function j behind a leading batch
@@ -282,33 +290,34 @@ def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: i
     d of the leading axis is differenced off, its positions are folded
     into the batch for the remaining axes, and the per-position maxima are
     expanded back to cells with a cover max. The last axis is the pair DP,
-    with dmat and bad built once per sweep; pref is the product of the
-    sides already differenced off.
+    with dmat and bad built once per sweep and block its pair-cell bound;
+    pref is the product of the sides already differenced off.
     """
     if len(side_lists) == 1:
-        return _dp_last_axis(tables, pref, dmat, bad)
+        return _dp_last_axis(tables, pref, dmat, bad, block)
     out = None
     for d in side_lists[0]:
         slabs = [t[:, d:] - t[:, :-d] for t in tables]
         batch, npos = slabs[0].shape[:2]
         rest = slabs[0].shape[2:]
         u = _corner_sweep([s.reshape((batch * npos,) + rest) for s in slabs],
-                          side_lists[1:], pref * d, dmat, bad)
+                          side_lists[1:], pref * d, dmat, bad, block)
         u = _window_extreme(u.reshape((batch, npos) + u.shape[1:]), d, 1, cover=True)
         out = u if out is None else np.maximum(out, u, out=out)
     return out
 
 
-def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarray:
+def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
     """Sup over basis members of the product of per-function averages.
 
     Cube bases couple the sides, so they go through one vectorized pass
     per side count; the uncoupled bases run the corner sweep, whose first
-    side list is split across jobs threads when jobs > 1. Cells covered by
-    no admissible member report 0 (empty supremum).
+    side list is split across threads on grids of at least
+    _THREAD_MIN_CELLS cells in 2-D and up (_sweep_threads), sharing
+    _DP_BLOCK. Max is exact and every average has its fixed operands, so
+    the field does not depend on the thread count. Cells covered by no
+    admissible member report 0 (empty supremum).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     shape = fs[0].shape
     sats = [SummedAreaTable(f) for f in fs]
     tables = [sat.table for sat in sats]
@@ -323,7 +332,7 @@ def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarra
             plane = _window_sums(tables[0], sides) / ncells
             for t in tables[1:]:
                 plane = plane * (_window_sums(t, sides) / ncells)
-            np.maximum(out, _cover_max(plane, sides), out=out)
+            np.maximum(out, _window_extremes(plane, sides, cover=True), out=out)
         return np.ldexp(out, scale) if scale else out
 
     side_lists = [basis.side_choices(e) for e in shape]
@@ -335,40 +344,42 @@ def _average_sweep(fs: list[GridFunction], basis: Basis, jobs: int) -> np.ndarra
     admissible[side_lists[-1]] = True  # index 0 stays False: d <= 0 is no member
     bad = ~admissible[np.maximum(d, 0)]
     tables = [t[None] for t in tables]
-
-    def sweep(firsts: list[int]) -> np.ndarray:
-        return _corner_sweep(tables, [firsts] + side_lists[1:], 1, dmat, bad)
-
     firsts = side_lists[0]
-    # in 1-D the first side list is the pair DP's own, fixed in bad
-    parts = min(jobs, len(firsts)) if len(shape) > 1 else 1
-    if parts == 1:
+    threads = _sweep_threads(shape, len(firsts))
+    block = _DP_BLOCK // threads
+
+    def sweep(sides: list[int]) -> np.ndarray:
+        return _corner_sweep(tables, [sides] + side_lists[1:], 1, dmat, bad, block)
+
+    if threads == 1:
         out = sweep(firsts)
     else:
-        chunks = [firsts[i::parts] for i in range(parts)]
-        with ThreadPoolExecutor(max_workers=parts) as pool:
+        chunks = [firsts[i::threads] for i in range(threads)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             out = np.maximum.reduce(list(pool.map(sweep, chunks)))
     out = np.maximum(out[0], 0.0)
     return np.ldexp(out, scale) if scale else out
 
 
 def strong_maximal(f: GridFunction, basis: Basis = Basis(),
-                   budget: int = DEFAULT_BUDGET, jobs: int = 1) -> MaximalField:
+                   budget: int = DEFAULT_BUDGET) -> MaximalField:
     """Pointwise sup of rectangle averages over basis members containing x.
 
     Admits the single-cell rectangle (when min_side is 1), so the output
-    dominates the input pointwise.
+    dominates the input pointwise. Large grids sweep on all usable cores,
+    with the same bits as on one.
     """
     count = _checked_inputs([f], basis, budget)
-    return _field([f], _average_sweep([f], basis, jobs), basis, count,
+    return _field([f], _average_sweep([f], basis), basis, count,
                   operator="strong_maximal")
 
 
 def multilinear_maximal(fs: list[GridFunction], basis: Basis = Basis(),
-                        budget: int = DEFAULT_BUDGET, jobs: int = 1) -> MaximalField:
-    """Sup over basis members of the product of the m averages."""
+                        budget: int = DEFAULT_BUDGET) -> MaximalField:
+    """Sup over basis members of the product of the m averages; threaded as
+    strong_maximal."""
     count = _checked_inputs(fs, basis, budget)
-    return _field(fs, _average_sweep(fs, basis, jobs), basis, count,
+    return _field(fs, _average_sweep(fs, basis), basis, count,
                   operator="multilinear_maximal", m=len(fs))
 
 
@@ -592,7 +603,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        Where neither of the two nearest rungs is certified, L = 0 and
        U = inf, and the member stays a candidate.
     3. Skip rule. LB(x) = max over members R containing x of prod_j
-       L_j(R), folded with _cover_max. R is a candidate when prod_j
+       L_j(R), folded with _window_extremes. R is a candidate when prod_j
        U_j(R) * (1 + 4 tol)**m >= min over x in R of LB(x). A skipped R
        has prod N(R) <= prod U(R) < min_R LB <= LB(x) <= field(x) at every
        cell x of R (floating products are monotone in each factor), so it
@@ -617,11 +628,11 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
             and len({p.r for p in phis}) == 1):
         r = phis[0].r
         if r == 1.0:
-            return _field(fs, _average_sweep(fs, basis, 1), basis, count, **prov,
+            return _field(fs, _average_sweep(fs, basis), basis, count, **prov,
                           dispatch="average")
         es = [int(np.frexp(f.values.max())[1]) for f in fs]
         powered = [f.with_values(np.ldexp(f.values, -e) ** r) for f, e in zip(fs, es)]
-        out = np.ldexp(_average_sweep(powered, basis, 1) ** (1.0 / r), sum(es))
+        out = np.ldexp(_average_sweep(powered, basis) ** (1.0 / r), sum(es))
         return _field(fs, out, basis, count, **prov, dispatch="power_mean")
 
     shape = fs[0].shape
@@ -644,7 +655,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
                               for lad in ladders)
             for sides, sl in blk.shapes:
                 plane = lower[sl].reshape(_position_grid(shape, sides))
-                np.maximum(lb, _cover_max(plane, sides), out=lb)
+                np.maximum(lb, _window_extremes(plane, sides, cover=True), out=lb)
         widen = (1.0 + 4.0 * tol) ** len(fs)
 
     groups: dict[int, list] = {}
@@ -654,7 +665,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         cand = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
         live += int(cand.sum())
         if prune:
-            floor = np.concatenate([_position_extreme(lb, sides, take_min=True).ravel()
+            floor = np.concatenate([_window_extremes(lb, sides, take_min=True).ravel()
                                     for sides, _ in blk.shapes])
             cand &= math.prod(b[1] for b in brackets) * widen >= floor
         solved += int(cand.sum())
@@ -665,7 +676,8 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
                 groups.setdefault(math.prod(sides), []).append(
                     (sides, pos, [b[2][at] for b in brackets], [b[3][at] for b in brackets]))
 
-    found: dict[tuple[int, ...], list] = {}
+    # a shape's candidates all sit in one block and one solve chunk, so each
+    # plane is filled and folded once
     for ncells in sorted(groups):
         entries = groups[ncells]
         for chunk in _runs(entries, [e[1].size * ncells for e in entries], _SOLVE_CELLS):
@@ -682,13 +694,10 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
             value = math.prod(norms)
             at = 0
             for sides, pos, _, _ in chunk:
-                found.setdefault(sides, []).append((pos, value[at:at + pos.size]))
+                plane = np.zeros(_position_grid(shape, sides))
+                plane.flat[pos] = value[at:at + pos.size]
+                np.maximum(out, _window_extremes(plane, sides, cover=True), out=out)
                 at += pos.size
-    for sides, parts in found.items():
-        plane = np.zeros(math.prod(_position_grid(shape, sides)))
-        for pos, value in parts:
-            plane[pos] = value
-        np.maximum(out, _cover_max(plane.reshape(_position_grid(shape, sides)), sides), out=out)
     return _field(fs, out, basis, count, **prov, pruned=live - solved,
                   rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
                   tol=tol)

@@ -62,17 +62,12 @@ class ProbeSuite:
                             (self.extent / res,) * self.dims, np.zeros(shape))
 
     def functions(self, res: int) -> list[tuple[str, GridFunction]]:
-        return self.functions_at((int(res),) * self.dims, self.extent / res)
-
-    def functions_at(self, shape: tuple[int, ...],
-                     spacing: float) -> list[tuple[str, GridFunction]]:
-        base = GridFunction(shape, (0.0,) * len(shape),
-                            (spacing,) * len(shape), np.zeros(shape))
+        base = self.grid(res)
         out = []
         for kind in self.kinds:
-            rng = np.random.default_rng([self.seed, sum(shape), _KIND_TAG[kind]])
+            rng = np.random.default_rng([self.seed, sum(base.shape), _KIND_TAG[kind]])
             for k in range(self.per_kind):
-                out.append((f"{kind}-{k}", base.with_values(_draw(kind, shape, rng))))
+                out.append((f"{kind}-{k}", base.with_values(_draw(kind, base.shape, rng))))
         return out
 
     def weight_field(self, res: int, which: int = 0) -> GridFunction:

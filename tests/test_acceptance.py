@@ -94,7 +94,7 @@ def test_criterion_04_far_field_of_unit_box():
     n = 256  # [-8, 8] at spacing 1/16
     f = GridFunction.indicator_box((n, n), (-8.0, -8.0), (h, h), (0.0, 0.0),
                                    (1.0, 1.0))
-    m = strong_maximal(f, jobs=1).field.values
+    m = strong_maximal(f).field.values
     c = f.axis_centers(0)
     far = c > 1.5
     y1, y2 = np.meshgrid(c[far], c[far], indexing="ij")

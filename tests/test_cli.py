@@ -154,29 +154,50 @@ def test_phi_with_multilinear_inputs_is_a_json_error(capsys, tmp_path):
 
 
 def test_maximal_run_config_does_not_depend_on_core_count(capsys, tmp_path, monkeypatch):
+    # 48x48 is past the threading threshold, so the sweep splits across cores
     src = str(tmp_path / "f.grid")
-    run(capsys, "gen", "--kind", "random", "--shape", "6,6", "--out", src)
+    run(capsys, "gen", "--kind", "random", "--shape", "48,48", "--out", src)
     outs = []
     for cores in (1, 8):
-        monkeypatch.setattr("os.cpu_count", lambda: cores)
-        code, out, _ = run(capsys, "maximal", "--input", src,
-                           "--out", str(tmp_path / "m.grid"))
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        dst = str(tmp_path / f"m{cores}.grid")
+        code, out, _ = run(capsys, "maximal", "--input", src, "--out", dst)
         assert code == 0
-        outs.append(out)
+        with open(dst, "rb") as fh:
+            outs.append((out.replace(dst, "m.grid"), fh.read()))
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("phi", [[], ["--phi", '{"kind": "power_log", "alpha": 1.8, "beta": 1}']],
-                         ids=["strong", "orlicz"])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_nonpositive_jobs_is_a_json_error(capsys, tmp_path, jobs, phi):
+@pytest.mark.parametrize("argv", [
+    ["--jobs", "2"],
+    ["--bogus"],
+    ["--basis", "hexagons"],
+    ["--min-side", "two"],
+], ids=["jobs", "unknown", "bad_choice", "bad_type"])
+def test_usage_errors_are_json(capsys, tmp_path, argv):
     src = str(tmp_path / "f.grid")
     run(capsys, "gen", "--kind", "random", "--shape", "6,6", "--out", src)
-    code, out, err = run(capsys, "maximal", "--input", src, "--jobs", jobs, *phi,
+    code, out, err = run(capsys, "maximal", "--input", src, *argv,
                          "--out", str(tmp_path / "m.grid"))
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"] == "ValueError"
+    assert json.loads(err)["error"] == "ArgumentError"
+
+
+@pytest.mark.parametrize("argv", [["maximal", "--input", "f.grid"], ["frobnicate"], []],
+                         ids=["missing_required", "unknown_command", "empty"])
+def test_parse_failures_are_json_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert set(json.loads(err)) == {"error", "message"}
+
+
+def test_help_still_exits_zero(capsys):
+    code, out, _ = run(capsys, "maximal", "--help")
+    assert code == 0
+    assert "--input" in out and "--jobs" not in out
 
 
 def test_orlicz_maximal_sidecar_replays_byte_for_byte(capsys, tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from orliczmax.covering import (RectFamily, cf_overlap_check, choose_cf_subfamily,
                                 largest_passing_delta, select_scattered,
-                                verify_scattered, weight_growth_sweep)
+                                verify_scattered, weight_growth_check,
+                                weight_growth_sweep)
 from orliczmax.errors import DimensionError, GeometryMismatch
 from orliczmax.grid import GridFunction, Rect
 
@@ -85,6 +86,68 @@ def test_growth_sweep_bracket():
     # trimming drops kept-covered cells from the tail, so the two-piece
     # bracket is a genuine cover of the union mass
     assert rep["implied_constant"] <= 1.0 + 1e-12
+
+
+def growth_case(seed, n=18):
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for _ in range(n):
+        lo = rng.integers(0, 10, size=2)
+        hi = [int(rng.integers(l + 1, 13)) for l in lo]
+        boxes.append((tuple(int(x) for x in lo), tuple(hi)))
+    w = GridFunction((12, 12), (0.0, 0.0), (0.25, 0.25),
+                     np.exp(rng.normal(size=(12, 12))))
+    f = fam((12, 12), boxes, weight=w)
+    return f, select_scattered(f, 0.4), w
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_growth_check_matches_masks_built_from_scratch(seed):
+    f, sel, w = growth_case(seed)
+    kept = set(sel.kept)
+
+    def mass(mask):
+        return float(w.values[mask].sum()) * w.cell_volume
+
+    for i, j in [(0, 1), (0, len(f)), (3, 11), (7, 8), (5, len(f))]:
+        full, prefix, tail, covered = (np.zeros(f.shape, dtype=bool) for _ in range(4))
+        for k, r in enumerate(f.rects[:j]):
+            full[r.slices] = True
+            if k < i:
+                prefix[r.slices] = True
+            m = np.zeros(f.shape, dtype=bool)
+            m[r.slices] = True
+            if k in kept:
+                covered |= m
+            else:
+                m &= ~covered
+            if k >= i:
+                tail |= m
+        rep = weight_growth_check(f, sel, w, i, j)
+        assert (rep["lhs"], rep["prefix_mass"], rep["trimmed_tail_mass"]) == (
+            mass(full), mass(prefix), mass(tail))
+        assert rep["implied_constant"] == rep["lhs"] / rep["bracket"]
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_growth_sweep_is_first_maximum_of_check_loop(seed):
+    f, sel, w = growth_case(seed)
+    best = {"implied_constant": -np.inf}
+    for j in range(1, len(f) + 1):
+        for i in range(j):
+            rep = weight_growth_check(f, sel, w, i, j)
+            if rep["implied_constant"] > best["implied_constant"]:
+                best = rep
+    assert weight_growth_sweep(f, sel, w) == best
+
+
+def test_growth_rejects_weight_on_another_grid():
+    f, sel, _ = growth_case(9)
+    other = GridFunction((12, 13), (0.0, 0.0), (0.25, 0.25), np.ones((12, 13)))
+    with pytest.raises(GeometryMismatch):
+        weight_growth_sweep(f, sel, other)
+    with pytest.raises(GeometryMismatch):
+        weight_growth_check(f, sel, other, 0, 1)
 
 
 def test_single_rect_delta_threshold_is_log_two():

@@ -58,11 +58,45 @@ def test_matches_brute_force():
     assert np.array_equal(m, brute_strong(f))
 
 
-def test_jobs_do_not_change_result():
+def use_cores(monkeypatch, cores):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def force_threads(monkeypatch, cores):
+    """Sweep every 2-D and 3-D grid, however small, on up to cores threads."""
+    use_cores(monkeypatch, cores)
+    monkeypatch.setattr(maximal, "_THREAD_MIN_CELLS", 1)
+
+
+def test_thread_count_does_not_change_result(monkeypatch):
     f = rand_grid((16, 16), seed=2)
-    a = strong_maximal(f, jobs=1).field.values
-    b = strong_maximal(f, jobs=4).field.values
-    assert np.array_equal(a, b)
+    g = rand_grid((16, 16), seed=3)
+    fields = []
+    for cores in (1, 4):
+        force_threads(monkeypatch, cores)
+        fields.append((strong_maximal(f).field.values,
+                       multilinear_maximal([f, g]).field.values))
+    for a, b in zip(*fields):
+        assert np.array_equal(a, b)
+
+
+def test_sweep_threads_follow_grid_size_and_cores(monkeypatch):
+    use_cores(monkeypatch, 3)
+    assert maximal._THREAD_MIN_CELLS == 2000
+    assert maximal._sweep_threads((44, 45), 44) == 1    # 1,980 cells: serial
+    assert maximal._sweep_threads((50_000,), 50_000) == 1  # 1-D: serial
+    assert maximal._sweep_threads((45, 45), 45) == 3    # above: min(cores, firsts)
+    assert maximal._sweep_threads((1, 4000), 1) == 1
+    assert maximal._sweep_threads((2, 1000), 2) == 2
+    assert maximal._sweep_threads((13, 13, 13), 13) == 3
+
+
+def test_sweep_threads_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 5)
+    assert maximal._sweep_threads((64, 64), 64) == 5
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert maximal._sweep_threads((64, 64), 64) == 1
 
 
 def test_budget_enforced():
@@ -271,23 +305,28 @@ BRUTE_BASES = [Basis(), Basis(CUBES), Basis(DYADIC), Basis(min_side=3, max_side=
 BRUTE_BASIS_IDS = ["rect", "cubes", "dyadic", "sides3to6"]
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("cores", [1, 3])
 @pytest.mark.parametrize("basis", BRUTE_BASES, ids=BRUTE_BASIS_IDS)
 @pytest.mark.parametrize("shape", [(9,), (1, 8), (8, 1), (5, 4, 3)], ids=str)
-def test_average_sweeps_equal_rect_average_loops(shape, basis, jobs):
+def test_average_sweeps_equal_rect_average_loops(shape, basis, cores, monkeypatch):
+    force_threads(monkeypatch, cores)
     f = rand_grid(shape, seed=20)
     g = rand_grid(shape, seed=21)
-    strong = strong_maximal(f, basis, jobs=jobs).field.values
+    strong = strong_maximal(f, basis).field.values
     assert np.array_equal(strong, brute_average([f], basis))
-    pair = multilinear_maximal([f, g], basis, jobs=jobs).field.values
+    pair = multilinear_maximal([f, g], basis).field.values
     assert np.array_equal(pair, brute_average([f, g], basis))
     # a field's memory order fixes the summation order of norm_lp over it
     assert strong.flags.c_contiguous and pair.flags.c_contiguous
 
 
-def test_average_sweep_is_exact_across_dp_blocks(monkeypatch):
-    # 100 pair cells per block splits every batch into uneven blocks of rows
+@pytest.mark.parametrize("cores", [1, 3])
+def test_average_sweep_is_exact_across_dp_blocks(monkeypatch, cores):
+    # 100 pair cells per block, shared by the threads, splits every batch
+    # into uneven blocks of rows
+    force_threads(monkeypatch, cores)
     monkeypatch.setattr(maximal, "_DP_BLOCK", 100)
+    monkeypatch.setattr(maximal, "_DP_MIN_LINES", 1)
     for shape in [(7, 6), (5, 4, 3)]:
         f = rand_grid(shape, seed=30)
         g = rand_grid(shape, seed=31)
@@ -339,15 +378,6 @@ def test_power_dispatch_scales_by_powers_of_two_exactly():
     f = rand_grid((9, 7), seed=27)
     small = orlicz_maximal(f.with_values(f.values * 2.0**-31), Power(1.5)).field.values
     assert np.array_equal(small, orlicz_maximal(f, Power(1.5)).field.values * 2.0**-31)
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_nonpositive_jobs_rejected(jobs):
-    f = rand_grid((4, 4), seed=28)
-    with pytest.raises(ValueError):
-        strong_maximal(f, jobs=jobs)
-    with pytest.raises(ValueError):
-        multilinear_maximal([f, f], jobs=jobs)
 
 
 @pytest.mark.parametrize("cover", [False, True], ids=["position", "cover"])
