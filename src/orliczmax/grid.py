@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyRect, GeometryMismatch, DimensionError
-from .young import YoungFunction, _itp_solve
+from .young import YoungFunction, _solve_bracketed
 
 __all__ = [
     "GridFunction",
@@ -226,18 +226,18 @@ def _phi_mean(phi: YoungFunction, mat: np.ndarray, lam: np.ndarray) -> np.ndarra
 
 def luxemburg_batch(rows: np.ndarray, phi: YoungFunction, tol: float = 1e-9,
                     lo_hint: np.ndarray | None = None,
-                    hi_hint: np.ndarray | None = None,
-                    max_iter: int = 200) -> np.ndarray:
+                    hi_hint: np.ndarray | None = None) -> np.ndarray:
     """Luxemburg norms of the rows of a matrix under the normalized mean.
 
     Returns per-row inf{lam > 0 : G(lam) <= 1}, G(lam) = mean Phi(row / lam);
-    all-zero rows give 0. Optional bracket hints must satisfy
-    G(lo) >= 1 >= G(hi); they tighten the start bracket without changing
-    the limit. The bracket is widened by factors of 10 until certified,
-    then shrunk by ITP steps on log G over log lam (young._itp_solve) until
-    hi - lo <= tol * hi; the returned value is the feasible upper end, so
-    G <= 1 there and it never undershoots the true norm by more than the
-    bracket width. Each row is divided by the power of two 2**e with
+    all-zero rows give 0. Each row is one problem of young._solve_bracketed
+    on log G over log lam, from the start bracket [m * 1e-14, m * 1e3] (m
+    the row maximum) or from the optional hints, which must satisfy
+    G(lo) >= 1 >= G(hi). It raises NoBracket when G > 1 up to the largest
+    float and gives 0 when G <= 1 down to underflow. The returned value is
+    the feasible upper end of a bracket with hi - lo <= tol * hi, so G <= 1
+    there and it never undershoots the true norm by more than the bracket
+    width. Each row is divided by the power of two 2**e with
     2**(e-1) <= max(row) < 2**e, and its hints with it, and the result is
     multiplied back, so scaling a row by a power of two scales its norm
     exactly. Each row stops on its own, so a row's result is the same
@@ -268,46 +268,12 @@ def luxemburg_batch(rows: np.ndarray, phi: YoungFunction, tol: float = 1e-9,
         hi = np.ldexp(np.asarray(hi_hint, dtype=float)[active], -e)
     lo = np.minimum(np.maximum(lo, 1e-300), hi)
 
-    # geometric expansion until the bracket is certified; an end that
-    # fails its test becomes the other end, and only the rows that moved
-    # are evaluated again
-    ghi = _phi_mean(phi, sub, hi)
-    glo = np.empty_like(lo)
-    known = np.zeros(lo.shape, dtype=bool)
-    for _ in range(60):
-        bad = ghi > 1.0
-        if not np.any(bad):
-            break
-        lo[bad], glo[bad], known[bad] = hi[bad], ghi[bad], True
-        hi[bad] *= 10.0
-        ghi[bad] = _phi_mean(phi, sub[bad], hi[bad])
-    if not np.all(known):
-        glo[~known] = _phi_mean(phi, sub[~known], lo[~known])
-    floor_rows = np.zeros(lo.shape, dtype=bool)
-    for _ in range(60):
-        low = glo <= 1.0
-        floor_rows = low & (lo <= 1e-280)
-        move = low & ~floor_rows
-        if not np.any(move):
-            break
-        hi[move], ghi[move] = lo[move], glo[move]
-        lo[move] *= 0.1
-        glo[move] = _phi_mean(phi, sub[move], lo[move])
-
-    # Phi vanishing on the whole bracket means the true infimum is 0
-    res = np.zeros(lo.shape)
-    solve = ~floor_rows
-    sub = sub[solve]
-
     def probe(idx, lam):
         g = _phi_mean(phi, sub[idx], lam)
         with np.errstate(divide="ignore"):
             return np.log(g), g <= 1.0
 
-    with np.errstate(divide="ignore"):
-        flo, fhi = np.log(glo[solve]), np.log(ghi[solve])
-    res[solve] = _itp_solve(lo[solve], hi[solve], flo, fhi, probe, tol, max_iter, upper=True)
-    out[active] = np.ldexp(res, e)
+    out[active] = np.ldexp(_solve_bracketed(lo, hi, probe, tol, upper=True), e)
     return out
 
 
@@ -315,9 +281,10 @@ def luxemburg_norm(f: GridFunction, rect: Rect, phi: YoungFunction,
                    tol: float = 1e-9) -> float:
     """Luxemburg norm of f over a rectangle w.r.t. the normalized mean.
 
-    inf{lam > 0 : (1/|r|) sum_r Phi(f/lam) <= 1}, found by luxemburg_batch:
-    ITP steps in log space on a certified bracket; the returned value is
-    the certified-feasible upper end of the final bracket, so it never
+    inf{lam > 0 : (1/|r|) sum_r Phi(f/lam) <= 1}, found by luxemburg_batch
+    under its contract: NoBracket when no lam up to the largest float is
+    feasible, 0 when every lam down to underflow is, and otherwise the
+    certified-feasible upper end of the final bracket, which never
     undershoots the true norm by more than the bracket width.
     """
     rect.check_within(f.shape)

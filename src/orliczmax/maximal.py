@@ -10,7 +10,8 @@ builder and two sweeps.
 The average sweep (_average_sweep) runs a corner DP over the summed-area
 tables: each side of the leading axis is differenced off and its
 positions join a batch, recursively, and the last axis takes the maxima
-over all (lo, hi) pairs at once. Differencing the table axis by axis in
+over all (lo, hi) pairs at once; cube bases and 1-D grids take one
+vectorized pass per shape instead. Differencing the table axis by axis in
 the fixed canonical order keeps every average bit-identical to
 rect_average on the same rectangle, which is what the brute-force
 comparisons rely on.
@@ -238,8 +239,8 @@ _THREAD_MIN_CELLS = 2000
 
 def _sweep_threads(shape: tuple[int, ...], nfirst: int) -> int:
     """Threads for a corner sweep with nfirst sides on its first axis: one per
-    usable core, at most one per side; in 1-D that list is the pair DP's own."""
-    if len(shape) == 1 or math.prod(shape) < _THREAD_MIN_CELLS:
+    usable core, at most one per side."""
+    if math.prod(shape) < _THREAD_MIN_CELLS:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cores or 1, nfirst)
@@ -310,11 +311,12 @@ def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: i
 def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
     """Sup over basis members of the product of per-function averages.
 
-    Cube bases couple the sides, so they go through one vectorized pass
-    per side count; the uncoupled bases run the corner sweep, whose first
-    side list is split across threads on grids of at least
-    _THREAD_MIN_CELLS cells in 2-D and up (_sweep_threads), sharing
-    _DP_BLOCK. Max is exact and every average has its fixed operands, so
+    Cube bases couple the sides, and in 1-D every member is an interval, so
+    both go through one vectorized pass per shape, which holds one plane
+    at a time. The uncoupled bases in 2-D and 3-D run the corner sweep,
+    whose first side list is split across threads on grids of at least
+    _THREAD_MIN_CELLS cells (_sweep_threads), sharing _DP_BLOCK. Max is
+    exact and every average has its fixed operands, so
     the field does not depend on the thread count. Cells covered by no
     admissible member report 0 (empty supremum).
     """
@@ -325,7 +327,7 @@ def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
     # the end; a power of two commutes with the division and the products
     scale = sum(sat.exponent for sat in sats)
 
-    if basis.kind == CUBES:
+    if basis.kind == CUBES or len(shape) == 1:
         out = np.zeros(shape)
         for sides in basis.shapes(shape):
             ncells = math.prod(sides)

@@ -285,8 +285,7 @@ def fefferman_stein_probe(phi: YoungFunction, p: float, w: GridFunction,
 
 
 def two_weight_probe(u: GridFunction, v: GridFunction, phi: YoungFunction,
-                     p: float, suite: ProbeSuite = ProbeSuite(),
-                     certify: bool = True) -> RatioReport:
+                     p: float, suite: ProbeSuite = ProbeSuite()) -> RatioReport:
     """Two-weight ratio ||u * M_R f||_p / ||v * f||_p over the suite.
 
     Certificates: the bump constant of (u, v), a superlevel-set sampler
@@ -296,17 +295,14 @@ def two_weight_probe(u: GridFunction, v: GridFunction, phi: YoungFunction,
         raise ValueError("p must exceed 1")
     if not u.same_geometry(v):
         raise ValueError("u and v must share grid geometry")
-    cert = {}
-    if certify:
-        cert["bump"] = bump_constant(u, v, phi, p).to_dict()
-        try:
-            cert["condition_A_u_p"] = condition_A_estimate(
-                u.with_values(u.values ** p), 0.5,
-                SetSamplerSpec(count=64, seed=suite.seed)).to_dict()
-        except (ValueError, DegenerateSet) as e:
-            cert["condition_A_u_p"] = {"error": str(e)}
-        cert["complement_bp_star"] = _verdict_cert(
-            complementary(phi), p, suite.dims, "bp_star")
+    cert = {"bump": bump_constant(u, v, phi, p).to_dict()}
+    try:
+        cert["condition_A_u_p"] = condition_A_estimate(
+            u.with_values(u.values ** p), 0.5,
+            SetSamplerSpec(count=64, seed=suite.seed)).to_dict()
+    except (ValueError, DegenerateSet) as e:
+        cert["condition_A_u_p"] = {"error": str(e)}
+    cert["complement_bp_star"] = _verdict_cert(complementary(phi), p, suite.dims, "bp_star")
     rows, skipped = [], 0
     for res in suite.resolutions:
         template = suite.grid(res)
@@ -320,7 +316,7 @@ def two_weight_probe(u: GridFunction, v: GridFunction, phi: YoungFunction,
             mf = strong_maximal(f).field.values
             num = norm_lp(f.with_values(u_res.values * mf), p)
             rows.append({"test": name, "resolution": res, "ratio": num / den})
-    expect = bool(cert) and cert.get("complement_bp_star", {}).get("label") == "Diverges"
+    expect = cert["complement_bp_star"]["label"] == "Diverges"
     return _make_report("two_weight", rows, cert, expect, skipped)
 
 

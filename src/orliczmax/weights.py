@@ -225,7 +225,9 @@ def _per_shape(sats: list[SummedAreaTable], rects: list[Rect], value) -> np.ndar
 
     anchors are the members' low corners, one index array per axis; means
     their means on each table, divided by the cell count and then scaled
-    back, as rect_average does. A member outside the grid raises.
+    back, as rect_average does. The window sums of a shape are taken on
+    the table cropped to its members' anchor box, which keeps every
+    operand pair. A member outside the grid raises.
     """
     shape = sats[0].shape
     lo = np.array([r.lo for r in rects], dtype=np.intp)
@@ -236,10 +238,13 @@ def _per_shape(sats: list[SummedAreaTable], rects: list[Rect], value) -> np.ndar
     out = np.empty(len(rects))
     for k, row in enumerate(kinds):
         members = np.flatnonzero(which.ravel() == k)
-        sides, anchors = tuple(row.tolist()), tuple(lo[members].T)
+        sides, corners = tuple(row.tolist()), lo[members]
+        first = corners.min(axis=0)
+        box = tuple(slice(a, b + s + 1) for a, b, s in zip(first, corners.max(axis=0), sides))
+        local = tuple((corners - first).T)
         out[members] = value([
-            np.ldexp(_window_sums(sat.table, sides)[anchors] / math.prod(sides), sat.exponent)
-            for sat in sats], sides, anchors)
+            np.ldexp(_window_sums(sat.table[box], sides)[local] / math.prod(sides), sat.exponent)
+            for sat in sats], sides, tuple(corners.T))
     return out
 
 

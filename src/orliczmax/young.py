@@ -383,6 +383,11 @@ _INVERSE_CHUNK = 8192
 # up to this cap.
 _BRACKET_FACTOR_CAP = 1e16
 _T_MAX = float(np.finfo(float).max)
+# ITP stops a problem within its nmax = ceil(log2(w0 / (2 eps))) + 1 steps,
+# at most 62 for a bracket inside the float range at tol >= 1e-15; this
+# bound only ends a tol below float resolution, where no step can close
+# the bracket to tol.
+_ITP_STEPS = 200
 
 
 def _itp_point(a, b, fa, fb, j, nmax, eps, k1):
@@ -411,29 +416,74 @@ def _itp_point(a, b, fa, fb, j, nmax, eps, k1):
     return a + h - sigma * dist
 
 
-def _itp_solve(lo, hi, flo, fhi, probe, tol: float, max_iter: int, upper: bool):
-    """Shrink brackets [lo, hi] of positive floats by ITP steps in log space.
+def _solve_bracketed(lo, hi, probe, tol: float, upper: bool) -> np.ndarray:
+    """Certified roots of monotone problems: bracket search, then ITP steps.
 
-    Each problem has one feasible end: hi when upper, else lo. flo and fhi
-    are the values at the ends on a log scale, of opposite sign around the
-    root. probe(idx, t) returns (value, feasible) for the problems idx at
-    the points t; a probe is evaluated at exactly the float that becomes
-    the new end, and a feasible probe replaces the feasible end. A problem
-    stops once hi - lo <= tol * (its feasible end), and that end is
-    returned, so every result is certified by a probe. Problems drop out
-    as they stop, so each one takes the same steps whichever problems
+    Each problem has one feasible end: hi when upper, else lo. probe(idx, t)
+    returns (value on a log scale, feasible) for the problems idx at the
+    points t (one per problem, or one shared by all), the value of opposite
+    sign at feasible and infeasible points. The start bracket 0 < lo <= hi
+    is probed at both ends: once where lo == hi, and as one shared point
+    when every problem starts there (inverse's t = 1). An end on the wrong
+    side becomes the other end, and a new end is probed a factor 2, 4, 16,
+    ... (each the square of the last, at most 1e16) beyond it; only the
+    problems that moved are probed again. The search has no step limit; it
+    stops only at the float range. A feasible end that would have to pass
+    the largest float raises NoBracket. A lower end that underflows to 0
+    before the bracket is found gives 0: when upper, every probe down to
+    there was feasible; otherwise 0 itself is taken as the feasible end
+    (for inverse, Phi(0) = 0).
+
+    ITP steps in log space (see _itp_point) then shrink each bracket; a
+    probe is evaluated at exactly the float that becomes the new end. A
+    problem stops once hi - lo <= tol * (its feasible end), and that end
+    is returned, so every result is certified by a probe. Problems drop
+    out as they stop, so each one takes the same steps whichever problems
     share the call.
     """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    n = lo.size
+    res = np.zeros(n)
+    two = np.flatnonzero(lo != hi)
+    t = np.concatenate([lo, hi[two]])
+    val, feasible = probe(np.concatenate([np.arange(n), two]), t[:1] if t.min() == t.max() else t)
+    flo, fhi, ok_lo, ok_hi = val[:n], val[:n].copy(), feasible[:n], feasible[:n].copy()
+    fhi[two], ok_hi[two] = val[n:], feasible[n:]
+
+    # the upper end is wrong when it is infeasible (upper) or feasible
+    # (not upper); otherwise the lower end is wrong when it is the reverse
+    up = ok_hi != upper
+    idx = np.flatnonzero(up | (ok_lo == upper))
+    up = up[idx]
+    under = np.zeros(n, dtype=bool)
+    factor = 2.0
+    while idx.size:
+        with np.errstate(over="ignore"):
+            t = np.where(up, np.minimum(hi[idx] * factor, _T_MAX), lo[idx] / factor)
+        zero = t == 0.0
+        if np.any(zero):
+            under[idx[zero]] = True
+            idx, up, t = idx[~zero], up[~zero], t[~zero]
+        val, feasible = probe(idx, t)
+        wrong = feasible != upper
+        if np.any(up & wrong & (t == _T_MAX)):
+            raise NoBracket("no bracket below the largest float")
+        i, d = idx[up], idx[~up]
+        lo[i], flo[i], hi[i], fhi[i] = hi[i], fhi[i], t[up], val[up]
+        hi[d], fhi[d], lo[d], flo[d] = lo[d], flo[d], t[~up], val[~up]
+        keep = np.where(up, wrong, ~wrong)
+        idx, up = idx[keep], up[keep]
+        factor = min(factor * factor, _BRACKET_FACTOR_CAP)
+
     eps = 0.5 * (-math.log1p(-tol) if upper else math.log1p(tol))
-    lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    idx = np.flatnonzero(~under)
+    lo, hi, flo, fhi = lo[idx], hi[idx], flo[idx], fhi[idx]
     a, b = np.log(lo), np.log(hi)
     w0 = b - a
     with np.errstate(divide="ignore"):
         k1 = 0.2 / w0
         nmax = np.ceil(np.log2(np.maximum(w0 / (2.0 * eps), 1.0))) + 1.0
-    res = np.empty_like(lo)
-    idx = np.arange(lo.size)
-    for j in range(max_iter):
+    for j in range(_ITP_STEPS):
         end = hi if upper else lo
         done = hi - lo <= tol * end
         if np.any(done):
@@ -455,21 +505,18 @@ def _itp_solve(lo, hi, flo, fhi, probe, tol: float, max_iter: int, upper: bool):
     return res
 
 
-def inverse(phi: YoungFunction, y, tol: float = 1e-10, max_iter: int = 200):
+def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     """Generalized inverse sup{t >= 0 : Phi(t) <= y}.
 
-    Each positive y is bracketed by t_lo > 0 with Phi(t_lo) <= y and t_hi
-    with Phi(t_hi) > y, found from t = 1 by steps of 2, 4, 16, ... (each
-    factor the square of the last, at most 1e16). ITP steps on
-    log Phi(t) / y over log t (see _itp_solve) then shrink the bracket
-    until t_hi - t_lo <= tol * t_lo, and t_lo is returned: Phi(t_lo) <= y
-    holds exactly, and t_lo is within a factor 1 + tol below the exact
+    Each positive y is one problem of _solve_bracketed on log Phi(t) / y
+    over log t, from the start bracket [1, 1]. The returned t_lo has
+    Phi(t_lo) <= y exactly and lies within a factor 1 + tol below the exact
     inverse; where Phi jumps to +inf the bracket closes on the jump point.
-    A y so small that t_lo underflows gives 0. Every point is
-    solved on its own, so its result does not depend on the rest of the
-    vector; long vectors are solved in blocks of _INVERSE_CHUNK points.
-    Raises NoBracket when an explicit domain cap makes y unreachable, or
-    when Phi stays <= y up to the largest float.
+    A y so small that t_lo underflows gives 0. Raises NoBracket when an
+    explicit domain cap makes y unreachable, or when Phi stays <= y up to
+    the largest float. Every point is solved on its own, so its result does
+    not depend on the rest of the vector; long vectors are solved in blocks
+    of _INVERSE_CHUNK points.
     """
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
@@ -490,52 +537,24 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10, max_iter: int = 200):
         return float(out[0]) if scalar else out
 
     yq = arr[pos]
-    phi_one = phi.eval(np.ones(1))[0]
     out[pos] = np.concatenate([
-        _inverse_block(phi, yq[i:i + _INVERSE_CHUNK], phi_one, tol, max_iter)
+        _inverse_block(phi, yq[i:i + _INVERSE_CHUNK], tol)
         for i in range(0, yq.size, _INVERSE_CHUNK)
     ])
     return float(out[0]) if scalar else out
 
 
-def _inverse_block(phi: YoungFunction, y: np.ndarray, phi_one: float, tol: float,
-                   max_iter: int) -> np.ndarray:
+def _inverse_block(phi: YoungFunction, y: np.ndarray, tol: float) -> np.ndarray:
     """inverse() on one block of positive y."""
-    lo, hi = np.ones(y.size), np.ones(y.size)
-    flo, fhi = np.full(y.size, phi_one), np.full(y.size, phi_one)
-    # t = 1 is one end: search upward for t_hi where it is feasible,
-    # downward for t_lo elsewhere
-    upward = phi_one <= y
-    idx = np.arange(y.size)
-    factor = 2.0
-    while idx.size:
-        up = upward[idx]
-        with np.errstate(over="ignore"):
-            t = np.where(up, np.minimum(lo[idx] * factor, _T_MAX), hi[idx] / factor)
-        ft = phi.eval(t)
-        feasible = ft <= y[idx]
-        if np.any(feasible & (t == _T_MAX)):
-            raise NoBracket("could not bracket the inverse from above")
-        lo[idx[feasible]], flo[idx[feasible]] = t[feasible], ft[feasible]
-        hi[idx[~feasible]], fhi[idx[~feasible]] = t[~feasible], ft[~feasible]
-        idx = idx[feasible == up]
-        factor = min(factor * factor, _BRACKET_FACTOR_CAP)
-
-    # a lower end that underflowed to 0 is itself the answer: Phi(0) = 0
-    res = np.zeros(y.size)
-    live = lo > 0
-    yl = y[live]
-    logy = np.log(yl)
+    logy = np.log(y)
 
     def probe(idx, t):
         ft = phi.eval(t)
         with np.errstate(divide="ignore"):
-            return np.log(ft) - logy[idx], ft <= yl[idx]
+            return np.log(ft) - logy[idx], ft <= y[idx]
 
-    with np.errstate(divide="ignore"):
-        flo, fhi = np.log(flo[live]) - logy, np.log(fhi[live]) - logy
-    res[live] = _itp_solve(lo[live], hi[live], flo, fhi, probe, tol, max_iter, upper=False)
-    return res
+    one = np.ones(y.size)
+    return _solve_bracketed(one, one, probe, tol, upper=False)
 
 
 def phi_n_eval(n: int, t):

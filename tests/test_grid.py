@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from conftest import SOLVER_IDS, SOLVER_PHIS
 
-from orliczmax.errors import DimensionError, EmptyRect, GeometryMismatch
+from orliczmax.errors import DimensionError, EmptyRect, GeometryMismatch, NoBracket
 from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch,
                             luxemburg_norm, norm_lp, read_grid, rect_average,
                             write_grid)
-from orliczmax.young import Power, PowerLog, YoungFunction, complementary
+from orliczmax.young import Power, PowerLog, Tabulated, YoungFunction, complementary
 
 
 def grid2(vals, spacing=0.5):
@@ -150,14 +151,31 @@ def phi_mean(phi, rows, lam):
     return np.mean(phi.eval(rows / lam[:, None]), axis=1)
 
 
-def test_luxemburg_returns_certified_upper_end(solver_phi):
+# norms far outside the start bracket [m * 1e-14, m * 1e3]: past a jump to
+# +inf at 1e70 times the row maximum, and inside a zero stretch below 1e100
+FAR_PHIS = [Power(2.0, domain_cap=1e-70),
+            Tabulated([(1e100, 0.0), (2e100, 1.0), (4e100, 4.0)])]
+
+
+@pytest.mark.parametrize("phi", SOLVER_PHIS + FAR_PHIS,
+                         ids=SOLVER_IDS + ["cap_1e-70", "zero_below_1e100"])
+def test_luxemburg_returns_certified_upper_end(phi):
     # G <= 1 at the returned lam, and G > 1 a relative tol below it
-    rows = solver_rows()
     tol = 1e-9
-    lam = luxemburg_batch(rows, solver_phi, tol=tol)
-    assert np.all(lam > 0)
-    assert np.all(phi_mean(solver_phi, rows, lam) <= 1.0)
-    assert np.all(phi_mean(solver_phi, rows, lam * (1.0 - tol)) > 1.0)
+    for rows in (solver_rows(), np.array([[1.0, 0.5]])):
+        lam = luxemburg_batch(rows, phi, tol=tol)
+        assert np.all(lam > 0)
+        assert np.all(phi_mean(phi, rows, lam) <= 1.0)
+        assert np.all(phi_mean(phi, rows, lam * (1.0 - tol)) > 1.0)
+
+
+def test_luxemburg_bracket_search_stops_only_at_the_float_range():
+    # G > 1 up to the largest float: no finite norm
+    with pytest.raises(NoBracket):
+        luxemburg_batch(np.array([[1.0, 0.5]]), Tabulated([(1e-300, 2.0), (1.0, 3.0)]))
+    # G = 0 down to the smallest float: the norm is 0
+    vanishing = Tabulated([(1.0, 0.0), (2.0, 0.0)])
+    assert np.array_equal(luxemburg_batch(solver_rows(), vanishing), np.zeros(12))
 
 
 class CountingPhi(YoungFunction):

@@ -1,6 +1,7 @@
 """Maximal operators over rectangle bases."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +85,6 @@ def test_sweep_threads_follow_grid_size_and_cores(monkeypatch):
     use_cores(monkeypatch, 3)
     assert maximal._THREAD_MIN_CELLS == 2000
     assert maximal._sweep_threads((44, 45), 44) == 1    # 1,980 cells: serial
-    assert maximal._sweep_threads((50_000,), 50_000) == 1  # 1-D: serial
     assert maximal._sweep_threads((45, 45), 45) == 3    # above: min(cores, firsts)
     assert maximal._sweep_threads((1, 4000), 1) == 1
     assert maximal._sweep_threads((2, 1000), 2) == 2
@@ -97,6 +97,19 @@ def test_sweep_threads_fall_back_to_cpu_count(monkeypatch):
     assert maximal._sweep_threads((64, 64), 64) == 5
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert maximal._sweep_threads((64, 64), 64) == 1
+
+
+def test_one_dimensional_sweep_holds_one_row_at_a_time():
+    # every 1-D member is an interval, so the sweep takes the per-shape
+    # pass; the pair DP built an (n+1)^2 matrix, about 280 MiB here
+    f = rand_grid((3000,), seed=12)
+    tracemalloc.start()
+    try:
+        strong_maximal(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_budget_enforced():

@@ -5,7 +5,7 @@ import pytest
 
 from orliczmax.errors import InvalidYoungFunction, NonFinite
 from orliczmax.young import (_INVERSE_CHUNK, NumericComplement, Power, PowerLog,
-                             PowerLogLog, Tabulated, complementary, inverse,
+                             PowerLogLog, Tabulated, YoungFunction, complementary, inverse,
                              probe_doubling, probe_submultiplicative, tabulate,
                              young_from_json, young_to_json)
 
@@ -126,6 +126,33 @@ def test_inverse_returns_certified_lower_end(solver_phi):
     assert np.all(t > 0)
     assert np.all(solver_phi.eval(t) <= y)
     assert np.all(solver_phi.eval(t * (1.0 + 2e-10)) > y)
+
+
+class RecordingPhi(YoungFunction):
+    """Records every point a wrapped Young function is evaluated at."""
+
+    def __init__(self, base):
+        self.base = base
+        self.domain_cap = base.domain_cap
+        self.points = []
+
+    def eval(self, t):
+        self.points.append(np.array(t, dtype=float))
+        return self.base.eval(t)
+
+
+def test_bracket_search_squares_its_factor():
+    # from t = 1 by factors 2, 4, 16, 256, 65536, 2**32 and then 1e16 until
+    # Phi(t) > y, each failed end kept as the other end of the bracket
+    phi = RecordingPhi(Power(2.0))
+    inverse(phi, 1e100)
+    steps = [2.0 ** k for k in (0, 1, 3, 7, 15, 31, 63)] + [2.0 ** 63 * 1e16, 2.0 ** 63 * 1e32]
+    assert [float(t[0]) for t in phi.points[:9]] == pytest.approx(steps, rel=1e-15)
+    assert steps[-2] < phi.points[9][0] < steps[-1]
+    phi.points.clear()
+    inverse(phi, 1e-12)
+    assert [float(t[0]) for t in phi.points[:6]] == [2.0 ** -k for k in (0, 1, 3, 7, 15, 31)]
+    assert 2.0 ** -31 < phi.points[6][0] < 2.0 ** -15
 
 
 def test_tabulated_interpolates_between_knots():
