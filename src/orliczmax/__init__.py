@@ -5,10 +5,9 @@ from .covering import (RectFamily, ScatterSelection, cf_overlap_check,
                        choose_cf_subfamily, largest_passing_delta,
                        select_scattered, verify_scattered, weight_growth_check,
                        weight_growth_sweep)
-from .errors import (BudgetExceeded, DegenerateSet, DimensionError,
-                     DivisionDegenerate, EmptyRect, GeometryMismatch,
-                     InvalidYoungFunction, NoBracket, NonFinite, OrliczMaxError,
-                     VerdictConflict)
+from .errors import (BudgetExceeded, DegenerateSet, DimensionError, EmptyRect,
+                     GeometryMismatch, InvalidYoungFunction, NoBracket, NonFinite,
+                     OrliczMaxError, VerdictConflict)
 from .grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch,
                    luxemburg_norm, norm_lp, read_grid, rect_average, write_grid)
 from .maximal import (CUBES, DEFAULT_BUDGET, DYADIC, RECTANGLES, Basis,

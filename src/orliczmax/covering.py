@@ -27,6 +27,11 @@ __all__ = [
     "largest_passing_delta",
 ]
 
+# bisection range and relative tolerance of largest_passing_delta
+_DELTA_LO = 1e-6
+_DELTA_HI = 64.0
+_DELTA_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class RectFamily:
@@ -254,22 +259,17 @@ def choose_cf_subfamily(family: RectFamily, alpha: float = 0.5) -> list[int]:
 
 
 def largest_passing_delta(family: RectFamily, subset: list[int] | tuple[int, ...],
-                          n: int, lo: float = 1e-6, hi: float = 64.0,
-                          tol: float = 1e-6) -> float:
+                          n: int) -> float:
     """Largest delta for which cf_overlap_check passes, by bisection.
 
     The integrand is increasing in delta, so pass/fail is monotone. Returns
-    0.0 when even lo fails.
+    0.0 when even _DELTA_LO fails. _DELTA_HI always fails: every covered
+    cell has N >= 1, so the integrand is at least exp(64**(1/(n-1))) > 2.
     """
-    if not cf_overlap_check(family, subset, lo, n)["ok"]:
+    if not cf_overlap_check(family, subset, _DELTA_LO, n)["ok"]:
         return 0.0
-    for _ in range(200):
-        if cf_overlap_check(family, subset, hi, n)["ok"]:
-            lo = hi
-            hi *= 2.0
-        else:
-            break
-    while hi - lo > tol * max(1.0, hi):
+    lo, hi = _DELTA_LO, _DELTA_HI
+    while hi - lo > _DELTA_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if cf_overlap_check(family, subset, mid, n)["ok"]:
             lo = mid

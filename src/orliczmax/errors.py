@@ -41,9 +41,5 @@ class DimensionError(OrliczMaxError, ValueError):
     """Operation undefined for this grid dimension."""
 
 
-class DivisionDegenerate(OrliczMaxError, ZeroDivisionError):
-    """A probe's right-hand side vanished; the case is skipped and counted."""
-
-
 class VerdictConflict(OrliczMaxError, RuntimeError):
     """Numeric classification contradicts a known closed-form verdict."""

@@ -5,12 +5,15 @@ grid over an axis-parallel box (midpoint convention: sample k on axis d sits
 at origin[d] + (k + 1/2) * spacing[d]). Index rectangles are half-open per
 axis. All rectangle sums go through the summed-area table with a fixed
 first-axis-to-last differencing order so that every code path that averages
-the same rectangle produces bit-identical floats.
+the same rectangle produces bit-identical floats: rect_sum and rect_average
+are its scalar form, and the gather _box_sums and SummedAreaTable.averages,
+which the Orlicz ladder and the weight constants read, its vector form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -102,16 +105,8 @@ class GridFunction:
     @staticmethod
     def indicator_box(shape, origin, spacing, lo: Sequence[float], hi: Sequence[float]) -> "GridFunction":
         """Indicator of an axis box, sampled at cell centers."""
-        g = GridFunction(tuple(shape), tuple(origin), tuple(spacing),
-                         np.zeros(tuple(int(s) for s in shape)))
-        mask = np.ones(g.shape, dtype=bool)
-        for d in range(g.ndim):
-            c = g.axis_centers(d)
-            m = (c >= lo[d]) & (c <= hi[d])
-            sh = [1] * g.ndim
-            sh[d] = -1
-            mask &= m.reshape(sh)
-        return g.with_values(mask.astype(float))
+        return GridFunction.sample(lambda *xs: np.logical_and.reduce(
+            [(x >= a) & (x <= b) for x, a, b in zip(xs, lo, hi)]), shape, origin, spacing)
 
 
 @dataclass(frozen=True)
@@ -137,10 +132,7 @@ class Rect:
 
     @property
     def ncells(self) -> int:
-        n = 1
-        for a, b in zip(self.lo, self.hi):
-            n *= b - a
-        return n
+        return math.prod(self.sides())
 
     @property
     def slices(self) -> tuple[slice, ...]:
@@ -184,9 +176,7 @@ class SummedAreaTable:
             t = np.ldexp(t, -self.exponent)
         for ax in range(f.ndim):
             t = np.cumsum(t, axis=ax)
-            pad = [(0, 0)] * f.ndim
-            pad[ax] = (1, 0)
-            t = np.pad(t, pad)
+        t = np.pad(t, [(1, 0)] * f.ndim)
         t.setflags(write=False)
         self.table = t
         self.shape = f.shape
@@ -203,6 +193,37 @@ class SummedAreaTable:
         """Sum over the rectangle; inf when the sum itself exceeds the float range."""
         with np.errstate(over="ignore"):
             return float(np.ldexp(self._scaled_sum(rect), self.exponent))
+
+    def averages(self, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
+        """rect_average of every box lo[i] .. lo[i] + sides[i] within the grid,
+        bit for bit; lo and sides are (boxes, d) integer arrays. A box is
+        rejected where Rect or check_within would reject it."""
+        lo, sides = np.asarray(lo, dtype=np.intp), np.asarray(sides, dtype=np.intp)
+        if np.any(lo < 0) or np.any(sides < 1):
+            raise EmptyRect("a box has a negative corner or an empty side")
+        if (lo.shape != sides.shape or lo.shape[1:] != (len(self.shape),)
+                or np.any(lo + sides > self.shape)):
+            raise GeometryMismatch(f"boxes {lo.shape} do not lie in grid shape {self.shape}")
+        sums = _box_sums(self.table.ravel(), *_box_index(self.table.shape, lo, sides))
+        return np.ldexp(sums / np.prod(sides, axis=1), self.exponent)
+
+
+def _box_index(padded: tuple[int, ...], lo: np.ndarray, sides: np.ndarray):
+    """_box_sums' idx and steps for (boxes, d) lo and sides in a C-ordered padded table."""
+    strides = np.cumprod((1,) + tuple(padded[:0:-1]))[::-1]
+    return lo @ strides, list((sides * strides).T)
+
+
+def _box_sums(flat: np.ndarray, idx: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
+    """Sums over boxes of a flattened padded table, in rect_sum's order.
+
+    idx is the flat index of each box's low corner, steps[i] the flat
+    offset of its side along axis i. The last axis is differenced
+    outermost, so axis 0 is differenced first: 2**d gathers.
+    """
+    if not steps:
+        return flat[idx]
+    return _box_sums(flat, idx + steps[-1], steps[:-1]) - _box_sums(flat, idx, steps[:-1])
 
 
 def rect_average(sat: SummedAreaTable, rect: Rect) -> float:

@@ -19,13 +19,13 @@ comparisons rely on.
 The Orlicz sweep (_orlicz_field) brackets every member's Luxemburg norm
 from a ladder of summed-area tables of Phi(f / lam_k), one per rung of a
 geometric ladder of lam (Crow, SIGGRAPH 1984, for the tables): G(lam) =
-mean_R Phi(f / lam) is one box sum per rung, and a rung certifies a side
-of the norm only when that sum clears the cell count by an explicit
-rounding bound. The brackets give a lower envelope of the field, every
-member whose upper bound cannot reach it is skipped, and the few members
-left are solved with luxemburg_batch, one call per cell count. Every
-per-cell supremum and every window extreme comes from one block
-prefix/suffix min/max filter (_window_extreme).
+mean_R Phi(f / lam) is one box sum per rung (grid._box_sums, in rect_sum's
+order), and a rung certifies a side of the norm only when that sum clears
+the cell count by an explicit rounding bound. The brackets give a lower
+envelope of the field, every member whose upper bound cannot reach it is
+skipped, and the few members left are solved with luxemburg_batch, one
+call per cell count. Every per-cell supremum and every window extreme
+comes from one block prefix/suffix min/max filter (_window_extreme).
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -39,14 +39,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, GeometryMismatch
-from .grid import GridFunction, SummedAreaTable, luxemburg_batch
+from .grid import GridFunction, SummedAreaTable, _box_index, _box_sums, luxemburg_batch
 from .young import Power, YoungFunction, inverse, young_to_json
 
 __all__ = [
@@ -470,17 +470,6 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int) -> _Ladder:
     return _Ladder(lam, tables, slack)
 
 
-def _box_sums(flat: np.ndarray, idx: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
-    """Sums over boxes of a flattened padded table.
-
-    idx is the flat index of each box's low corner, steps[i] the flat
-    offset of its side along axis i; 2**d gathers, differenced axis by axis.
-    """
-    if not steps:
-        return flat[idx]
-    return _box_sums(flat, idx + steps[0], steps[1:]) - _box_sums(flat, idx, steps[1:])
-
-
 def _brackets(lad: _Ladder, base: np.ndarray, steps: list[np.ndarray],
               ncells: np.ndarray):
     """Ladder brackets of one function on a block of members.
@@ -549,29 +538,25 @@ def _position_grid(grid_shape: tuple[int, ...], sides: tuple[int, ...]) -> tuple
     return tuple(n - s + 1 for n, s in zip(grid_shape, sides))
 
 
+def _members(grid_shape: tuple[int, ...],
+             shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Low corners and sides of every member of shapes, as (members, d) intp
+    arrays: shape by shape, positions C-ordered."""
+    lo = [np.indices(_position_grid(grid_shape, s), dtype=np.intp).reshape(len(s), -1).T
+          for s in shapes]
+    sides = np.repeat(np.array(shapes, dtype=np.intp), [len(a) for a in lo], axis=0)
+    return np.concatenate(lo), sides
+
+
 def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
     """The members of shapes in blocks of about _SEARCH_BLOCK."""
     padded = tuple(n + 1 for n in grid_shape)
-    strides = [math.prod(padded[i + 1:]) for i in range(len(padded))]
-
-    def block(group):
-        bases, slices, start = [], [], 0
-        for sides in group:
-            b = np.zeros((), dtype=np.intp)
-            for p, st in zip(_position_grid(grid_shape, sides), strides):
-                b = np.add.outer(b, np.arange(p, dtype=np.intp) * st)
-            bases.append(b.ravel())
-            slices.append((sides, slice(start, start + b.size)))
-            start += b.size
-        counts = [b.size for b in bases]
-        steps = [np.repeat([s[i] * st for s in group], counts).astype(np.intp)
-                 for i, st in enumerate(strides)]
-        ncells = np.repeat([float(math.prod(s)) for s in group], counts)
-        return _Block(slices, np.concatenate(bases), steps, ncells)
-
     sizes = [math.prod(_position_grid(grid_shape, sides)) for sides in shapes]
-    for group in _runs(shapes, sizes, _SEARCH_BLOCK):
-        yield block(group)
+    for group in _runs(list(zip(shapes, sizes)), sizes, _SEARCH_BLOCK):
+        lo, sides = _members(grid_shape, [s for s, _ in group])
+        ends = accumulate(n for _, n in group)
+        yield _Block([(s, slice(e - n, e)) for (s, n), e in zip(group, ends)],
+                     *_box_index(padded, lo, sides), np.prod(sides, axis=1).astype(float))
 
 
 def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,

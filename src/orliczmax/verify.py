@@ -412,9 +412,10 @@ def counterexample_divergence(delta: float = 0.5, p: float = 2.0,
         wts[1:] += 0.5 * np.diff(y)
         return float(wts @ fvals @ wts)
 
-    control = Power(1.0)
-    incs = [partial(phi, 2.0 * T) - partial(phi, float(T)) for T in doublings]
-    ctrl = [partial(control, 2.0 * T) - partial(control, float(T)) for T in doublings]
+    # each cutoff once: consecutive doublings share an end
+    cutoffs = sorted({float(c) for T in doublings for c in (T, 2 * T)})
+    integrals = [{c: partial(young, c) for c in cutoffs} for young in (phi, Power(1.0))]
+    incs, ctrl = ([i[2.0 * T] - i[float(T)] for T in doublings] for i in integrals)
     nondecr = all(b >= a * (1.0 - 1e-9) for a, b in zip(incs, incs[1:]))
     decaying = all(b < a for a, b in zip(ctrl, ctrl[1:]))
     return {

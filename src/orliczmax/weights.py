@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSet, GeometryMismatch
 from .grid import GridFunction, Rect, SummedAreaTable, luxemburg_batch
-from .maximal import CUBES, Basis, _window_sums, strong_maximal
+from .maximal import CUBES, Basis, _members, strong_maximal
 from .young import YoungFunction
 
 __all__ = [
@@ -106,30 +106,30 @@ class RectFamilySpec:
             raise ValueError("count must be positive")
 
     def members(self, shape: tuple[int, ...], basis: Basis = Basis()) -> list[Rect]:
+        """The family as Rects, in the order the constants evaluate it."""
+        lo, sides = self._draw(shape, basis)
+        return [Rect(a, b) for a, b in zip(lo.tolist(), (lo + sides).tolist())]
+
+    def _draw(self, shape: tuple[int, ...], basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+        """The members' low corners and sides, as (members, d) intp arrays;
+        exhaustive mode takes the shapes in basis.shapes order."""
         total = basis.rect_count(shape)
         if total == 0:
             raise ValueError(f"basis {basis.to_dict()} admits no member on grid shape {shape}")
-        mode = self.mode
-        if mode == "auto":
-            mode = "exhaustive" if total <= self.exhaustive_limit else "stratified"
-        if mode == "exhaustive":
-            rects = []
-            for sides in basis.shapes(shape):
-                for anchor in np.ndindex(*[e - s + 1 for e, s in zip(shape, sides)]):
-                    rects.append(Rect(anchor, tuple(a + s for a, s in zip(anchor, sides))))
-            return rects
+        if self.mode == "exhaustive" or (self.mode == "auto" and total <= self.exhaustive_limit):
+            return _members(shape, list(basis.shapes(shape)))
         rng = np.random.default_rng(self.seed)
-        rects = []
+        lo, sides = [], []
         cubes = basis.kind == CUBES  # one side draw, shared by every axis
         side_lists = ([basis.side_choices(min(shape))] if cubes
                       else [basis.side_choices(e) for e in shape])
         for _ in range(self.count):
-            sides = tuple(lst[_log_uniform_index(rng, len(lst))] for lst in side_lists)
+            s = tuple(lst[_log_uniform_index(rng, len(lst))] for lst in side_lists)
             if cubes:
-                sides *= len(shape)
-            anchor = tuple(int(rng.integers(0, e - s + 1)) for e, s in zip(shape, sides))
-            rects.append(Rect(anchor, tuple(a + s for a, s in zip(anchor, sides))))
-        return rects
+                s *= len(shape)
+            sides.append(s)
+            lo.append([int(rng.integers(0, e - x + 1)) for e, x in zip(shape, s)])
+        return np.array(lo, dtype=np.intp), np.array(sides, dtype=np.intp)
 
     def to_dict(self) -> dict:
         return {
@@ -203,12 +203,18 @@ class ConditionReport:
 
 def _report(kind: str, evaluate, shape: tuple[int, ...], family: RectFamilySpec,
             basis: Basis, extra: dict) -> ConditionReport:
-    """The largest of evaluate(members) over the family's members, with its witness."""
-    rects = family.members(shape, basis)
-    values = np.asarray(evaluate(rects))
+    """The largest of evaluate(lo, sides) over the family's members, with its witness."""
+    lo, sides = family._draw(shape, basis)
+    values = np.asarray(evaluate(lo, sides))
     best = int(np.argmax(values))
-    return ConditionReport(kind, float(values[best]), rects[best], len(rects),
-                           {**family.to_dict(), "basis": basis.to_dict()}, extra)
+    return ConditionReport(kind, float(values[best]), Rect(lo[best], lo[best] + sides[best]),
+                           len(lo), {**family.to_dict(), "basis": basis.to_dict()}, extra)
+
+
+def _one_row(rect: Rect, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """One member as lo/sides arrays of one row, after checking it lies in the grid."""
+    rect.check_within(shape)
+    return np.array([rect.lo], dtype=np.intp), np.array([rect.sides()], dtype=np.intp)
 
 
 def _check_couple(u: GridFunction, v: GridFunction, p: float) -> None:
@@ -220,51 +226,24 @@ def _check_couple(u: GridFunction, v: GridFunction, p: float) -> None:
     _positive_values(u, "u")
 
 
-def _per_shape(sats: list[SummedAreaTable], rects: list[Rect], value) -> np.ndarray:
-    """value(means, sides, anchors) of every member, one shape of rects at a time.
-
-    anchors are the members' low corners, one index array per axis; means
-    their means on each table, divided by the cell count and then scaled
-    back, as rect_average does. The window sums of a shape are taken on
-    the table cropped to its members' anchor box, which keeps every
-    operand pair. A member outside the grid raises.
-    """
-    shape = sats[0].shape
-    lo = np.array([r.lo for r in rects], dtype=np.intp)
-    hi = np.array([r.hi for r in rects], dtype=np.intp)
-    if lo.shape[1] != len(shape) or np.any(hi > np.array(shape)):
-        raise GeometryMismatch(f"every rectangle must lie within grid shape {shape}")
-    kinds, which = np.unique(hi - lo, axis=0, return_inverse=True)
-    out = np.empty(len(rects))
-    for k, row in enumerate(kinds):
-        members = np.flatnonzero(which.ravel() == k)
-        sides, corners = tuple(row.tolist()), lo[members]
-        first = corners.min(axis=0)
-        box = tuple(slice(a, b + s + 1) for a, b, s in zip(first, corners.max(axis=0), sides))
-        local = tuple((corners - first).T)
-        out[members] = value([
-            np.ldexp(_window_sums(sat.table[box], sides)[local] / math.prod(sides), sat.exponent)
-            for sat in sats], sides, tuple(corners.T))
-    return out
-
-
 def _bump_values(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
-                 rects: list[Rect]) -> np.ndarray:
+                 lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """bump_value on every member, with one luxemburg_batch call per shape."""
     _check_couple(u, v, p)
-    sat = SummedAreaTable(u.with_values(u.values**p))
+    out = SummedAreaTable(u.with_values(u.values**p)).averages(lo, sides) ** (1.0 / p)
     vinv = 1.0 / _positive_values(v, "v")
-
-    def value(means, sides, anchors):
-        rows = sliding_window_view(vinv, sides)[anchors].reshape(-1, math.prod(sides))
-        return means[0] ** (1.0 / p) * luxemburg_batch(rows, phi)
-    return _per_shape([sat], rects, value)
+    kinds, which = np.unique(sides, axis=0, return_inverse=True)
+    for k, row in enumerate(kinds.tolist()):
+        members = np.flatnonzero(which.ravel() == k)
+        rows = sliding_window_view(vinv, row)[tuple(lo[members].T)]
+        out[members] *= luxemburg_batch(rows.reshape(members.size, -1), phi)
+    return out
 
 
 def bump_value(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
                rect: Rect) -> float:
     """(mean_R u^p)^{1/p} * ||v^{-1}||_{Phi,R} on a single rectangle."""
-    return float(_bump_values(u, v, phi, p, [rect])[0])
+    return float(_bump_values(u, v, phi, p, *_one_row(rect, u.shape))[0])
 
 
 def bump_constant(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
@@ -275,11 +254,12 @@ def bump_constant(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float
     Scale invariance: replacing (u, v) by (cu, cv) leaves every member
     value unchanged, since the u-factor gains c and the v^{-1} norm c^{-1}.
     """
-    return _report("bump", lambda rects: _bump_values(u, v, phi, p, rects), u.shape,
+    return _report("bump", lambda lo, sides: _bump_values(u, v, phi, p, lo, sides), u.shape,
                    family, basis, {"p": p})
 
 
-def _power_bump_values(sys: WeightSystem, r: float, rects: list[Rect]) -> np.ndarray:
+def _power_bump_values(sys: WeightSystem, r: float, lo: np.ndarray,
+                       sides: np.ndarray) -> np.ndarray:
     """power_bump_value on every member."""
     if r <= 1.0:
         raise ValueError("r must exceed 1")
@@ -287,25 +267,25 @@ def _power_bump_values(sys: WeightSystem, r: float, rects: list[Rect]) -> np.nda
         SummedAreaTable(w.with_values(w.values ** ((1.0 - q_conj) * r)))
         for w, q_conj in zip(sys.ws, sys.conjugates())]
     powers = [sys.p / (q_conj * r) for q_conj in sys.conjugates()]
-    return _per_shape(sats, rects, lambda means, *_: math.prod(
-        [means[0]] + [mean ** power for mean, power in zip(means[1:], powers)]))
+    means = [sat.averages(lo, sides) for sat in sats]
+    return math.prod([means[0]] + [mean ** power for mean, power in zip(means[1:], powers)])
 
 
 def power_bump_value(sys: WeightSystem, r: float, rect: Rect) -> float:
     """(mean_R nu) * prod_j (mean_R w_j^{(1-p'_j) r})^{p/(p'_j r)}."""
-    return float(_power_bump_values(sys, r, [rect])[0])
+    return float(_power_bump_values(sys, r, *_one_row(rect, sys.nu.shape))[0])
 
 
 def power_bump_constant(sys: WeightSystem, r: float,
                         family: RectFamilySpec = RectFamilySpec(),
                         basis: Basis = Basis()) -> ConditionReport:
     """Multilinear power-bump constant; r > 1 strengthens the local norms."""
-    return _report("power_bump", lambda rects: _power_bump_values(sys, r, rects),
+    return _report("power_bump", lambda lo, sides: _power_bump_values(sys, r, lo, sides),
                    sys.nu.shape, family, basis,
                    {"r": r, "p": sys.p, "ps": list(sys.ps), "m": sys.m})
 
 
-def _ap_values(w: GridFunction, p: float, rects: list[Rect]) -> np.ndarray:
+def _ap_values(w: GridFunction, p: float, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """ap_value on every member, evaluated on w divided by its max.
 
     The quantity is scale invariant, and the division makes a constant
@@ -316,21 +296,39 @@ def _ap_values(w: GridFunction, p: float, rects: list[Rect]) -> np.ndarray:
     vals = _positive_values(w, "w")
     vals = vals / vals.max()
     pc = p / (p - 1.0)
-    sats = [SummedAreaTable(w.with_values(vals)),
-            SummedAreaTable(w.with_values(vals ** (1.0 - pc)))]
-    return _per_shape(sats, rects, lambda means, *_: means[0] * means[1] ** (p / pc))
+    means = [SummedAreaTable(w.with_values(vals)).averages(lo, sides),
+             SummedAreaTable(w.with_values(vals ** (1.0 - pc))).averages(lo, sides)]
+    return means[0] * means[1] ** (p / pc)
 
 
 def ap_value(w: GridFunction, p: float, rect: Rect) -> float:
     """(mean_B w) * (mean_B w^{1-p'})^{p/p'} on a single member."""
-    return float(_ap_values(w, p, [rect])[0])
+    return float(_ap_values(w, p, *_one_row(rect, w.shape))[0])
 
 
 def ap_constant(w: GridFunction, p: float, basis: Basis = Basis(),
                 family: RectFamilySpec = RectFamilySpec()) -> ConditionReport:
     """Muckenhoupt-type constant over the chosen basis; always >= 1."""
-    return _report("ap", lambda rects: _ap_values(w, p, rects), w.shape, family, basis,
-                   {"p": p})
+    return _report("ap", lambda lo, sides: _ap_values(w, p, lo, sides), w.shape, family,
+                   basis, {"p": p})
+
+
+def _sawyer_values(u: GridFunction, v: GridFunction, p: float, lo: np.ndarray,
+                   sides: np.ndarray) -> np.ndarray:
+    """sawyer_value on every member, one cube-basis maximal field each."""
+    _check_couple(u, v, p)
+    pc = p / (p - 1.0)
+    dual = 1.0 / _positive_values(v, "v") ** pc
+    out = np.empty(len(lo))
+    for i, (a, b) in enumerate(zip(lo.tolist(), (lo + sides).tolist())):
+        cube = tuple(map(slice, a, b))
+        g_vals = np.zeros(v.shape)
+        g_vals[cube] = dual[cube]
+        mg = strong_maximal(v.with_values(g_vals), Basis(CUBES)).field.values
+        num = np.sum((u.values[cube] * mg[cube]) ** p) * v.cell_volume
+        den = np.sum(dual[cube]) * v.cell_volume
+        out[i] = num / den
+    return out
 
 
 def sawyer_value(u: GridFunction, v: GridFunction, p: float, cube: Rect) -> float:
@@ -339,15 +337,7 @@ def sawyer_value(u: GridFunction, v: GridFunction, p: float, cube: Rect) -> floa
     g = chi_Q v^{-p'}, M g the cube-basis maximal field; the ratio is
     integral_Q (u * Mg)^p dx over integral_Q v^{-p'} dx.
     """
-    pc = p / (p - 1.0)
-    dual = 1.0 / _positive_values(v, "v") ** pc
-    g_vals = np.zeros(v.shape)
-    g_vals[cube.slices] = dual[cube.slices]
-    mg = strong_maximal(v.with_values(g_vals), Basis(CUBES)).field.values
-    cellvol = v.cell_volume
-    num = np.sum((u.values[cube.slices] * mg[cube.slices]) ** p) * cellvol
-    den = np.sum(dual[cube.slices]) * cellvol
-    return float(num / den)
+    return float(_sawyer_values(u, v, p, *_one_row(cube, u.shape))[0])
 
 
 def sawyer_constant(u: GridFunction, v: GridFunction, p: float,
@@ -357,15 +347,15 @@ def sawyer_constant(u: GridFunction, v: GridFunction, p: float,
     Homogeneous of degree p in u; the denominator weight v^{-p'}(Q) keeps
     it finite for v large on Q.
     """
-    _check_couple(u, v, p)
-    return _report("sawyer", lambda cubes: [sawyer_value(u, v, p, q) for q in cubes],
-                   u.shape, family, Basis(CUBES), {"p": p})
+    return _report("sawyer", lambda lo, sides: _sawyer_values(u, v, p, lo, sides), u.shape,
+                   family, Basis(CUBES), {"p": p})
 
 
 def condition_A_value(w: GridFunction, lam: float, rects: list[Rect]) -> float:
     """w-mass ratio of the lambda-superlevel set of M(chi_E) to E, E = union."""
     mask = np.zeros(w.shape, dtype=bool)
     for r in rects:
+        r.check_within(w.shape)
         mask[r.slices] = True
     wE = float(np.sum(w.values[mask]))
     if wE == 0.0:

@@ -71,6 +71,36 @@ def test_rect_average_matches_direct_mean():
     assert rect_average(sat, r) == pytest.approx(direct, rel=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(23,), (9, 11), (5, 6, 7)], ids=str)
+@pytest.mark.parametrize("scale", [1.0, 1e307], ids=["plain", "near_max"])
+def test_averages_match_rect_average_bit_for_bit(shape, scale):
+    # the vector gather must difference in rect_sum's order; lognormal values
+    # make the rounding of each order differ
+    rng = np.random.default_rng(len(shape))
+    vals = rng.lognormal(0.0, 2.0, size=shape)
+    sat = SummedAreaTable(grid2(vals / vals.max() * scale))
+    assert (sat.exponent > 0) == (scale > 1.0)
+    lo = np.array([rng.integers(0, n, size=3000) for n in shape]).T
+    sides = np.array([rng.integers(1, n - a + 1) for n, a in zip(shape, lo.T)]).T
+    got = sat.averages(lo, sides)
+    want = [rect_average(sat, Rect(a, a + s)) for a, s in zip(lo, sides)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("lo, sides, error", [
+    ([[0, 3]], [[1, 3]], GeometryMismatch),  # past the last column
+    ([[3, 0]], [[2, 1]], GeometryMismatch),  # past the last row
+    ([[-1, 0]], [[2, 2]], EmptyRect),
+    ([[0, 0]], [[2, 0]], EmptyRect),
+    ([[0, 0, 0]], [[1, 1, 1]], GeometryMismatch),
+    ([0, 0], [1, 1], GeometryMismatch),
+], ids=["cols", "rows", "negative", "empty", "dim", "flat"])
+def test_averages_reject_boxes_outside_grid(lo, sides, error):
+    sat = SummedAreaTable(grid2(np.arange(1.0, 17.0).reshape(4, 4)))
+    with pytest.raises(error):
+        sat.averages(np.array(lo), np.array(sides))
+
+
 def test_luxemburg_power_closed_form():
     # mean phi(f/lam) = 1 solves to the r-mean for phi(t) = t^r
     rng = np.random.default_rng(2)

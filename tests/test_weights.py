@@ -35,11 +35,25 @@ def test_family_deterministic():
     assert a != c
 
 
-def test_exhaustive_family_covers_all():
-    fam = RectFamilySpec(mode="exhaustive")
-    rects = fam.members((4, 3))
-    # (4*5/2) * (3*4/2) anchored intervals per axis
-    assert len(rects) == 10 * 6
+# member counts by hand: n(n+1)/2 anchored intervals per axis for rectangles,
+# sum over s of prod(n - s + 1) for cubes, sides 1, 2, 4, 8 only for dyadic
+_COUNTS = {
+    ("rectangles", (9,)): 45, ("rectangles", (4, 3)): 10 * 6,
+    ("rectangles", (3, 4, 5)): 6 * 10 * 15,
+    ("cubes", (9,)): 45, ("cubes", (4, 3)): 12 + 6 + 2, ("cubes", (3, 4, 5)): 60 + 24 + 6,
+    ("dyadic", (9,)): 9 + 8 + 6 + 2, ("dyadic", (4, 3)): 8 * 5, ("dyadic", (3, 4, 5)): 5 * 8 * 11,
+}
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 3), (3, 4, 5)], ids=str)
+@pytest.mark.parametrize("basis", [Basis(), Basis(CUBES), Basis(DYADIC)], ids=lambda b: b.kind)
+def test_exhaustive_family_covers_all(shape, basis):
+    # every member once: shape by shape, anchors in np.ndindex order
+    want = [Rect(a, tuple(x + s for x, s in zip(a, sides)))
+            for sides in basis.shapes(shape)
+            for a in np.ndindex(*[e - s + 1 for e, s in zip(shape, sides)])]
+    assert RectFamilySpec(mode="exhaustive").members(shape, basis) == want
+    assert len(want) == basis.rect_count(shape) == _COUNTS[basis.kind, shape]
 
 
 def test_bump_scale_invariance_power_of_two_exact():
@@ -134,7 +148,9 @@ def test_value_rejects_what_constant_rejects(error, constant, value, args):
 def test_value_rejects_rect_outside_grid(rect):
     for value in (lambda: ap_value(W, 2.0, rect),
                   lambda: power_bump_value(SYS, 1.5, rect),
-                  lambda: bump_value(W, W, Power(2.0), 2.0, rect)):
+                  lambda: bump_value(W, W, Power(2.0), 2.0, rect),
+                  lambda: sawyer_value(W, W, 2.0, rect),
+                  lambda: condition_A_value(W, 0.5, [rect])):
         with pytest.raises(GeometryMismatch):
             value()
 
