@@ -26,6 +26,7 @@ __all__ = [
     "GridFunction",
     "Rect",
     "SummedAreaTable",
+    "RowBlocks",
     "rect_average",
     "luxemburg_norm",
     "norm_lp",
@@ -237,64 +238,105 @@ def rect_average(sat: SummedAreaTable, rect: Rect) -> float:
     return float(np.ldexp(sat._scaled_sum(rect) / rect.ncells, sat.exponent))
 
 
-def _phi_mean(phi: YoungFunction, mat: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """mean_j Phi(mat[i, j] / lam[i]) with rows as independent problems."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scaled = mat / lam[:, None]
-        vals = phi.eval(scaled.ravel()).reshape(scaled.shape)
-    return np.mean(vals, axis=1)
+class RowBlocks(list):
+    """Matrices of different row lengths, one batch for luxemburg_batch.
+
+    A list of 2-D matrices whose shape reads (rows, mean cells per row), so
+    code that sizes a batch by np.shape (the benchmark's layer counters,
+    bench/spans.py) counts its rows and cells as it would a matrix's.
+    """
+
+    @property
+    def shape(self) -> tuple[int, float]:
+        rows = sum(len(a) for a in self)
+        return rows, sum(np.size(a) for a in self) / max(rows, 1)
 
 
-def luxemburg_batch(rows: np.ndarray, phi: YoungFunction, tol: float = 1e-9,
+def _matrices(rows) -> list[np.ndarray]:
+    """rows as a list of 2-D float matrices: one matrix, or each of a sequence."""
+    if isinstance(rows, np.ndarray) or len(rows) == 0 or np.ndim(rows[0]) < 2:
+        rows = [rows]
+    mats = [np.asarray(m, dtype=float) for m in rows]
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError("rows must be a 2d matrix or a sequence of 2d matrices")
+    return mats
+
+
+def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
                     lo_hint: np.ndarray | None = None,
                     hi_hint: np.ndarray | None = None) -> np.ndarray:
-    """Luxemburg norms of the rows of a matrix under the normalized mean.
+    """Luxemburg norms of the rows of matrices under the normalized mean.
 
-    Returns per-row inf{lam > 0 : G(lam) <= 1}, G(lam) = mean Phi(row / lam);
-    all-zero rows give 0. Each row is one problem of young._solve_bracketed
-    on log G over log lam, from the start bracket [m * 1e-14, m * 1e3] (m
-    the row maximum) or from the optional hints, which must satisfy
-    G(lo) >= 1 >= G(hi). It raises NoBracket when G > 1 up to the largest
-    float and gives 0 when G <= 1 down to underflow. The returned value is
-    the feasible upper end of a bracket with hi - lo <= tol * hi, so G <= 1
+    rows is a 2-D matrix, or a sequence of them of any row lengths (one per
+    length, say, as RowBlocks); the norms come back in the concatenated
+    row order, and the hints follow that order. Returns per-row
+    inf{lam > 0 : G(lam) <= 1}, G(lam) = mean Phi(row / lam); all-zero rows
+    give 0. Each row is one problem of young._solve_bracketed on log G over
+    log lam, from the start bracket [m * 1e-14, m * 1e3] (m the row
+    maximum) or from the optional hints, G(lo) >= 1 >= G(hi) where they
+    are right: a hint on the wrong side costs bracket-search steps, and a
+    hint that overflows once scaled with its row is taken as the largest
+    float. It raises NoBracket when G > 1 up to the largest float and
+    gives 0 when G <= 1 down to underflow. The returned value is the
+    feasible upper end of a bracket with hi - lo <= tol * hi, so G <= 1
     there and it never undershoots the true norm by more than the bracket
     width. Each row is divided by the power of two 2**e with
     2**(e-1) <= max(row) < 2**e, and its hints with it, and the result is
     multiplied back, so scaling a row by a power of two scales its norm
-    exactly. Each row stops on its own, so a row's result is the same
-    whichever rows share its batch.
+    exactly.
+
+    The rows of all matrices are laid end to end as segments of one flat
+    array: a probe is one Phi call over the cells of every open row, and
+    each G is its segment's np.add.reduceat sum over its cell count. That
+    sum reads only its own segment, and each row stops on its own, so a
+    row's result is the same whichever rows share its batch, in whichever
+    matrix.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2d matrix")
-    n = rows.shape[0]
-    out = np.zeros(n)
-    vmax = rows.max(axis=1)
+    mats = _matrices(rows)
+    lengths = np.concatenate([np.full(len(a), a.shape[1], dtype=np.intp) for a in mats])
+    out = np.zeros(lengths.size)
+    vmax = np.concatenate([a.max(axis=1) for a in mats])
     active = vmax > 0
     if not np.any(active):
         return out
     # log-space iterates are not scale-equivariant to the bit; solving the
     # row scaled into [1/2, 1) makes power-of-two scalings exact
     e = np.frexp(vmax[active])[1]
-    sub = np.ldexp(rows[active], -e[:, None])
     m = np.ldexp(vmax[active], -e)
+    cells = np.concatenate([a.ravel() for a in mats])[np.repeat(active, lengths)]
+    lengths = lengths[active]
+    cells = np.ldexp(cells, -np.repeat(e, lengths))
+    starts = np.cumsum(lengths) - lengths
 
-    if lo_hint is None:
-        lo = m * 1e-14
-    else:
-        lo = np.ldexp(np.asarray(lo_hint, dtype=float)[active], -e)
-    if hi_hint is None:
-        hi = m * 1e3
-    else:
-        hi = np.ldexp(np.asarray(hi_hint, dtype=float)[active], -e)
+    with np.errstate(over="ignore"):
+        lo = m * 1e-14 if lo_hint is None else np.ldexp(np.asarray(lo_hint, float)[active], -e)
+        hi = m * 1e3 if hi_hint is None else np.ldexp(np.asarray(hi_hint, float)[active], -e)
+    hi = np.minimum(hi, np.finfo(float).max)
     lo = np.minimum(np.maximum(lo, 1e-300), hi)
 
-    def probe(idx, lam):
-        g = _phi_mean(phi, sub[idx], lam)
-        with np.errstate(divide="ignore"):
-            return np.log(g), g <= 1.0
+    # the cells of the open rows idx, segment by segment, gathered again
+    # only when the solver passes a new idx (when some row has stopped)
+    key = open_rows = None
 
-    out[active] = np.ldexp(_solve_bracketed(lo, hi, probe, tol, upper=True), e)
+    def probe(idx, lam):
+        nonlocal key, open_rows
+        if idx is not key:
+            n = lengths[idx]
+            offsets = np.cumsum(n) - n
+            key, open_rows = idx, (n, offsets, cells[np.arange(offsets[-1] + n[-1])
+                                                      + np.repeat(starts[idx] - offsets, n)])
+        n, offsets, sub = open_rows
+        if lam.size > 1:
+            lam = np.repeat(lam, n)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = np.add.reduceat(phi.eval(sub / lam), offsets) / n
+        return g, g <= 1.0
+
+    def log(idx, g):
+        with np.errstate(divide="ignore"):
+            return np.log(g)
+
+    out[active] = np.ldexp(_solve_bracketed(lo, hi, probe, log, tol, upper=True), e)
     return out
 
 

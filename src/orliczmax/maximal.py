@@ -24,8 +24,9 @@ order), and a rung certifies a side of the norm only when that sum clears
 the cell count by an explicit rounding bound. The brackets give a lower
 envelope of the field, every member whose upper bound cannot reach it is
 skipped, and the few members left are solved with luxemburg_batch, one
-call per cell count. Every per-cell supremum and every window extreme
-comes from one block prefix/suffix min/max filter (_window_extreme).
+call per function over rows of every cell count. Every per-cell
+supremum and every window extreme comes from one block prefix/suffix
+min/max filter (_window_extreme).
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -46,7 +47,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, GeometryMismatch
-from .grid import GridFunction, SummedAreaTable, _box_index, _box_sums, luxemburg_batch
+from .grid import (GridFunction, RowBlocks, SummedAreaTable, _box_index, _box_sums,
+                   luxemburg_batch)
 from .young import Power, YoungFunction, inverse, young_to_json
 
 __all__ = [
@@ -416,16 +418,20 @@ class _Ladder(NamedTuple):
         return self.tables.shape[0]
 
 
-def _ladder(f: GridFunction, phi: YoungFunction, n_max: int) -> _Ladder:
+def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _Ladder:
     """The ladder of one function, for members of at most n_max cells.
 
     A member R with a positive value has min f+ / Phi^{-1}(n_max) <=
     ||f||_{Phi,R} <= max f / Phi^{-1}(1), where min f+ is the least
     positive value; both inverses come from one call. The rungs are
-    lam_lo * q**k up to lam_hi. Each rung's Phi values are clipped at
-    4 * cells, so a cell whose Phi is +inf (a cap, a complement past its
-    slope, an overflow) alone puts any member above n_R, and every table
-    entry stays finite.
+    lam_lo * q**k up to lam_hi. A positive least, the least M_B f over the
+    grid, raises lam_lo to least / (q**2 Phi^{-1}(1)), two rungs of the
+    ratio q below a value the field reaches at every cell by Jensen (see
+    _orlicz_field): members whose norms sit lower never reach the field,
+    and rungs down there would only resolve them. Each rung's Phi values
+    are clipped at 4 * cells, so a cell whose Phi is +inf (a cap, a
+    complement past its slope, an overflow) alone puts any member above
+    n_R, and every table entry stays finite.
     """
     vals = f.values
     positive = vals[vals > 0]
@@ -436,12 +442,14 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int) -> _Ladder:
         ys = np.minimum(ys, phi.eval(float(cap)))
     t_n, t_1 = inverse(phi, ys)
     log_lo = math.log(positive.min()) - math.log(t_n)
-    span = math.log(positive.max()) - math.log(t_1) - log_lo
+    log_hi = math.log(positive.max()) - math.log(t_1)
+    jensen = math.log(least) - math.log(t_1) if least > 0 else -math.inf
     step = math.log(_LADDER_RATIO)
-    rungs = max(2, math.ceil(span / step) + 1)
+    log_lo = max(log_lo, jensen - 2.0 * step)
+    rungs = max(2, math.ceil((log_hi - log_lo) / step) + 1)
     if rungs > _MAX_RUNGS:
         rungs = _MAX_RUNGS
-        step = span / (rungs - 1)
+        step = (log_hi - log_lo) / (rungs - 1)
     # a floor above 0 keeps 0 / lam from NaN when the least value is subnormal
     lam = np.maximum(np.exp(log_lo + step * np.arange(-2, rungs + 2)),
                      np.finfo(float).smallest_subnormal)
@@ -461,10 +469,12 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int) -> _Ladder:
     tables = tables.reshape(rungs, -1)
     # A padded sum carries at most (sum of extents) * u * total of error,
     # each of the 2**d corners of a box sum one such, and the differences
-    # and the solver's pairwise mean of the same Phi values (compared at
-    # the very same floats f / lam_k) add a few u * total more; the factor
-    # 2**(d+2) * (cells + 4) covers all of it twice over. max(total, cells)
-    # keeps the margin above the rounding of n_R itself.
+    # add a few u * total more. The solver sums the same Phi values
+    # (at the very same floats f / lam_k) with np.add.reduceat, in some
+    # order, which errs by at most (n_R - 1) * u * total <= cells * u *
+    # total, and divides by n_R; the factor 2**(d+2) * (cells + 4) covers
+    # all of it twice over. max(total, cells) keeps the margin above the
+    # rounding of n_R itself.
     u = 2.0 ** -53
     slack = 2.0 ** (d + 2) * (cells + 4) * u * np.maximum(tables[:, -1], float(cells))
     return _Ladder(lam, tables, slack)
@@ -576,19 +586,30 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
 
     1. Ladder (_ladder). Per function, summed-area tables of Phi(f/lam_k)
        on a geometric ladder lam_k (ratio 1.01, or wider past _MAX_RUNGS
-       rungs) that spans every member's norm. For a member R with n_R
+       rungs) that spans every member's norm, or for m = 1 every norm
+       that can reach the field: by Jensen, Phi(mean_R f / N(R)) <=
+       mean_R Phi(f / N(R)) <= 1, so N(R) >= mean_R f / Phi^{-1}(1) and
+       field(x) >= M_B f(x) / Phi^{-1}(1) >= least / Phi^{-1}(1), least
+       the minimum over the grid of the average sweep M_B f under the
+       same basis. The ladder then starts two rungs below that value
+       (where M_B f is positive everywhere; else, and for m >= 2, at
+       min f+ / Phi^{-1}(n_max)). For a member R with n_R
        cells, G(lam) = mean_R Phi(f/lam) is a box sum S_k / n_R, so a
        rung with S_k > n_R lies below the norm and one with S_k <= n_R
        above it; a rung counts only when S_k clears n_R by slack_k, an
        explicit bound on the rounding of the box sum and of the solver's
-       own mean of the same Phi values. Memory is the tables, one block
+       own sum of the same Phi values. Memory is the tables, one block
        of members and the candidates, never one entry per member.
     2. Brackets (_brackets). Per block of members, a binary search over
        the rungs gives L_j(R) <= N_j(R) <= U_j(R), where N_j is the norm
        the solver returns: with lo hint L, certified infeasible, and hi
        hint U, certified feasible, the solver's bracket only shrinks.
        Where neither of the two nearest rungs is certified, L = 0 and
-       U = inf, and the member stays a candidate.
+       U = inf, and the member stays a candidate. A norm below the first
+       rung gets L = 0 and a lo hint perhaps on the wrong side, which
+       the solver's bracket search moves down, never above U (a U that
+       overflows once scaled with a tiny row lies hundreds of decades
+       above that row's norm, so the bracket closes far below it).
     3. Skip rule. LB(x) = max over members R containing x of prod_j
        L_j(R), folded with _window_extremes. R is a candidate when prod_j
        U_j(R) * (1 + 4 tol)**m >= min over x in R of LB(x). A skipped R
@@ -597,10 +618,16 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        is never the maximum at any cell it covers and the field does not
        change. The member attaining LB(x) is always a candidate, since
        min_R LB <= LB(x) = prod L <= prod U on it. Building LB needs every
-       member's L, so the search runs once for LB and again for U.
-    4. Solve. All candidates with the same cell count go through
-       luxemburg_batch together (split only past _SOLVE_CELLS row cells),
-       rows stacked across shapes, with the hints of step 2.
+       member's L, so the search runs once for LB and again for U. The
+       Jensen start changes only which rungs exist, not this argument.
+       A member whose norm lies below the first rung, lam_0 = least /
+       (q**2 Phi^{-1}(1)), gets U = lam_0 or lam_1 where certified, both
+       below what the field reaches at every cell, so it is skipped
+       wherever LB comes within a factor q of the field.
+    4. Solve. Per function, all candidates go through one
+       luxemburg_batch call, one matrix of rows per shape whatever its
+       cell count (split only past _SOLVE_CELLS row cells), with the
+       hints of step 2.
 
     prune=False runs the same path with every live member (every f_j
     positive somewhere on it) as a candidate. The two modes agree bit for
@@ -629,7 +656,8 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         return _field(fs, out, basis, count, **prov, pruned=0, rects_solved=0,
                       ladder_rungs=0, tol=tol)
     n_max = max(math.prod(s) for s in shapes)
-    ladders = [_ladder(f, phi, n_max) for f, phi in zip(fs, phis)]
+    least = float(_average_sweep(fs, basis).min()) if len(fs) == 1 else 0.0
+    ladders = [_ladder(f, phi, n_max, least) for f, phi in zip(fs, phis)]
     supports = [SummedAreaTable(f.with_values((f.values > 0).astype(float))).table.ravel()
                 for f in fs]
 
@@ -645,7 +673,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
                 np.maximum(lb, _window_extremes(plane, sides, cover=True), out=lb)
         widen = (1.0 + 4.0 * tol) ** len(fs)
 
-    groups: dict[int, list] = {}
+    entries = []
     live = solved = 0
     for blk in _blocks(shape, shapes):
         brackets = [_brackets(lad, blk.base, blk.steps, blk.ncells) for lad in ladders]
@@ -660,31 +688,30 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
             pos = np.flatnonzero(cand[sl])
             if pos.size:
                 at = sl.start + pos
-                groups.setdefault(math.prod(sides), []).append(
-                    (sides, pos, [b[2][at] for b in brackets], [b[3][at] for b in brackets]))
+                entries.append((sides, pos, [b[2][at] for b in brackets],
+                                [b[3][at] for b in brackets]))
 
     # a shape's candidates all sit in one block and one solve chunk, so each
     # plane is filled and folded once
-    for ncells in sorted(groups):
-        entries = groups[ncells]
-        for chunk in _runs(entries, [e[1].size * ncells for e in entries], _SOLVE_CELLS):
-            norms = []
-            for j, (f, phi) in enumerate(zip(fs, phis)):
-                mat = np.concatenate([
-                    sliding_window_view(f.values, sides)[
-                        np.unravel_index(pos, _position_grid(shape, sides))].reshape(-1, ncells)
-                    for sides, pos, _, _ in chunk])
-                norms.append(luxemburg_batch(
-                    mat, phi, tol=tol,
-                    lo_hint=np.concatenate([e[2][j] for e in chunk]),
-                    hi_hint=np.concatenate([e[3][j] for e in chunk])))
-            value = math.prod(norms)
-            at = 0
-            for sides, pos, _, _ in chunk:
-                plane = np.zeros(_position_grid(shape, sides))
-                plane.flat[pos] = value[at:at + pos.size]
-                np.maximum(out, _window_extremes(plane, sides, cover=True), out=out)
-                at += pos.size
+    sizes = [e[1].size * math.prod(e[0]) for e in entries]
+    for chunk in _runs(entries, sizes, _SOLVE_CELLS):
+        norms = []
+        for j, (f, phi) in enumerate(zip(fs, phis)):
+            mats = RowBlocks(
+                sliding_window_view(f.values, sides)[
+                    np.unravel_index(pos, _position_grid(shape, sides))].reshape(pos.size, -1)
+                for sides, pos, _, _ in chunk)
+            norms.append(luxemburg_batch(
+                mats, phi, tol=tol,
+                lo_hint=np.concatenate([e[2][j] for e in chunk]),
+                hi_hint=np.concatenate([e[3][j] for e in chunk])))
+        value = math.prod(norms)
+        at = 0
+        for sides, pos, _, _ in chunk:
+            plane = np.zeros(_position_grid(shape, sides))
+            plane.flat[pos] = value[at:at + pos.size]
+            np.maximum(out, _window_extremes(plane, sides, cover=True), out=out)
+            at += pos.size
     return _field(fs, out, basis, count, **prov, pruned=live - solved,
                   rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
                   tol=tol)

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSet, GeometryMismatch
-from .grid import GridFunction, Rect, SummedAreaTable, luxemburg_batch
+from .grid import GridFunction, Rect, RowBlocks, SummedAreaTable, luxemburg_batch
 from .maximal import CUBES, Basis, _members, strong_maximal
 from .young import YoungFunction
 
@@ -228,15 +228,17 @@ def _check_couple(u: GridFunction, v: GridFunction, p: float) -> None:
 
 def _bump_values(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
                  lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """bump_value on every member, with one luxemburg_batch call per shape."""
+    """bump_value on every member, with one luxemburg_batch call over one
+    matrix of rows per shape."""
     _check_couple(u, v, p)
     out = SummedAreaTable(u.with_values(u.values**p)).averages(lo, sides) ** (1.0 / p)
     vinv = 1.0 / _positive_values(v, "v")
     kinds, which = np.unique(sides, axis=0, return_inverse=True)
-    for k, row in enumerate(kinds.tolist()):
-        members = np.flatnonzero(which.ravel() == k)
-        rows = sliding_window_view(vinv, row)[tuple(lo[members].T)]
-        out[members] *= luxemburg_batch(rows.reshape(members.size, -1), phi)
+    order = np.argsort(which.ravel(), kind="stable")  # members shape by shape
+    groups = np.split(order, np.cumsum(np.bincount(which.ravel()))[:-1])
+    out[order] *= luxemburg_batch(RowBlocks(
+        sliding_window_view(vinv, kind)[tuple(lo[members].T)].reshape(members.size, -1)
+        for kind, members in zip(kinds.tolist(), groups)), phi)
     return out
 
 

@@ -416,23 +416,28 @@ def _itp_point(a, b, fa, fb, j, nmax, eps, k1):
     return a + h - sigma * dist
 
 
-def _solve_bracketed(lo, hi, probe, tol: float, upper: bool) -> np.ndarray:
+def _solve_bracketed(lo, hi, probe, log, tol: float, upper: bool) -> np.ndarray:
     """Certified roots of monotone problems: bracket search, then ITP steps.
 
     Each problem has one feasible end: hi when upper, else lo. probe(idx, t)
-    returns (value on a log scale, feasible) for the problems idx at the
-    points t (one per problem, or one shared by all), the value of opposite
-    sign at feasible and infeasible points. The start bracket 0 < lo <= hi
-    is probed at both ends: once where lo == hi, and as one shared point
-    when every problem starts there (inverse's t = 1). An end on the wrong
-    side becomes the other end, and a new end is probed a factor 2, 4, 16,
-    ... (each the square of the last, at most 1e16) beyond it; only the
-    problems that moved are probed again. The search has no step limit; it
-    stops only at the float range. A feasible end that would have to pass
-    the largest float raises NoBracket. A lower end that underflows to 0
-    before the bracket is found gives 0: when upper, every probe down to
-    there was feasible; otherwise 0 itself is taken as the feasible end
-    (for inverse, Phi(0) = 0).
+    returns (value, feasible) for the problems idx at the points t (one
+    per problem, or one shared by all), and log(idx, value) puts values on
+    the log scale the ITP steps interpolate, of opposite sign at feasible
+    and infeasible points. The bracket search reads only feasible, so log
+    is taken once of both final ends and then of each ITP probe. An idx
+    array passed to probe is never changed, and the ITP steps pass the
+    same one until some problem stops, so probe may keep work per idx. The
+    start bracket 0 < lo <= hi is probed at both ends: once where lo ==
+    hi, and as one shared point when every problem starts there
+    (inverse's t = 1). An end on the wrong side becomes the other end, and
+    a new end is probed a factor 2, 4, 16, ... (each the square of the
+    last, at most 1e16) beyond it; only the problems that moved are
+    probed again. The search has no step limit; it stops only at the
+    float range. A feasible end that would have to pass the largest float
+    raises NoBracket. A lower end that underflows to 0 before the bracket
+    is found gives 0: when upper, every probe down to there was feasible;
+    otherwise 0 itself is taken as the feasible end (for inverse,
+    Phi(0) = 0).
 
     ITP steps in log space (see _itp_point) then shrink each bracket; a
     probe is evaluated at exactly the float that becomes the new end. A
@@ -447,7 +452,8 @@ def _solve_bracketed(lo, hi, probe, tol: float, upper: bool) -> np.ndarray:
     two = np.flatnonzero(lo != hi)
     t = np.concatenate([lo, hi[two]])
     val, feasible = probe(np.concatenate([np.arange(n), two]), t[:1] if t.min() == t.max() else t)
-    flo, fhi, ok_lo, ok_hi = val[:n], val[:n].copy(), feasible[:n], feasible[:n].copy()
+    val = np.broadcast_to(val, feasible.shape)
+    flo, fhi, ok_lo, ok_hi = val[:n].copy(), val[:n].copy(), feasible[:n], feasible[:n].copy()
     fhi[two], ok_hi[two] = val[n:], feasible[n:]
 
     # the upper end is wrong when it is infeasible (upper) or feasible
@@ -464,6 +470,8 @@ def _solve_bracketed(lo, hi, probe, tol: float, upper: bool) -> np.ndarray:
         if np.any(zero):
             under[idx[zero]] = True
             idx, up, t = idx[~zero], up[~zero], t[~zero]
+            if not idx.size:
+                break
         val, feasible = probe(idx, t)
         wrong = feasible != upper
         if np.any(up & wrong & (t == _T_MAX)):
@@ -477,7 +485,7 @@ def _solve_bracketed(lo, hi, probe, tol: float, upper: bool) -> np.ndarray:
 
     eps = 0.5 * (-math.log1p(-tol) if upper else math.log1p(tol))
     idx = np.flatnonzero(~under)
-    lo, hi, flo, fhi = lo[idx], hi[idx], flo[idx], fhi[idx]
+    lo, hi, flo, fhi = lo[idx], hi[idx], log(idx, flo[idx]), log(idx, fhi[idx])
     a, b = np.log(lo), np.log(hi)
     w0 = b - a
     with np.errstate(divide="ignore"):
@@ -491,11 +499,12 @@ def _solve_bracketed(lo, hi, probe, tol: float, upper: bool) -> np.ndarray:
             keep = ~done
             idx, lo, hi, a, b, flo, fhi, k1, nmax = (
                 v[keep] for v in (idx, lo, hi, a, b, flo, fhi, k1, nmax))
-            if idx.size == 0:
-                return res
+        if idx.size == 0:
+            return res
         x = _itp_point(a, b, flo, fhi, j, nmax, eps, k1)
         t = np.exp(x)
         val, feasible = probe(idx, t)
+        val = log(idx, val)
         above = feasible if upper else ~feasible
         below = ~above
         for new, upper_end, lower_end in ((t, hi, lo), (x, b, a), (val, fhi, flo)):
@@ -550,11 +559,14 @@ def _inverse_block(phi: YoungFunction, y: np.ndarray, tol: float) -> np.ndarray:
 
     def probe(idx, t):
         ft = phi.eval(t)
+        return ft, ft <= y[idx]
+
+    def log(idx, ft):
         with np.errstate(divide="ignore"):
-            return np.log(ft) - logy[idx], ft <= y[idx]
+            return np.log(ft) - logy[idx]
 
     one = np.ones(y.size)
-    return _solve_bracketed(one, one, probe, tol, upper=False)
+    return _solve_bracketed(one, one, probe, log, tol, upper=False)
 
 
 def phi_n_eval(n: int, t):

@@ -5,7 +5,7 @@ import pytest
 from conftest import SOLVER_IDS, SOLVER_PHIS
 
 from orliczmax.errors import DimensionError, EmptyRect, GeometryMismatch, NoBracket
-from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch,
+from orliczmax.grid import (GridFunction, Rect, RowBlocks, SummedAreaTable, luxemburg_batch,
                             luxemburg_norm, norm_lp, read_grid, rect_average,
                             write_grid)
 from orliczmax.young import Power, PowerLog, Tabulated, YoungFunction, complementary
@@ -152,6 +152,55 @@ def test_luxemburg_batch_row_does_not_depend_on_batch(phi):
         assert batch[i] == luxemburg_batch(rows[i:i + 1], phi)[0]
         assert hinted[i] == luxemburg_batch(rows[i:i + 1], phi, lo_hint=lo[i:i + 1],
                                             hi_hint=hi[i:i + 1])[0]
+
+
+def mixed_matrices(rng):
+    """Matrices of 1 to 300 cells per row, with zero rows and extreme scales."""
+    mats = []
+    for length in (1, 2, 3, 7, 8, 9, 17, 64, 129, 300):
+        rows = np.exp(rng.normal(size=(4, length))) * np.geomspace(1e-3, 1e3, 4)[:, None]
+        rows[1] = 0.0
+        rows[2, ::2] = 0.0
+        mats.append(rows)
+    mats[3][0] *= 1e-150
+    mats[-2][3] *= 1e150
+    return mats
+
+
+def test_luxemburg_batch_of_mixed_row_lengths_equals_single_rows(solver_phi):
+    rng = np.random.default_rng(7)
+    mats = mixed_matrices(rng)
+    rows = [row[None] for m in mats for row in m]
+    m = np.array([row.max() for row in rows])
+    lo, hi = m / 9.0, m * 4.0
+    batch = luxemburg_batch(RowBlocks(mats), solver_phi)
+    hinted = luxemburg_batch(mats, solver_phi, lo_hint=lo, hi_hint=hi)
+    assert batch.shape == (len(rows),)
+    for i, row in enumerate(rows):
+        assert batch[i] == luxemburg_batch(row, solver_phi)[0]
+        assert hinted[i] == luxemburg_batch(row, solver_phi, lo_hint=lo[i:i + 1],
+                                            hi_hint=hi[i:i + 1])[0]
+    # one matrix is the same path as a sequence of one
+    assert np.array_equal(luxemburg_batch(mats[-1], solver_phi),
+                          luxemburg_batch([mats[-1]], solver_phi))
+
+
+def test_row_blocks_report_rows_and_cells_as_a_matrix_does():
+    mats = mixed_matrices(np.random.default_rng(7))
+    rows, per_row = np.shape(RowBlocks(mats))
+    assert rows == 4 * len(mats)
+    assert rows * per_row == pytest.approx(sum(m.size for m in mats), rel=1e-15)
+
+
+def test_luxemburg_hint_past_the_float_range_of_a_tiny_row():
+    # scaled with the row into [1/2, 1), a hint of 1e10 above a row of
+    # 1e-300 overflows; the solver walks down from the largest float instead
+    phi, tol = PowerLog(1.8, 1.0), 1e-9
+    rows = np.array([[1e-300, 0.0], [3e-301, 1e-300]])
+    lam = luxemburg_batch(rows, phi, tol=tol, lo_hint=np.full(2, 1e10),
+                          hi_hint=np.full(2, 2e10))
+    assert np.all(phi_mean(phi, rows, lam) <= 1.0)
+    assert np.all(phi_mean(phi, rows, lam * (1.0 - tol)) > 1.0)
 
 
 def solver_rows():

@@ -504,8 +504,12 @@ def test_orlicz_prune_is_exact_on_adversarial_grids(case):
         return
     assert max_rel_diff(one.field.values, batch_field([f], [phi], Basis())) <= 2e-9
     assert max_rel_diff(two.field.values, batch_field([f, g], [phi, psi], Basis())) <= 2e-9
-    if case == "range_1e300":  # the rung cap widens the ladder ratio
-        assert one.provenance["ladder_rungs"] == maximal._MAX_RUNGS
+    if case == "range_1e300":
+        # the rung cap widens the ratio of f's ladder in the multilinear
+        # field, which starts at the least positive value (no Jensen start)
+        rungs = [maximal._ladder(h, p, 42, 0.0).rungs for h, p in ((f, phi), (g, psi))]
+        assert rungs[0] == maximal._MAX_RUNGS
+        assert two.provenance["ladder_rungs"] == sum(rungs)
 
 
 def test_capped_power_on_more_cells_than_phi_reaches_at_its_cap():
@@ -534,6 +538,44 @@ def test_orlicz_sweep_is_exact_across_search_and_solve_blocks(monkeypatch):
     monkeypatch.setattr(maximal, "_SOLVE_CELLS", 1)
     assert np.array_equal(orlicz_maximal(f, phis[0]).field.values, want[0])
     assert np.array_equal(multilinear_orlicz_maximal([f, g], phis).field.values, want[1])
+
+
+@pytest.mark.parametrize("solve_cells", [maximal._SOLVE_CELLS, 64])
+def test_orlicz_prune_is_exact_when_a_solve_chunk_mixes_cell_counts(monkeypatch, solve_cells):
+    f = rand_grid((6, 5), seed=47)
+    g = step_grid((6, 5), seed=48)
+    phis = [PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)]
+    want = [orlicz_maximal(f, phis[0]).field.values,
+            multilinear_orlicz_maximal([f, g], phis).field.values]
+    lengths = []
+
+    def recording(rows, *args, **kwargs):
+        lengths.append({np.shape(m)[1] for m in rows})
+        return luxemburg_batch(rows, *args, **kwargs)
+
+    monkeypatch.setattr(maximal, "luxemburg_batch", recording)
+    monkeypatch.setattr(maximal, "_SOLVE_CELLS", solve_cells)
+    assert np.array_equal(assert_prune_exact([f], phis[:1]).field.values, want[0])
+    assert np.array_equal(assert_prune_exact([f, g], phis).field.values, want[1])
+    assert max(len(s) for s in lengths) > 1
+    if solve_cells > 64:  # one call per function and field
+        assert len(lengths) == 2 * (1 + 2)
+
+
+def test_jensen_start_leaves_few_members_to_solve_past_a_subnormal_cell():
+    # one cell of 1e-320 stretches a ladder that starts at the least
+    # positive value down to it: 1,024 rungs and 145 of 150 members
+    # solved, against 29 without that cell
+    rng = np.random.default_rng(1)
+    vals = np.exp(rng.normal(size=(5, 4)))
+    vals[0, 0] = 1e-320
+    f = grid(vals)
+    phi = PowerLog(1.8, 1.0)
+    one = assert_prune_exact([f], [phi])
+    assert one.provenance["rect_count"] == 150
+    assert one.provenance["rects_solved"] <= 40
+    assert one.provenance["ladder_rungs"] < maximal._MAX_RUNGS
+    assert max_rel_diff(one.field.values, batch_field([f], [phi], Basis())) <= 2e-9
 
 
 def test_strong_maximal_near_the_top_of_the_float_range():
