@@ -262,6 +262,21 @@ def _matrices(rows) -> list[np.ndarray]:
     return mats
 
 
+# cells per solver run of luxemburg_batch (whole rows, at least one)
+_RUN_CELLS = 1 << 14
+
+
+def _runs(sizes, limit: int):
+    """Consecutive runs [a, b) of items whose sizes add up to at most limit, or one item."""
+    ends = np.cumsum(sizes, dtype=np.int64)
+    a = 0
+    while a < ends.size:
+        base = ends[a - 1] if a else 0
+        b = max(int(np.searchsorted(ends, base + limit, side="right")), a + 1)
+        yield a, b
+        a = b
+
+
 def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
                     lo_hint: np.ndarray | None = None,
                     hi_hint: np.ndarray | None = None) -> np.ndarray:
@@ -285,12 +300,15 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
     multiplied back, so scaling a row by a power of two scales its norm
     exactly.
 
-    The rows of all matrices are laid end to end as segments of one flat
-    array: a probe is one Phi call over the cells of every open row, and
-    each G is its segment's np.add.reduceat sum over its cell count. That
-    sum reads only its own segment, and each row stops on its own, so a
-    row's result is the same whichever rows share its batch, in whichever
-    matrix.
+    The nonzero rows of all matrices, in order, are cut into consecutive
+    runs of whole rows of at most _RUN_CELLS cells (a longer row is a run
+    of its own), which bounds the working set of a batch of any size. Each
+    run is one _solve_bracketed call over its rows laid end to end as
+    segments of one flat array: a probe is one Phi call over the cells of
+    every open row of the run, and each G is its segment's np.add.reduceat
+    sum over its cell count. That sum reads only its own segment, and each
+    row stops on its own, so a row's result is the same whichever rows
+    share its run or its batch, in whichever matrix.
     """
     mats = _matrices(rows)
     lengths = np.concatenate([np.full(len(a), a.shape[1], dtype=np.intp) for a in mats])
@@ -305,15 +323,26 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
     m = np.ldexp(vmax[active], -e)
     cells = np.concatenate([a.ravel() for a in mats])[np.repeat(active, lengths)]
     lengths = lengths[active]
-    cells = np.ldexp(cells, -np.repeat(e, lengths))
-    starts = np.cumsum(lengths) - lengths
-
     with np.errstate(over="ignore"):
         lo = m * 1e-14 if lo_hint is None else np.ldexp(np.asarray(lo_hint, float)[active], -e)
         hi = m * 1e3 if hi_hint is None else np.ldexp(np.asarray(hi_hint, float)[active], -e)
     hi = np.minimum(hi, np.finfo(float).max)
     lo = np.minimum(np.maximum(lo, 1e-300), hi)
 
+    norms = np.empty(lengths.size)
+    ends = np.cumsum(lengths)
+    for a, b in _runs(lengths, _RUN_CELLS):
+        n = lengths[a:b]
+        run = np.ldexp(cells[ends[a] - n[0]:ends[b - 1]], -np.repeat(e[a:b], n))
+        norms[a:b] = _solve_rows(run, n, lo[a:b], hi[a:b], phi, tol)
+    out[active] = np.ldexp(norms, e)
+    return out
+
+
+def _solve_rows(cells: np.ndarray, lengths: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                phi: YoungFunction, tol: float) -> np.ndarray:
+    """One _solve_bracketed call: the scaled rows laid end to end in cells."""
+    starts = np.cumsum(lengths) - lengths
     # the cells of the open rows idx, segment by segment, gathered again
     # only when the solver passes a new idx (when some row has stopped)
     key = open_rows = None
@@ -336,8 +365,7 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
         with np.errstate(divide="ignore"):
             return np.log(g)
 
-    out[active] = np.ldexp(_solve_bracketed(lo, hi, probe, log, tol, upper=True), e)
-    return out
+    return _solve_bracketed(lo, hi, probe, log, tol, upper=True)
 
 
 def luxemburg_norm(f: GridFunction, rect: Rect, phi: YoungFunction,

@@ -47,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, GeometryMismatch
-from .grid import (GridFunction, RowBlocks, SummedAreaTable, _box_index, _box_sums,
+from .grid import (GridFunction, RowBlocks, SummedAreaTable, _box_index, _box_sums, _runs,
                    luxemburg_batch)
 from .young import Power, YoungFunction, inverse, young_to_json
 
@@ -396,7 +396,9 @@ _MAX_RUNGS = 1024
 _LADDER_CHUNK = 1 << 13
 # members per block of the ladder search (whole shapes, at least one)
 _SEARCH_BLOCK = 1 << 15
-# row cells per luxemburg_batch call (whole shapes, at least one)
+# row cells gathered per luxemburg_batch call of the solve step (whole
+# shapes, at least one); luxemburg_batch bounds its own solver working
+# set, so this bounds only the gathered rows and their hints
 _SOLVE_CELLS = 1 << 20
 
 
@@ -531,19 +533,6 @@ class _Block(NamedTuple):
     ncells: np.ndarray        # n_R as floats
 
 
-def _runs(items: list, sizes: list[int], limit: int):
-    """Consecutive runs of items whose sizes add up to at most limit, or one item."""
-    run, total = [], 0
-    for item, size in zip(items, sizes):
-        if run and total + size > limit:
-            yield run
-            run, total = [], 0
-        run.append(item)
-        total += size
-    if run:
-        yield run
-
-
 def _position_grid(grid_shape: tuple[int, ...], sides: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(n - s + 1 for n, s in zip(grid_shape, sides))
 
@@ -562,10 +551,10 @@ def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
     """The members of shapes in blocks of about _SEARCH_BLOCK."""
     padded = tuple(n + 1 for n in grid_shape)
     sizes = [math.prod(_position_grid(grid_shape, sides)) for sides in shapes]
-    for group in _runs(list(zip(shapes, sizes)), sizes, _SEARCH_BLOCK):
-        lo, sides = _members(grid_shape, [s for s, _ in group])
-        ends = accumulate(n for _, n in group)
-        yield _Block([(s, slice(e - n, e)) for (s, n), e in zip(group, ends)],
+    for a, b in _runs(sizes, _SEARCH_BLOCK):
+        lo, sides = _members(grid_shape, shapes[a:b])
+        group = zip(shapes[a:b], sizes[a:b], accumulate(sizes[a:b]))
+        yield _Block([(s, slice(e - n, e)) for s, n, e in group],
                      *_box_index(padded, lo, sides), np.prod(sides, axis=1).astype(float))
 
 
@@ -694,7 +683,8 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     # a shape's candidates all sit in one block and one solve chunk, so each
     # plane is filled and folded once
     sizes = [e[1].size * math.prod(e[0]) for e in entries]
-    for chunk in _runs(entries, sizes, _SOLVE_CELLS):
+    for a, b in _runs(sizes, _SOLVE_CELLS):
+        chunk = entries[a:b]
         norms = []
         for j, (f, phi) in enumerate(zip(fs, phis)):
             mats = RowBlocks(

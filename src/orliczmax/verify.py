@@ -19,7 +19,7 @@ from .covering import (RectFamily, cf_overlap_check, choose_cf_subfamily,
                        largest_passing_delta, select_scattered, verify_scattered,
                        weight_growth_sweep)
 from .errors import DegenerateSet
-from .grid import GridFunction, Rect, luxemburg_batch, norm_lp
+from .grid import GridFunction, Rect, RowBlocks, luxemburg_batch, norm_lp
 from .maximal import Basis, orlicz_maximal, strong_maximal
 from .weights import SetSamplerSpec, bump_constant, condition_A_estimate
 from .young import (Power, PowerLog, YoungFunction, complementary, inverse, tabulate,
@@ -347,19 +347,22 @@ def holder_orlicz_suite(phi: YoungFunction, suite: ProbeSuite = ProbeSuite(),
                         triples: int = 10_000) -> dict:
     """Mean-product bound mean_R(fg) <= 2 ||f||_{phi,R} ||g||_{phibar,R}.
 
-    Random triples are drawn in batches grouped by cell count, plus
-    deterministic adversarial rows (co-located spikes, constant g). The
-    norms come from the same bracketing solver the operators use, which
-    only ever overestimates, so a reported violation is a real one up to
-    the 1e-7 float guard.
+    Random triples come in 40 sizes of ceil(triples / 40) rows each, every
+    size with deterministic adversarial rows (co-located spikes, constant
+    g). Every size is drawn first, in one fixed rng order, and then all of
+    them are solved in one luxemburg_batch call per Young function; the
+    solver stops each row on its own, so every norm is the one a per-size
+    call gives. The norms come from the same bracketing solver the
+    operators use, which only ever overestimates, so a reported violation
+    is a real one up to the 1e-7 float guard.
     """
+    if triples < 1:
+        raise ValueError(f"triples must be a positive count, got {triples}")
     phibar = complementary(phi)
     rng = np.random.default_rng([suite.seed, 0x401D])
     sizes = [int(s) for s in rng.integers(2, 65, size=40)]
     per = -(-triples // len(sizes))
-    worst = 0.0
-    total = 0
-    violations = 0
+    fmats, gmats = RowBlocks(), RowBlocks()
     for sz in sizes:
         fmat = np.abs(rng.normal(size=(per, sz)))
         gmat = np.abs(rng.normal(size=(per, sz)))
@@ -370,14 +373,16 @@ def holder_orlicz_suite(phi: YoungFunction, suite: ProbeSuite = ProbeSuite(),
         gmat[0, 0] = 1.0
         if per > 1:
             gmat[1] = 1.0
-        nf = luxemburg_batch(fmat, phi)
-        ng = luxemburg_batch(gmat, phibar)
-        mean_fg = np.mean(fmat * gmat, axis=1)
-        denom = 2.0 * nf * ng
-        ratio = np.where(denom > 0.0, mean_fg / np.maximum(denom, 1e-300), 0.0)
-        worst = max(worst, float(ratio.max()))
-        violations += int(np.count_nonzero(ratio > 1.0 + 1e-7))
-        total += per
+        fmats.append(fmat)
+        gmats.append(gmat)
+    nf = luxemburg_batch(fmats, phi)
+    ng = luxemburg_batch(gmats, phibar)
+    mean_fg = np.concatenate([np.mean(f * g, axis=1) for f, g in zip(fmats, gmats)])
+    denom = 2.0 * nf * ng
+    ratio = np.where(denom > 0.0, mean_fg / np.maximum(denom, 1e-300), 0.0)
+    worst = float(ratio.max())
+    violations = int(np.count_nonzero(ratio > 1.0 + 1e-7))
+    total = per * len(sizes)
     return {
         "phi": young_to_json(phi),
         "triples": total,
@@ -397,7 +402,11 @@ def counterexample_divergence(delta: float = 0.5, p: float = 2.0,
     M_phi(chi_{[0,1]^2})(y) = 1 / Phi^{-1}(y1 y2), so the p-th power
     integrates by quadrature over [lo, T]^2 without any grid. The
     observable is the increment I(2T) - I(T): nondecreasing for the
-    damped function, geometrically decaying for the plain average.
+    damped function, geometrically decaying for the plain average. Each
+    partial integral inverts y1 y2 at the pairs i <= j of its mesh and
+    mirrors the rest: the product is symmetric to the bit, and inverse
+    solves each point on its own, so the quadrature matrix is the one a
+    full outer-product inversion gives.
     """
     hi = 2.0 * max(doublings)
     phi = tabulate(lambda t: t ** p / np.log1p(t) ** (1.0 + delta),
@@ -406,7 +415,9 @@ def counterexample_divergence(delta: float = 0.5, p: float = 2.0,
     def partial(young, T: float) -> float:
         npts = max(16, int(math.log10(T / lo) * mesh_per_decade))
         y = np.geomspace(lo, T, npts)
-        fvals = inverse(young, np.outer(y, y)) ** (-p)
+        i, j = np.triu_indices(npts)
+        fvals = np.empty((npts, npts))
+        fvals[i, j] = fvals[j, i] = inverse(young, y[i] * y[j]) ** (-p)
         wts = np.zeros(npts)
         wts[:-1] += 0.5 * np.diff(y)
         wts[1:] += 0.5 * np.diff(y)
@@ -437,6 +448,9 @@ def run_suite(name: str, config: dict | None = None) -> dict:
     seed = int(cfg.get("seed", 0))
     p = float(cfg.get("p", 2.0))
     resolutions = tuple(cfg.get("resolutions", (8, 16)))
+    if name in ("t2", "t12") and not (resolutions and min(resolutions) > 0):
+        raise ValueError(f"suite {name} needs one or more positive resolutions, "
+                         f"got {list(resolutions)}")
     suite = ProbeSuite(seed=seed, resolutions=resolutions)
     out: dict = {"suite": name, "config": {**cfg, "seed": seed, "p": p,
                                            "resolutions": list(resolutions)}}

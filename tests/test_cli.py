@@ -194,6 +194,23 @@ def test_parse_failures_are_json_usage_errors(capsys, argv):
     assert set(json.loads(err)) == {"error", "message"}
 
 
+@pytest.mark.parametrize("suite, config", [
+    ("holder", {"triples": 0}),
+    ("holder", {"triples": -5}),
+    ("t12", {"resolutions": []}),
+    ("t2", {"resolutions": []}),
+    ("t12", {"resolutions": [0]}),
+], ids=["holder_zero", "holder_negative", "t12_empty", "t2_empty", "t12_zero"])
+def test_degenerate_verify_configs_are_json_errors(capsys, tmp_path, suite, config):
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_help_still_exits_zero(capsys):
     code, out, _ = run(capsys, "maximal", "--help")
     assert code == 0

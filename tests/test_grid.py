@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import SOLVER_IDS, SOLVER_PHIS
 
+from orliczmax import grid
 from orliczmax.errors import DimensionError, EmptyRect, GeometryMismatch, NoBracket
 from orliczmax.grid import (GridFunction, Rect, RowBlocks, SummedAreaTable, luxemburg_batch,
                             luxemburg_norm, norm_lp, read_grid, rect_average,
@@ -167,22 +168,51 @@ def mixed_matrices(rng):
     return mats
 
 
-def test_luxemburg_batch_of_mixed_row_lengths_equals_single_rows(solver_phi):
+def check_mixed_rows(phi, run_cells, monkeypatch):
+    """A batch of mixed_matrices cut into runs of run_cells equals single-row solves."""
+    monkeypatch.setattr(grid, "_RUN_CELLS", run_cells)
+    runs = []
+    solve_rows = grid._solve_rows
+
+    def recording(cells, lengths, *args):
+        runs.append(lengths.tolist())
+        return solve_rows(cells, lengths, *args)
+
+    monkeypatch.setattr(grid, "_solve_rows", recording)
     rng = np.random.default_rng(7)
     mats = mixed_matrices(rng)
     rows = [row[None] for m in mats for row in m]
     m = np.array([row.max() for row in rows])
     lo, hi = m / 9.0, m * 4.0
-    batch = luxemburg_batch(RowBlocks(mats), solver_phi)
-    hinted = luxemburg_batch(mats, solver_phi, lo_hint=lo, hi_hint=hi)
+    batch = luxemburg_batch(RowBlocks(mats), phi)
     assert batch.shape == (len(rows),)
+    # consecutive runs of the nonzero rows, each as long as the bound allows
+    expected, run = [], []
+    for row in rows:
+        if row.max() > 0:
+            if run and sum(run) + row.size > run_cells:
+                expected.append(run)
+                run = []
+            run.append(row.size)
+    assert runs == expected + [run]
+    hinted = luxemburg_batch(mats, phi, lo_hint=lo, hi_hint=hi)
     for i, row in enumerate(rows):
-        assert batch[i] == luxemburg_batch(row, solver_phi)[0]
-        assert hinted[i] == luxemburg_batch(row, solver_phi, lo_hint=lo[i:i + 1],
+        assert batch[i] == luxemburg_batch(row, phi)[0]
+        assert hinted[i] == luxemburg_batch(row, phi, lo_hint=lo[i:i + 1],
                                             hi_hint=hi[i:i + 1])[0]
     # one matrix is the same path as a sequence of one
-    assert np.array_equal(luxemburg_batch(mats[-1], solver_phi),
-                          luxemburg_batch([mats[-1]], solver_phi))
+    assert np.array_equal(luxemburg_batch(mats[-1], phi),
+                          luxemburg_batch([mats[-1]], phi))
+
+
+def test_luxemburg_batch_of_mixed_row_lengths_equals_single_rows(solver_phi, monkeypatch):
+    check_mixed_rows(solver_phi, grid._RUN_CELLS, monkeypatch)
+
+
+def test_luxemburg_batch_runs_of_whole_rows_equal_single_rows(solver_phi, monkeypatch):
+    # at 50 cells a run the batch is cut into many runs, and the 64-, 129-
+    # and 300-cell rows each go alone; no norm may move by a bit
+    check_mixed_rows(solver_phi, 50, monkeypatch)
 
 
 def test_row_blocks_report_rows_and_cells_as_a_matrix_does():

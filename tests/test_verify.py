@@ -1,17 +1,19 @@
 """End-to-end probe harness: ratio reports, reductions, constructions."""
 
+import math
+
 import numpy as np
 import pytest
 
 from orliczmax.errors import DegenerateSet
-from orliczmax.grid import GridFunction
+from orliczmax.grid import GridFunction, luxemburg_batch
 from orliczmax.maximal import Basis
 from orliczmax.verify import (ProbeSuite, counterexample_divergence,
                               fefferman_stein_probe, holder_orlicz_suite,
                               lp_bound_probe, necessity_construction, run_suite,
                               two_weight_probe)
 from orliczmax.weights import RectFamilySpec, bump_constant
-from orliczmax.young import Power, PowerLog
+from orliczmax.young import Power, PowerLog, complementary, inverse, tabulate
 
 SUITE = ProbeSuite(seed=0, resolutions=(8, 16), per_kind=2)
 
@@ -89,6 +91,55 @@ def test_holder_suite_no_violations():
     out = holder_orlicz_suite(Power(2.0), ProbeSuite(seed=2), triples=800)
     assert out["violations"] == 0
     assert out["worst_ratio"] <= 1.0 + 1e-7
+
+
+@pytest.mark.parametrize("phi", [Power(1.5), PowerLog(1.8, 1.0)], ids=["power", "power_log"])
+def test_holder_batch_equals_one_solve_per_size(phi):
+    # the per-size loop: draw a size, solve it, fold its ratios
+    suite, triples = ProbeSuite(seed=4), 400
+    rng = np.random.default_rng([suite.seed, 0x401D])
+    sizes = [int(s) for s in rng.integers(2, 65, size=40)]
+    per = -(-triples // len(sizes))
+    worst, violations, total = 0.0, 0, 0
+    for sz in sizes:
+        fmat = np.abs(rng.normal(size=(per, sz)))
+        gmat = np.abs(rng.normal(size=(per, sz)))
+        fmat[0] = 0.0
+        gmat[0] = 0.0
+        fmat[0, 0] = 1.0
+        gmat[0, 0] = 1.0
+        gmat[1] = 1.0
+        denom = 2.0 * luxemburg_batch(fmat, phi) * luxemburg_batch(gmat, complementary(phi))
+        ratio = np.where(denom > 0.0,
+                         np.mean(fmat * gmat, axis=1) / np.maximum(denom, 1e-300), 0.0)
+        worst = max(worst, float(ratio.max()))
+        violations += int(np.count_nonzero(ratio > 1.0 + 1e-7))
+        total += per
+    out = holder_orlicz_suite(phi, suite, triples)
+    assert (out["worst_ratio"], out["violations"], out["triples"]) == (worst, violations, total)
+
+
+def test_counterexample_fill_equals_full_outer_inversion():
+    # the reference inverts every entry of the symmetric y1 y2 matrix
+    delta, p, lo, mesh = 0.5, 2.0, 4.0, 40
+    doublings = (16, 32, 64, 128)
+    phi = tabulate(lambda t: t ** p / np.log1p(t) ** (1.0 + delta),
+                   0.5, 1e7, points_per_decade=400)
+
+    def partial(young, T):
+        npts = max(16, int(math.log10(T / lo) * mesh))
+        y = np.geomspace(lo, T, npts)
+        fvals = inverse(young, np.outer(y, y)) ** (-p)
+        wts = np.zeros(npts)
+        wts[:-1] += 0.5 * np.diff(y)
+        wts[1:] += 0.5 * np.diff(y)
+        return float(wts @ fvals @ wts)
+
+    incs, ctrl = ([partial(young, 2.0 * T) - partial(young, float(T)) for T in doublings]
+                  for young in (phi, Power(1.0)))
+    out = counterexample_divergence(delta, p, doublings, lo, mesh_per_decade=mesh)
+    assert out["increments"] == incs
+    assert out["control_increments"] == ctrl
 
 
 def test_counterexample_increments():
