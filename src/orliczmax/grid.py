@@ -6,8 +6,11 @@ at origin[d] + (k + 1/2) * spacing[d]). Index rectangles are half-open per
 axis. All rectangle sums go through the summed-area table with a fixed
 first-axis-to-last differencing order so that every code path that averages
 the same rectangle produces bit-identical floats: rect_sum and rect_average
-are its scalar form, and the gather _box_sums and SummedAreaTable.averages,
-which the Orlicz ladder and the weight constants read, its vector form.
+are its scalar form. The member layer, which the maximal sweeps and the
+weight constants share, is the vector form: boxes are (boxes, d) arrays of
+low corners and sides, _members enumerates them shape by shape,
+SummedAreaTable.averages reads their means (through the gather _box_sums)
+and _box_norms their Luxemburg norms (through luxemburg_batch).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyRect, GeometryMismatch, DimensionError
 from .young import YoungFunction, _solve_bracketed
@@ -209,6 +213,28 @@ class SummedAreaTable:
         return np.ldexp(sums / np.prod(sides, axis=1), self.exponent)
 
 
+def _position_grid(grid_shape: tuple[int, ...], sides: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(n - s + 1 for n, s in zip(grid_shape, sides))
+
+
+def _members(grid_shape: tuple[int, ...],
+             shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Low corners and sides of every box of shapes in the grid, as (boxes, d)
+    intp arrays: shape by shape, positions C-ordered."""
+    lo = [np.indices(_position_grid(grid_shape, s), dtype=np.intp).reshape(len(s), -1).T
+          for s in shapes]
+    sides = np.repeat(np.array(shapes, dtype=np.intp), [len(a) for a in lo], axis=0)
+    return np.concatenate(lo), sides
+
+
+def _shape_runs(sides: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
+    """(shape, a, b) for each run [a, b) of equal consecutive rows of (boxes, d) sides."""
+    # one comparison per axis: np.any along a short last axis is ten times slower
+    changed = np.any([a[1:] != a[:-1] for a in sides.T], axis=0)
+    cuts = [0, *(np.flatnonzero(changed) + 1).tolist(), len(sides)]
+    return [(tuple(sides[a].tolist()), a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
 def _box_index(padded: tuple[int, ...], lo: np.ndarray, sides: np.ndarray):
     """_box_sums' idx and steps for (boxes, d) lo and sides in a C-ordered padded table."""
     strides = np.cumprod((1,) + tuple(padded[:0:-1]))[::-1]
@@ -336,6 +362,29 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
         run = np.ldexp(cells[ends[a] - n[0]:ends[b - 1]], -np.repeat(e[a:b], n))
         norms[a:b] = _solve_rows(run, n, lo[a:b], hi[a:b], phi, tol)
     out[active] = np.ldexp(norms, e)
+    return out
+
+
+def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: YoungFunction,
+               tol: float = 1e-9, lo_hint: np.ndarray | None = None,
+               hi_hint: np.ndarray | None = None) -> np.ndarray:
+    """Luxemburg norms of the boxes lo[i] .. lo[i] + sides[i] within values.
+
+    lo, sides and the optional hints are per box, in any order and any mix
+    of shapes; a box's cells form its row in C order. The rows are taken
+    shape by shape (a stable sort), gathered and solved one run of at most
+    _RUN_CELLS cells at a time by luxemburg_batch, whose norms do not depend
+    on which rows share a batch, and the norms come back in input order.
+    """
+    order = np.argsort(np.ravel_multi_index((sides - 1).T, values.shape), kind="stable")
+    out = np.empty(len(order))
+    for a, b in _runs(np.prod(sides[order], axis=1), _RUN_CELLS):
+        run = order[a:b]
+        out[run] = luxemburg_batch(
+            RowBlocks(sliding_window_view(values, s)[tuple(lo[run[i:j]].T)].reshape(j - i, -1)
+                      for s, i, j in _shape_runs(sides[run])),
+            phi, tol, None if lo_hint is None else lo_hint[run],
+            None if hi_hint is None else hi_hint[run])
     return out
 
 

@@ -23,10 +23,10 @@ mean_R Phi(f / lam) is one box sum per rung (grid._box_sums, in rect_sum's
 order), and a rung certifies a side of the norm only when that sum clears
 the cell count by an explicit rounding bound. The brackets give a lower
 envelope of the field, every member whose upper bound cannot reach it is
-skipped, and the few members left are solved with luxemburg_batch, one
-call per function over rows of every cell count. Every per-cell
-supremum and every window extreme comes from one block prefix/suffix
-min/max filter (_window_extreme).
+skipped, and the few members left are solved by grid._box_norms, the
+box-norm gather the weight constants share. Every per-cell supremum and
+every window extreme comes from one block prefix/suffix min/max filter
+(_window_extreme).
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -40,15 +40,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, product as iter_product
+from itertools import product as iter_product
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, GeometryMismatch
-from .grid import (GridFunction, RowBlocks, SummedAreaTable, _box_index, _box_sums, _runs,
-                   luxemburg_batch)
+from .grid import (GridFunction, SummedAreaTable, _box_index, _box_norms, _box_sums, _members,
+                   _position_grid, _runs, _shape_runs)
 from .young import Power, YoungFunction, inverse, young_to_json
 
 __all__ = [
@@ -396,10 +395,6 @@ _MAX_RUNGS = 1024
 _LADDER_CHUNK = 1 << 13
 # members per block of the ladder search (whole shapes, at least one)
 _SEARCH_BLOCK = 1 << 15
-# row cells gathered per luxemburg_batch call of the solve step (whole
-# shapes, at least one); luxemburg_batch bounds its own solver working
-# set, so this bounds only the gathered rows and their hints
-_SOLVE_CELLS = 1 << 20
 
 
 class _Ladder(NamedTuple):
@@ -482,8 +477,7 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _L
     return _Ladder(lam, tables, slack)
 
 
-def _brackets(lad: _Ladder, base: np.ndarray, steps: list[np.ndarray],
-              ncells: np.ndarray):
+def _brackets(lad: _Ladder, blk: _Block):
     """Ladder brackets of one function on a block of members.
 
     A binary search finds, per member, the first rung k whose box sum S_k
@@ -498,21 +492,21 @@ def _brackets(lad: _Ladder, base: np.ndarray, steps: list[np.ndarray],
     flat = lad.tables.reshape(-1)
 
     def sums(k):
-        return _box_sums(flat, k * width + base, steps)
+        return _box_sums(flat, k * width + blk.base, blk.steps)
 
-    lo = np.zeros(base.size, dtype=np.intp)
-    hi = np.full(base.size, rungs, dtype=np.intp)
+    lo = np.zeros(blk.base.size, dtype=np.intp)
+    hi = np.full(blk.base.size, rungs, dtype=np.intp)
     for _ in range(rungs.bit_length()):
         mid = (lo + hi) // 2
         open_ = lo < hi
-        over = sums(np.minimum(mid, rungs - 1)) > ncells
+        over = sums(np.minimum(mid, rungs - 1)) > blk.ncells
         lo = np.where(open_ & over, mid + 1, lo)
         hi = np.where(open_ & ~over, mid, hi)
 
     def certified(k, above):
         kc = np.clip(k, 0, rungs - 1)
         s, e = sums(kc), lad.slack[kc]
-        ok = s - e > ncells if above else s + e <= ncells
+        ok = s - e > blk.ncells if above else s + e <= blk.ncells
         return ok & (k >= 0) & (k < rungs)
 
     low1, low2 = certified(lo - 1, True), certified(lo - 2, True)
@@ -525,26 +519,13 @@ def _brackets(lad: _Ladder, base: np.ndarray, steps: list[np.ndarray],
 
 
 class _Block(NamedTuple):
-    """Members of whole shapes, flattened in shape order, positions C-ordered."""
+    """Members of whole shapes, shape by shape, positions C-ordered."""
 
-    shapes: list[tuple[tuple[int, ...], slice]]  # sides, and their members' slice
+    lo: np.ndarray            # (members, d) low corners
+    sides: np.ndarray         # (members, d) sides
     base: np.ndarray          # flat index of the low corner in a padded table
     steps: list[np.ndarray]   # flat offset of the side along each axis
     ncells: np.ndarray        # n_R as floats
-
-
-def _position_grid(grid_shape: tuple[int, ...], sides: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(n - s + 1 for n, s in zip(grid_shape, sides))
-
-
-def _members(grid_shape: tuple[int, ...],
-             shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Low corners and sides of every member of shapes, as (members, d) intp
-    arrays: shape by shape, positions C-ordered."""
-    lo = [np.indices(_position_grid(grid_shape, s), dtype=np.intp).reshape(len(s), -1).T
-          for s in shapes]
-    sides = np.repeat(np.array(shapes, dtype=np.intp), [len(a) for a in lo], axis=0)
-    return np.concatenate(lo), sides
 
 
 def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
@@ -553,9 +534,16 @@ def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
     sizes = [math.prod(_position_grid(grid_shape, sides)) for sides in shapes]
     for a, b in _runs(sizes, _SEARCH_BLOCK):
         lo, sides = _members(grid_shape, shapes[a:b])
-        group = zip(shapes[a:b], sizes[a:b], accumulate(sizes[a:b]))
-        yield _Block([(s, slice(e - n, e)) for s, n, e in group],
-                     *_box_index(padded, lo, sides), np.prod(sides, axis=1).astype(float))
+        yield _Block(lo, sides, *_box_index(padded, lo, sides),
+                     np.prod(sides, axis=1).astype(float))
+
+
+def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray) -> None:
+    """Raise each cell of out to value[i] of every member i covering it, shape by shape."""
+    for s, i, j in _shape_runs(sides):
+        plane = np.zeros(_position_grid(out.shape, s))
+        plane[tuple(lo[i:j].T)] = value[i:j]
+        np.maximum(out, _window_extremes(plane, s, cover=True), out=out)
 
 
 def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
@@ -613,10 +601,9 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        (q**2 Phi^{-1}(1)), gets U = lam_0 or lam_1 where certified, both
        below what the field reaches at every cell, so it is skipped
        wherever LB comes within a factor q of the field.
-    4. Solve. Per function, all candidates go through one
-       luxemburg_batch call, one matrix of rows per shape whatever its
-       cell count (split only past _SOLVE_CELLS row cells), with the
-       hints of step 2.
+    4. Solve. Per function, one grid._box_norms call solves every
+       candidate with the hints of step 2, and the products are folded
+       into the field one shape at a time.
 
     prune=False runs the same path with every live member (every f_j
     positive somewhere on it) as a candidate. The two modes agree bit for
@@ -655,53 +642,29 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         # of that f_j, hence L_j = 0: it adds nothing to LB
         lb = np.zeros(shape)
         for blk in _blocks(shape, shapes):
-            lower = math.prod(_brackets(lad, blk.base, blk.steps, blk.ncells)[0]
-                              for lad in ladders)
-            for sides, sl in blk.shapes:
-                plane = lower[sl].reshape(_position_grid(shape, sides))
-                np.maximum(lb, _window_extremes(plane, sides, cover=True), out=lb)
+            _fold(lb, blk.lo, blk.sides, math.prod(_brackets(lad, blk)[0] for lad in ladders))
         widen = (1.0 + 4.0 * tol) ** len(fs)
 
-    entries = []
+    # per block, the candidates' low corners, sides and (candidates, m) hints
+    candidates = []
     live = solved = 0
     for blk in _blocks(shape, shapes):
-        brackets = [_brackets(lad, blk.base, blk.steps, blk.ncells) for lad in ladders]
+        brackets = [_brackets(lad, blk) for lad in ladders]
         cand = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
         live += int(cand.sum())
         if prune:
             floor = np.concatenate([_window_extremes(lb, sides, take_min=True).ravel()
-                                    for sides, _ in blk.shapes])
+                                    for sides, _, _ in _shape_runs(blk.sides)])
             cand &= math.prod(b[1] for b in brackets) * widen >= floor
         solved += int(cand.sum())
-        for sides, sl in blk.shapes:
-            pos = np.flatnonzero(cand[sl])
-            if pos.size:
-                at = sl.start + pos
-                entries.append((sides, pos, [b[2][at] for b in brackets],
-                                [b[3][at] for b in brackets]))
+        candidates.append((blk.lo[cand], blk.sides[cand],
+                           np.stack([b[2] for b in brackets], axis=1)[cand],
+                           np.stack([b[3] for b in brackets], axis=1)[cand]))
 
-    # a shape's candidates all sit in one block and one solve chunk, so each
-    # plane is filled and folded once
-    sizes = [e[1].size * math.prod(e[0]) for e in entries]
-    for a, b in _runs(sizes, _SOLVE_CELLS):
-        chunk = entries[a:b]
-        norms = []
-        for j, (f, phi) in enumerate(zip(fs, phis)):
-            mats = RowBlocks(
-                sliding_window_view(f.values, sides)[
-                    np.unravel_index(pos, _position_grid(shape, sides))].reshape(pos.size, -1)
-                for sides, pos, _, _ in chunk)
-            norms.append(luxemburg_batch(
-                mats, phi, tol=tol,
-                lo_hint=np.concatenate([e[2][j] for e in chunk]),
-                hi_hint=np.concatenate([e[3][j] for e in chunk])))
-        value = math.prod(norms)
-        at = 0
-        for sides, pos, _, _ in chunk:
-            plane = np.zeros(_position_grid(shape, sides))
-            plane.flat[pos] = value[at:at + pos.size]
-            np.maximum(out, _window_extremes(plane, sides, cover=True), out=out)
-            at += pos.size
+    lo, sides, lo_hint, hi_hint = map(np.concatenate, zip(*candidates))
+    value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
+                      for j, (f, phi) in enumerate(zip(fs, phis)))
+    _fold(out, lo, sides, value)
     return _field(fs, out, basis, count, **prov, pruned=live - solved,
                   rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
                   tol=tol)

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSet, GeometryMismatch
-from .grid import GridFunction, Rect, RowBlocks, SummedAreaTable, luxemburg_batch
-from .maximal import CUBES, Basis, _members, strong_maximal
+from .grid import GridFunction, Rect, SummedAreaTable, _box_norms, _members
+from .maximal import CUBES, Basis, strong_maximal
 from .young import YoungFunction
 
 __all__ = [
@@ -161,10 +160,7 @@ class SetSamplerSpec:
             k = int(rng.integers(1, self.max_rects + 1))
             rects = []
             for _ in range(k):
-                sides = tuple(
-                    int(np.clip(np.exp(rng.uniform(0.0, np.log(e + 1.0))), 1, e))
-                    for e in shape
-                )
+                sides = tuple(_log_uniform_index(rng, e) + 1 for e in shape)
                 anchor = tuple(int(rng.integers(0, e - s + 1)) for e, s in zip(shape, sides))
                 rects.append(Rect(anchor, tuple(a + s for a, s in zip(anchor, sides))))
             out.append(rects)
@@ -228,18 +224,10 @@ def _check_couple(u: GridFunction, v: GridFunction, p: float) -> None:
 
 def _bump_values(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,
                  lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """bump_value on every member, with one luxemburg_batch call over one
-    matrix of rows per shape."""
+    """bump_value on every member, the norms of v^{-1} from grid._box_norms."""
     _check_couple(u, v, p)
     out = SummedAreaTable(u.with_values(u.values**p)).averages(lo, sides) ** (1.0 / p)
-    vinv = 1.0 / _positive_values(v, "v")
-    kinds, which = np.unique(sides, axis=0, return_inverse=True)
-    order = np.argsort(which.ravel(), kind="stable")  # members shape by shape
-    groups = np.split(order, np.cumsum(np.bincount(which.ravel()))[:-1])
-    out[order] *= luxemburg_batch(RowBlocks(
-        sliding_window_view(vinv, kind)[tuple(lo[members].T)].reshape(members.size, -1)
-        for kind, members in zip(kinds.tolist(), groups)), phi)
-    return out
+    return out * _box_norms(1.0 / _positive_values(v, "v"), lo, sides, phi)
 
 
 def bump_value(u: GridFunction, v: GridFunction, phi: YoungFunction, p: float,

@@ -9,6 +9,8 @@ from orliczmax.errors import DimensionError, EmptyRect, GeometryMismatch, NoBrac
 from orliczmax.grid import (GridFunction, Rect, RowBlocks, SummedAreaTable, luxemburg_batch,
                             luxemburg_norm, norm_lp, read_grid, rect_average,
                             write_grid)
+from orliczmax.maximal import Basis
+from orliczmax.weights import RectFamilySpec
 from orliczmax.young import Power, PowerLog, Tabulated, YoungFunction, complementary
 
 
@@ -213,6 +215,56 @@ def test_luxemburg_batch_runs_of_whole_rows_equal_single_rows(solver_phi, monkey
     # at 50 cells a run the batch is cut into many runs, and the 64-, 129-
     # and 300-cell rows each go alone; no norm may move by a bit
     check_mixed_rows(solver_phi, 50, monkeypatch)
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (5, 4, 3)], ids=str)
+def test_box_norms_equal_single_row_solves_in_input_order(solver_phi, shape, monkeypatch):
+    # a stratified draw mixes shapes in random order; at 50 cells a run,
+    # runs end inside a shape and a run can hold two shapes
+    monkeypatch.setattr(grid, "_RUN_CELLS", 50)
+    batch, calls = grid.luxemburg_batch, []
+
+    def recording(rows, *args):
+        calls.append([np.shape(m) for m in rows])
+        return batch(rows, *args)
+
+    monkeypatch.setattr(grid, "luxemburg_batch", recording)
+    rng = np.random.default_rng(11)
+    values = np.exp(2.0 * rng.normal(size=shape))
+    values[..., 0] = 0.0  # boxes on the first layer only have all-zero rows
+    lo, sides = RectFamilySpec(mode="stratified", count=200, seed=3)._draw(shape, Basis())
+    rows = [values[tuple(map(slice, a, b))].reshape(1, -1)
+            for a, b in zip(lo.tolist(), (lo + sides).tolist())]
+    top = np.array([row.max() for row in rows])
+    # hints on either side of the norm, some of them wrong
+    lo_hint = top * rng.uniform(1e-3, 2.0, size=top.size)
+    hi_hint = top * rng.uniform(0.5, 1e3, size=top.size)
+    plain = grid._box_norms(values, lo, sides, solver_phi)
+    hinted = grid._box_norms(values, lo, sides, solver_phi, 1e-9, lo_hint, hi_hint)
+    for i, row in enumerate(rows):
+        assert plain[i] == batch(row, solver_phi)[0]
+        assert hinted[i] == batch(row, solver_phi, lo_hint=lo_hint[i:i + 1],
+                                  hi_hint=hi_hint[i:i + 1])[0]
+    # every run within 50 cells or one row, some with two shapes, and some
+    # shape with more than 50 cells in all, so cut between runs
+    assert all(sum(r * c for r, c in call) <= 50 or call == [(1, call[0][1])]
+               for call in calls)
+    assert any(len(call) > 1 for call in calls)
+    kinds, counts = np.unique(sides, axis=0, return_counts=True)
+    assert np.any(counts * np.prod(kinds, axis=1) > 50)
+
+
+def test_box_norms_of_no_boxes_call_no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(grid, "luxemburg_batch", refuse)
+    none = np.zeros((0, 2), dtype=np.intp)
+    out = grid._box_norms(np.ones((4, 3)), none, none, PowerLog(1.8, 1.0))
+    assert out.shape == (0,) and out.dtype == float
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        luxemburg_batch([], PowerLog(1.8, 1.0))
 
 
 def test_row_blocks_report_rows_and_cells_as_a_matrix_does():

@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orliczmax import maximal
+from orliczmax import grid as gridmod, maximal
 from orliczmax.errors import BudgetExceeded, GeometryMismatch
 from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch, luxemburg_norm,
                             rect_average)
 from orliczmax.maximal import (CUBES, DYADIC, Basis, _window_extreme, indicator_far_field,
                                multilinear_maximal, multilinear_orlicz_maximal,
                                orlicz_maximal, strong_maximal)
-from orliczmax.young import Power, PowerLog, PowerLogLog
+from orliczmax.young import Power, PowerLog, PowerLogLog, complementary
 
 
 def grid(vals, spacing=0.5):
@@ -533,15 +533,15 @@ def test_orlicz_sweep_is_exact_across_search_and_solve_blocks(monkeypatch):
     phis = [PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)]
     want = [orlicz_maximal(f, phis[0]).field.values,
             multilinear_orlicz_maximal([f, g], phis).field.values]
-    # blocks of one shape each, and one solve call per shape
+    # blocks of one shape each, and one solve run per row
     monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 1)
-    monkeypatch.setattr(maximal, "_SOLVE_CELLS", 1)
+    monkeypatch.setattr(gridmod, "_RUN_CELLS", 1)
     assert np.array_equal(orlicz_maximal(f, phis[0]).field.values, want[0])
     assert np.array_equal(multilinear_orlicz_maximal([f, g], phis).field.values, want[1])
 
 
-@pytest.mark.parametrize("solve_cells", [maximal._SOLVE_CELLS, 64])
-def test_orlicz_prune_is_exact_when_a_solve_chunk_mixes_cell_counts(monkeypatch, solve_cells):
+@pytest.mark.parametrize("run_cells", [gridmod._RUN_CELLS, 64])
+def test_orlicz_prune_is_exact_when_a_solve_chunk_mixes_cell_counts(monkeypatch, run_cells):
     f = rand_grid((6, 5), seed=47)
     g = step_grid((6, 5), seed=48)
     phis = [PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)]
@@ -553,13 +553,57 @@ def test_orlicz_prune_is_exact_when_a_solve_chunk_mixes_cell_counts(monkeypatch,
         lengths.append({np.shape(m)[1] for m in rows})
         return luxemburg_batch(rows, *args, **kwargs)
 
-    monkeypatch.setattr(maximal, "luxemburg_batch", recording)
-    monkeypatch.setattr(maximal, "_SOLVE_CELLS", solve_cells)
+    monkeypatch.setattr(gridmod, "luxemburg_batch", recording)
+    monkeypatch.setattr(gridmod, "_RUN_CELLS", run_cells)
     assert np.array_equal(assert_prune_exact([f], phis[:1]).field.values, want[0])
     assert np.array_equal(assert_prune_exact([f, g], phis).field.values, want[1])
     assert max(len(s) for s in lengths) > 1
-    if solve_cells > 64:  # one call per function and field
+    if run_cells > 64:  # one call per function and field
         assert len(lengths) == 2 * (1 + 2)
+
+
+def assert_level_sets(f, phi, basis):
+    """{M_Phi f > lam} = {M_S[Phi(f / lam)] > 1} at 12 levels strictly inside
+    the field's range, on every cell outside a relative band of 1e-7 around lam."""
+    field = orlicz_maximal(f, phi, basis).field.values
+    assert field.min() > 0  # f > 0, so every member has a positive norm
+    cells = f.values.size
+    for lam in np.geomspace(field.min(), field.max(), 14)[1:-1]:
+        # Phi is +inf past a cap or a complement's slope; capped at 4 * cells,
+        # the grid stays finite and any mean over such a cell stays above 1
+        g = np.minimum(phi.eval((f.values / lam).ravel()), 4.0 * cells).reshape(f.shape)
+        over = strong_maximal(f.with_values(g), basis).field.values > 1.0
+        off_band = np.abs(field / lam - 1.0) > 1e-7
+        assert np.array_equal((field > lam)[off_band], over[off_band]), lam
+
+
+@pytest.mark.parametrize("basis", BRUTE_BASES[:3], ids=BRUTE_BASIS_IDS[:3])
+def test_orlicz_field_level_sets_are_strong_level_sets(solver_phi, basis):
+    # M_Phi f(x) > lam exactly when some R containing x has mean_R Phi(f /
+    # lam) > 1: an oracle past brute-force sizes that needs no ladder
+    assert_level_sets(rand_grid((32, 32), seed=50), solver_phi, basis)
+
+
+@pytest.mark.parametrize("phi", [PowerLog(1.8, 1.0), complementary(Power(1.5))],
+                         ids=["power_log", "complement"])
+def test_orlicz_field_level_sets_at_48_squared(phi):
+    assert_level_sets(rand_grid((48, 48), seed=51), phi, Basis())
+
+
+@pytest.mark.parametrize("shape, c", [((128, 128), (37, 90)), ((24, 24, 24), (5, 17, 11)),
+                                      ((300,), (211,))], ids=["128^2", "24^3", "300"])
+def test_strong_maximal_of_a_spike_is_exact(shape, c):
+    # every box sum of h * delta_c is h or 0, so the best member containing
+    # x is the smallest one that also contains c, in either basis
+    h = 3.7
+    vals = np.zeros(shape)
+    vals[c] = h
+    f = grid(vals)
+    dist = np.meshgrid(*[np.abs(np.arange(n) - ci) + 1 for n, ci in zip(shape, c)],
+                       indexing="ij")
+    assert np.array_equal(strong_maximal(f).field.values, h / np.prod(dist, axis=0))
+    assert np.array_equal(strong_maximal(f, Basis(CUBES)).field.values,
+                          h / np.max(dist, axis=0) ** len(shape))
 
 
 def test_jensen_start_leaves_few_members_to_solve_past_a_subnormal_cell():

@@ -281,3 +281,22 @@ def test_condition_a_needs_interior_lambda():
     w = rand_weight((8, 8), seed=26)
     with pytest.raises(ValueError):
         condition_A_estimate(w, 1.5, SetSamplerSpec(count=4, seed=0))
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (16, 16), (3, 40), (5, 4, 3)], ids=str)
+def test_set_sampler_draws_the_sides_of_its_log_uniform_formula(shape):
+    # the sides were once drawn as clip(exp(U(0, log(e + 1))), 1, e): the
+    # same rng calls and the same sets as _log_uniform_index + 1
+    for seed in range(5):
+        spec = SetSamplerSpec(count=16, max_rects=4, seed=seed)
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(spec.count):
+            rects = []
+            for _ in range(int(rng.integers(1, spec.max_rects + 1))):
+                sides = tuple(int(np.clip(np.exp(rng.uniform(0.0, np.log(e + 1.0))), 1, e))
+                              for e in shape)
+                lo = tuple(int(rng.integers(0, e - s + 1)) for e, s in zip(shape, sides))
+                rects.append(Rect(lo, tuple(a + s for a, s in zip(lo, sides))))
+            want.append(rects)
+        assert spec.sets(shape) == want, seed
