@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyRect, GeometryMismatch, DimensionError
 from .young import YoungFunction, _solve_bracketed
@@ -217,20 +216,35 @@ def _position_grid(grid_shape: tuple[int, ...], sides: tuple[int, ...]) -> tuple
     return tuple(n - s + 1 for n, s in zip(grid_shape, sides))
 
 
+def _unravel(dims: np.ndarray) -> np.ndarray:
+    """Every index of the box of each (items, d) row of dims in turn, C order,
+    as a (sum of the row products, d) intp array: one repeat-and-modulo pass."""
+    counts = np.prod(dims, axis=1)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.empty((j.size, dims.shape[1]), dtype=np.intp)
+    for ax in range(dims.shape[1] - 1, 0, -1):
+        j, out[:, ax] = np.divmod(j, np.repeat(dims[:, ax], counts))
+    out[:, 0] = j  # below dims[:, 0] once the later axes are divided off
+    return out
+
+
 def _members(grid_shape: tuple[int, ...],
              shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Low corners and sides of every box of shapes in the grid, as (boxes, d)
     intp arrays: shape by shape, positions C-ordered."""
-    lo = [np.indices(_position_grid(grid_shape, s), dtype=np.intp).reshape(len(s), -1).T
-          for s in shapes]
-    sides = np.repeat(np.array(shapes, dtype=np.intp), [len(a) for a in lo], axis=0)
-    return np.concatenate(lo), sides
+    shapes = np.array(shapes, dtype=np.intp).reshape(len(shapes), len(grid_shape))
+    positions = np.array(grid_shape, dtype=np.intp) - shapes + 1
+    return _unravel(positions), np.repeat(shapes, np.prod(positions, axis=1), axis=0)
 
 
 def _shape_runs(sides: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
-    """(shape, a, b) for each run [a, b) of equal consecutive rows of (boxes, d) sides."""
+    """(row, a, b) for each run [a, b) of equal consecutive rows of a (boxes, k)
+    array; the caller picks the axes compared by the columns it passes, and
+    k = 0 gives one run."""
     # one comparison per axis: np.any along a short last axis is ten times slower
-    changed = np.any([a[1:] != a[:-1] for a in sides.T], axis=0)
+    changed = np.zeros(max(len(sides) - 1, 0), dtype=bool)
+    for a in sides.T:
+        changed |= a[1:] != a[:-1]
     cuts = [0, *(np.flatnonzero(changed) + 1).tolist(), len(sides)]
     return [(tuple(sides[a].tolist()), a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
@@ -372,17 +386,28 @@ def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: Young
 
     lo, sides and the optional hints are per box, in any order and any mix
     of shapes; a box's cells form its row in C order. The rows are taken
-    shape by shape (a stable sort), gathered and solved one run of at most
-    _RUN_CELLS cells at a time by luxemburg_batch, whose norms do not depend
-    on which rows share a batch, and the norms come back in input order.
+    shape by shape (a stable sort) and solved one run of at most _RUN_CELLS
+    cells at a time by luxemburg_batch. A run's cells come from one flat
+    gather, and its rows go in as one matrix per cell count; the solver's
+    norms do not depend on which rows share a batch, and they come back in
+    input order.
     """
     order = np.argsort(np.ravel_multi_index((sides - 1).T, values.shape), kind="stable")
+    ncells = np.prod(sides, axis=1)
+    flat = values.ravel()
+    strides = np.cumprod((1,) + values.shape[:0:-1])[::-1]
     out = np.empty(len(order))
-    for a, b in _runs(np.prod(sides[order], axis=1), _RUN_CELLS):
+    for a, b in _runs(ncells[order], _RUN_CELLS):
         run = order[a:b]
+        run = run[np.argsort(ncells[run], kind="stable")]
+        n = ncells[run]
+        # integer matmul is slow on long arrays: one multiply per axis
+        offsets = sum(c * g for c, g in zip(_unravel(sides[run]).T, strides))
+        cells = flat[np.repeat(lo[run] @ strides, n) + offsets]
+        start = np.cumsum(n) - n
         out[run] = luxemburg_batch(
-            RowBlocks(sliding_window_view(values, s)[tuple(lo[run[i:j]].T)].reshape(j - i, -1)
-                      for s, i, j in _shape_runs(sides[run])),
+            RowBlocks(cells[start[i]:start[i] + (j - i) * c].reshape(j - i, c)
+                      for (c,), i, j in _shape_runs(n[:, None])),
             phi, tol, None if lo_hint is None else lo_hint[run],
             None if hi_hint is None else hi_hint[run])
     return out

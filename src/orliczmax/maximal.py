@@ -24,9 +24,11 @@ order), and a rung certifies a side of the norm only when that sum clears
 the cell count by an explicit rounding bound. The brackets give a lower
 envelope of the field, every member whose upper bound cannot reach it is
 skipped, and the few members left are solved by grid._box_norms, the
-box-norm gather the weight constants share. Every per-cell supremum and
-every window extreme comes from one block prefix/suffix min/max filter
-(_window_extreme).
+box-norm gather the weight constants share. Its per-cell suprema and its
+per-member minima of the lower envelope go through range-extreme tables
+over the last axis (_Fold, _Floor), one per run of members whose other
+sides agree, and one block prefix/suffix min/max filter (_window_extreme)
+per run over the leading axes; the average sweep uses that filter alone.
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -538,12 +540,95 @@ def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
                      np.prod(sides, axis=1).astype(float))
 
 
-def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray) -> None:
-    """Raise each cell of out to value[i] of every member i covering it, shape by shape."""
-    for s, i, j in _shape_runs(sides):
-        plane = np.zeros(_position_grid(out.shape, s))
-        plane[tuple(lo[i:j].T)] = value[i:j]
-        np.maximum(out, _window_extremes(plane, s, cover=True), out=out)
+def _level_index(table: np.ndarray, lo: np.ndarray, last: np.ndarray):
+    """Level k = floor(log2 s) of each member's last side s, and the flat
+    indices in table, of shape (levels, leading positions..., n), of the
+    level-k entries at [l, l + 2**k) and [l + s - 2**k, l + s): the two
+    windows that together make up the member's last-axis span [l, l + s)."""
+    k = np.frexp(last)[1] - 1
+    strides = np.array(table.strides) // table.itemsize
+    left = k * strides[0] + lo @ strides[1:]
+    return k, left, left + last - (1 << k)
+
+
+class _Fold:
+    """Raises each cell of out to value[i] of every member i covering it.
+
+    Members come through add in runs whose sides agree on every axis but
+    the last, as _blocks yields them; a run may span several add calls,
+    and one call may hold several runs. Per run, table[k, p, x] is the max
+    of the members at leading position p put in at the window [x, x + 2**k)
+    of the last axis, each member in the two level-k windows that make up
+    its span (_level_index). When the run ends, every level is pushed down
+    into the two halves of its windows, so level 0 holds at (p, x) the max
+    over the members at p whose span contains x; one cover pass over the
+    leading axes then raises out. Max is exact, so out is the per-shape
+    window-max fold bit for bit.
+    """
+
+    def __init__(self, out: np.ndarray) -> None:
+        self.out, self.lead, self.table, self.top = out, None, None, 0
+
+    def add(self, lo: np.ndarray, sides: np.ndarray, value: np.ndarray) -> None:
+        n = self.out.shape[-1]
+        for lead, a, b in _shape_runs(sides[:, :-1]):
+            if lead != self.lead:
+                self.close()
+                self.lead = lead
+                self.table = np.full((n.bit_length(),) + _position_grid(self.out.shape[:-1], lead)
+                                     + (n,), -np.inf)
+            k, left, right = _level_index(self.table, lo[a:b], sides[a:b, -1])
+            flat = self.table.reshape(-1)
+            np.maximum.at(flat, left, value[a:b])
+            np.maximum.at(flat, right, value[a:b])
+            self.top = max(self.top, int(k.max()))
+
+    def close(self) -> None:
+        """Fold the open run, if any, into out."""
+        if self.table is None:
+            return
+        t = self.table
+        for k in range(self.top, 0, -1):
+            h = 1 << (k - 1)
+            np.maximum(t[k - 1], t[k], out=t[k - 1])
+            np.maximum(t[k - 1, ..., h:], t[k, ..., :-h], out=t[k - 1, ..., h:])
+        np.maximum(self.out, _window_extremes(t[0], self.lead, cover=True), out=self.out)
+        self.lead, self.table, self.top = None, None, 0
+
+
+class _Floor:
+    """min of lb over each member, for members in runs as _Fold takes them.
+
+    Per run, the leading-axis window min of lb (one _window_extremes pass)
+    becomes a range-minimum table over the last axis (Bender & Farach-Colton,
+    LATIN 2000): table[k, p, x] is the min over [x, x + 2**k), built level by
+    level up to the largest level asked for. A member's floor is the min of
+    its two level-k entries (_level_index), whose windows make up its span.
+    Min is exact, so each floor is the per-shape window min bit for bit.
+    The table carries over to the next call while the run goes on.
+    """
+
+    def __init__(self, lb: np.ndarray) -> None:
+        self.lb, self.lead, self.table, self.built = lb, None, None, 0
+
+    def __call__(self, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
+        out = np.empty(len(lo))
+        for lead, a, b in _shape_runs(sides[:, :-1]):
+            if lead != self.lead:
+                w = _window_extremes(self.lb, lead, take_min=True)
+                self.lead, self.built = lead, 0
+                self.table = np.full((w.shape[-1].bit_length(),) + w.shape, np.inf)
+                self.table[0] = w
+            t = self.table
+            k, left, right = _level_index(t, lo[a:b], sides[a:b, -1])
+            top = int(k.max())
+            for j in range(self.built + 1, top + 1):
+                h = 1 << (j - 1)
+                np.minimum(t[j - 1, ..., :-h], t[j - 1, ..., h:], out=t[j, ..., :-h])
+            self.built = max(self.built, top)
+            flat = t.reshape(-1)
+            out[a:b] = np.minimum(flat[left], flat[right])
+        return out
 
 
 def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
@@ -588,8 +673,24 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        overflows once scaled with a tiny row lies hundreds of decades
        above that row's norm, so the bracket closes far below it).
     3. Skip rule. LB(x) = max over members R containing x of prod_j
-       L_j(R), folded with _window_extremes. R is a candidate when prod_j
-       U_j(R) * (1 + 4 tol)**m >= min over x in R of LB(x). A skipped R
+       L_j(R), folded by _Fold. R is a candidate when prod_j U_j(R) *
+       (1 + 4 tol)**m >= floor(R) = min over x in R of LB(x), read from
+       _Floor. Both work per run of members whose sides agree on every
+       axis but the last (one run per s_0 in 2-D, per (s_0, s_1) in 3-D,
+       one in 1-D), over tables of shape (levels, leading positions...,
+       n_last), and both carry a run over from one search block to the
+       next. A member of last-axis span [l, l + s) with k = floor(log2 s)
+       is the union of its two level-k windows [l, l + 2**k) and
+       [l + s - 2**k, l + s). _Fold raises both entries to the member's
+       value and, when the run ends, pushes every level down into the two
+       halves of its windows, so level 0 holds the max over the members
+       at each leading position that contain each cell; one cover pass
+       over the leading axes then raises LB. _Floor builds the min table
+       of the leading-axis window min of LB once per run (level k the min
+       over [x, x + 2**k)), and a member's floor is the min of its two
+       entries. Max and min are exact and do not depend on grouping or
+       order, so both give the per-shape window passes bit for bit, in
+       O(leading positions * n_last * log n_last) memory per run. A skipped R
        has prod N(R) <= prod U(R) < min_R LB <= LB(x) <= field(x) at every
        cell x of R (floating products are monotone in each factor), so it
        is never the maximum at any cell it covers and the field does not
@@ -602,8 +703,8 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        below what the field reaches at every cell, so it is skipped
        wherever LB comes within a factor q of the field.
     4. Solve. Per function, one grid._box_norms call solves every
-       candidate with the hints of step 2, and the products are folded
-       into the field one shape at a time.
+       candidate with the hints of step 2, and _Fold folds the products
+       into the field as it folds LB.
 
     prune=False runs the same path with every live member (every f_j
     positive somewhere on it) as a candidate. The two modes agree bit for
@@ -641,8 +742,11 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         # a member on which some f_j vanishes has S = 0 <= n_R on every rung
         # of that f_j, hence L_j = 0: it adds nothing to LB
         lb = np.zeros(shape)
+        fold = _Fold(lb)
         for blk in _blocks(shape, shapes):
-            _fold(lb, blk.lo, blk.sides, math.prod(_brackets(lad, blk)[0] for lad in ladders))
+            fold.add(blk.lo, blk.sides, math.prod(_brackets(lad, blk)[0] for lad in ladders))
+        fold.close()
+        floor = _Floor(lb)
         widen = (1.0 + 4.0 * tol) ** len(fs)
 
     # per block, the candidates' low corners, sides and (candidates, m) hints
@@ -653,9 +757,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         cand = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
         live += int(cand.sum())
         if prune:
-            floor = np.concatenate([_window_extremes(lb, sides, take_min=True).ravel()
-                                    for sides, _, _ in _shape_runs(blk.sides)])
-            cand &= math.prod(b[1] for b in brackets) * widen >= floor
+            cand &= math.prod(b[1] for b in brackets) * widen >= floor(blk.lo, blk.sides)
         solved += int(cand.sum())
         candidates.append((blk.lo[cand], blk.sides[cand],
                            np.stack([b[2] for b in brackets], axis=1)[cand],
@@ -664,7 +766,9 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     lo, sides, lo_hint, hi_hint = map(np.concatenate, zip(*candidates))
     value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
                       for j, (f, phi) in enumerate(zip(fs, phis)))
-    _fold(out, lo, sides, value)
+    fold = _Fold(out)
+    fold.add(lo, sides, value)
+    fold.close()
     return _field(fs, out, basis, count, **prov, pruned=live - solved,
                   rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
                   tol=tol)

@@ -540,6 +540,114 @@ def test_orlicz_sweep_is_exact_across_search_and_solve_blocks(monkeypatch):
     assert np.array_equal(multilinear_orlicz_maximal([f, g], phis).field.values, want[1])
 
 
+def fold_reference(shape, lo, sides, value):
+    """The per-shape fold: one plane of positions and one cover pass per shape."""
+    out = np.zeros(shape)
+    for s, i, j in gridmod._shape_runs(sides):
+        plane = np.zeros(gridmod._position_grid(shape, s))
+        plane[tuple(lo[i:j].T)] = value[i:j]
+        np.maximum(out, maximal._window_extremes(plane, s, cover=True), out=out)
+    return out
+
+
+def floor_reference(lb, lo, sides):
+    """The per-shape floor: each member's min of lb, from one window-min plane per shape."""
+    return np.concatenate([np.empty(0)] + [
+        maximal._window_extremes(lb, s, take_min=True)[tuple(lo[i:j].T)]
+        for s, i, j in gridmod._shape_runs(sides)])
+
+
+def fed_in_calls(fold, floor, lo, sides, value, step):
+    """The members through fold.add and floor in calls of step members."""
+    floors = [np.empty(0)]
+    for a in range(0, len(lo), step):
+        fold.add(lo[a:a + step], sides[a:a + step], value[a:a + step])
+        floors.append(floor(lo[a:a + step], sides[a:a + step]))
+    fold.close()
+    return np.concatenate(floors)
+
+
+@pytest.mark.parametrize("subset", ["all", "random", "empty"])
+@pytest.mark.parametrize("basis", BRUTE_BASES[:3], ids=BRUTE_BASIS_IDS[:3])
+@pytest.mark.parametrize("shape", [(9,), (40,), (9, 8), (5, 4, 3)], ids=str)
+def test_fold_and_floor_tables_equal_per_shape_passes(shape, basis, subset):
+    rng = np.random.default_rng(60)
+    lo, sides = gridmod._members(shape, list(basis.shapes(shape)))
+    keep = {"all": np.ones(len(lo), bool), "random": rng.random(len(lo)) < 0.3,
+            "empty": np.zeros(len(lo), bool)}[subset]
+    lo, sides = lo[keep], sides[keep]
+    # one decimal leaves ties, and a third of the values are 0
+    value = np.round(rng.random(len(lo)), 1) * (rng.random(len(lo)) < 0.67)
+    lb = np.round(rng.random(shape), 1) * (rng.random(shape) < 0.67)
+    want_field, want_floor = fold_reference(shape, lo, sides, value), floor_reference(lb, lo, sides)
+    # all in one call (several runs per call), then in calls of 7 members,
+    # which cut runs mid-way
+    for step in (max(len(lo), 1), 7):
+        out = np.zeros(shape)
+        floors = fed_in_calls(maximal._Fold(out), maximal._Floor(lb), lo, sides, value, step)
+        assert np.array_equal(out, want_field), step
+        assert np.array_equal(floors, want_floor), step
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (5, 4, 3)], ids=str)
+def test_orlicz_sweep_is_exact_when_search_blocks_cut_leading_runs(shape, monkeypatch):
+    f = rand_grid(shape, seed=61)
+    g = step_grid(shape, seed=62)
+    phis = [PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)]
+    want = [orlicz_maximal(f, phis[0]).field.values,
+            multilinear_orlicz_maximal([f, g], phis).field.values]
+    # blocks of whole shapes of at most 7 members: runs of leading sides
+    # span many blocks, so both tables carry over from block to block
+    monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 7)
+    assert np.array_equal(orlicz_maximal(f, phis[0]).field.values, want[0])
+    assert np.array_equal(multilinear_orlicz_maximal([f, g], phis).field.values, want[1])
+
+
+def test_orlicz_sweep_makes_a_few_window_passes_per_leading_run(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return _window_extreme(*args, **kwargs)
+
+    monkeypatch.setattr(maximal, "_window_extreme", counting)
+    orlicz_maximal(rand_grid((12, 12), seed=44), PowerLog(1.8, 1.0))
+    # 12 runs of leading sides (one per s0): one pass each to fold LB, to
+    # build the floors and to fold the field, plus 12 in the average sweep
+    # behind the ladder's Jensen start, 48 in all; per-shape passes made 766
+    assert len(calls) <= 5 * 12
+
+
+@pytest.mark.parametrize("shape", [(3000,), (128, 128)], ids=str)
+def test_fold_and_floor_tables_hold_levels_not_pair_planes(shape):
+    rng = np.random.default_rng(63)
+    n = shape[-1]
+    lead = [(s,) for s in range(1, shape[0] + 1)] if len(shape) == 2 else [()]
+    lo, sides = [], []
+    for s in lead:  # 300 members of every run, in run order
+        last = rng.integers(1, n + 1, size=300)
+        pos = [rng.integers(0, e - x + 1, size=300) for e, x in zip(shape[:-1], s)]
+        lo.append(np.stack(pos + [rng.integers(0, n - last + 1)], axis=1))
+        sides.append(np.column_stack([np.full((300, len(s)), s, dtype=np.intp), last]))
+    lo, sides = np.concatenate(lo).astype(np.intp), np.concatenate(sides).astype(np.intp)
+    value, lb = rng.random(len(lo)), rng.random(shape)
+    out = np.zeros(shape)
+    tracemalloc.start()
+    try:
+        fed_in_calls(maximal._Fold(out), maximal._Floor(lb), lo, sides, value, 1 << 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one table of levels x leading positions x n floats at a time, plus
+    # the members' floors; a (n+1)^2 pair plane per leading position would
+    # take 72 MB at 3,000 cells and 17 MB per run at 128^2
+    positions = int(np.prod(shape[:-1]))  # leading positions of the widest run
+    table = 8 * n.bit_length() * positions * n
+    bound = 3 * table + 16 * len(lo)
+    assert bound < 8 * (n + 1) ** 2 * positions
+    assert peak <= bound, (peak, bound)
+
+
 @pytest.mark.parametrize("run_cells", [gridmod._RUN_CELLS, 64])
 def test_orlicz_prune_is_exact_when_a_solve_chunk_mixes_cell_counts(monkeypatch, run_cells):
     f = rand_grid((6, 5), seed=47)
