@@ -26,9 +26,10 @@ envelope of the field, every member whose upper bound cannot reach it is
 skipped, and the few members left are solved by grid._box_norms, the
 box-norm gather the weight constants share. Its per-cell suprema and its
 per-member minima of the lower envelope go through range-extreme tables
-over the last axis (_Fold, _Floor), one per run of members whose other
-sides agree, and one block prefix/suffix min/max filter (_window_extreme)
-per run over the leading axes; the average sweep uses that filter alone.
+over the last axis (_fold, _floor), built per call for each run of
+members whose other sides agree, and one block prefix/suffix min/max
+filter (_window_extreme) per run over the leading axes; the average sweep
+uses that filter alone.
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -533,7 +534,7 @@ class _Block(NamedTuple):
 def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
     """The members of shapes in blocks of about _SEARCH_BLOCK."""
     padded = tuple(n + 1 for n in grid_shape)
-    sizes = [math.prod(_position_grid(grid_shape, sides)) for sides in shapes]
+    sizes = np.prod(np.subtract(grid_shape, shapes) + 1, axis=1)
     for a, b in _runs(sizes, _SEARCH_BLOCK):
         lo, sides = _members(grid_shape, shapes[a:b])
         yield _Block(lo, sides, *_box_index(padded, lo, sides),
@@ -551,84 +552,56 @@ def _level_index(table: np.ndarray, lo: np.ndarray, last: np.ndarray):
     return k, left, left + last - (1 << k)
 
 
-class _Fold:
+def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray) -> None:
     """Raises each cell of out to value[i] of every member i covering it.
 
-    Members come through add in runs whose sides agree on every axis but
-    the last, as _blocks yields them; a run may span several add calls,
-    and one call may hold several runs. Per run, table[k, p, x] is the max
-    of the members at leading position p put in at the window [x, x + 2**k)
-    of the last axis, each member in the two level-k windows that make up
-    its span (_level_index). When the run ends, every level is pushed down
-    into the two halves of its windows, so level 0 holds at (p, x) the max
-    over the members at p whose span contains x; one cover pass over the
-    leading axes then raises out. Max is exact, so out is the per-shape
-    window-max fold bit for bit.
+    Per run of members whose sides agree on every axis but the last,
+    table[k, p, x] is the max of the members at leading position p put in
+    at the window [x, x + 2**k) of the last axis, each member in the two
+    level-k windows that make up its span (_level_index). Every level is
+    then pushed down into the two halves of its windows, so level 0 holds
+    at (p, x) the max over the members at p whose span contains x; one
+    cover pass over the leading axes raises out. Max is exact, so out is
+    the per-shape window-max fold bit for bit, however the members are
+    split into calls.
     """
-
-    def __init__(self, out: np.ndarray) -> None:
-        self.out, self.lead, self.table, self.top = out, None, None, 0
-
-    def add(self, lo: np.ndarray, sides: np.ndarray, value: np.ndarray) -> None:
-        n = self.out.shape[-1]
-        for lead, a, b in _shape_runs(sides[:, :-1]):
-            if lead != self.lead:
-                self.close()
-                self.lead = lead
-                self.table = np.full((n.bit_length(),) + _position_grid(self.out.shape[:-1], lead)
-                                     + (n,), -np.inf)
-            k, left, right = _level_index(self.table, lo[a:b], sides[a:b, -1])
-            flat = self.table.reshape(-1)
-            np.maximum.at(flat, left, value[a:b])
-            np.maximum.at(flat, right, value[a:b])
-            self.top = max(self.top, int(k.max()))
-
-    def close(self) -> None:
-        """Fold the open run, if any, into out."""
-        if self.table is None:
-            return
-        t = self.table
-        for k in range(self.top, 0, -1):
-            h = 1 << (k - 1)
-            np.maximum(t[k - 1], t[k], out=t[k - 1])
-            np.maximum(t[k - 1, ..., h:], t[k, ..., :-h], out=t[k - 1, ..., h:])
-        np.maximum(self.out, _window_extremes(t[0], self.lead, cover=True), out=self.out)
-        self.lead, self.table, self.top = None, None, 0
+    n = out.shape[-1]
+    for lead, a, b in _shape_runs(sides[:, :-1]):
+        t = np.full((n.bit_length(),) + _position_grid(out.shape[:-1], lead) + (n,), -np.inf)
+        k, left, right = _level_index(t, lo[a:b], sides[a:b, -1])
+        flat = t.reshape(-1)
+        np.maximum.at(flat, left, value[a:b])
+        np.maximum.at(flat, right, value[a:b])
+        for j in range(int(k.max()), 0, -1):
+            h = 1 << (j - 1)
+            np.maximum(t[j - 1], t[j], out=t[j - 1])
+            np.maximum(t[j - 1, ..., h:], t[j, ..., :-h], out=t[j - 1, ..., h:])
+        np.maximum(out, _window_extremes(t[0], lead, cover=True), out=out)
 
 
-class _Floor:
-    """min of lb over each member, for members in runs as _Fold takes them.
+def _floor(lb: np.ndarray, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """min of lb over each member.
 
-    Per run, the leading-axis window min of lb (one _window_extremes pass)
-    becomes a range-minimum table over the last axis (Bender & Farach-Colton,
-    LATIN 2000): table[k, p, x] is the min over [x, x + 2**k), built level by
-    level up to the largest level asked for. A member's floor is the min of
-    its two level-k entries (_level_index), whose windows make up its span.
-    Min is exact, so each floor is the per-shape window min bit for bit.
-    The table carries over to the next call while the run goes on.
+    Per run of members as _fold takes them, the leading-axis window min of
+    lb (one _window_extremes pass) becomes a range-minimum table over the
+    last axis (Bender & Farach-Colton, LATIN 2000): table[k, p, x] is the
+    min over [x, x + 2**k), built level by level up to the largest level
+    the run asks for. A member's floor is the min of its two level-k
+    entries (_level_index), whose windows make up its span. Min is exact,
+    so each floor is the per-shape window min bit for bit.
     """
-
-    def __init__(self, lb: np.ndarray) -> None:
-        self.lb, self.lead, self.table, self.built = lb, None, None, 0
-
-    def __call__(self, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        out = np.empty(len(lo))
-        for lead, a, b in _shape_runs(sides[:, :-1]):
-            if lead != self.lead:
-                w = _window_extremes(self.lb, lead, take_min=True)
-                self.lead, self.built = lead, 0
-                self.table = np.full((w.shape[-1].bit_length(),) + w.shape, np.inf)
-                self.table[0] = w
-            t = self.table
-            k, left, right = _level_index(t, lo[a:b], sides[a:b, -1])
-            top = int(k.max())
-            for j in range(self.built + 1, top + 1):
-                h = 1 << (j - 1)
-                np.minimum(t[j - 1, ..., :-h], t[j - 1, ..., h:], out=t[j, ..., :-h])
-            self.built = max(self.built, top)
-            flat = t.reshape(-1)
-            out[a:b] = np.minimum(flat[left], flat[right])
-        return out
+    out = np.empty(len(lo))
+    for lead, a, b in _shape_runs(sides[:, :-1]):
+        w = _window_extremes(lb, lead, take_min=True)
+        t = np.full((w.shape[-1].bit_length(),) + w.shape, np.inf)
+        t[0] = w
+        k, left, right = _level_index(t, lo[a:b], sides[a:b, -1])
+        for j in range(1, int(k.max()) + 1):
+            h = 1 << (j - 1)
+            np.minimum(t[j - 1, ..., :-h], t[j - 1, ..., h:], out=t[j, ..., :-h])
+        flat = t.reshape(-1)
+        out[a:b] = np.minimum(flat[left], flat[right])
+    return out
 
 
 def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
@@ -673,44 +646,52 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        overflows once scaled with a tiny row lies hundreds of decades
        above that row's norm, so the bracket closes far below it).
     3. Skip rule. LB(x) = max over members R containing x of prod_j
-       L_j(R), folded by _Fold. R is a candidate when prod_j U_j(R) *
-       (1 + 4 tol)**m >= floor(R) = min over x in R of LB(x), read from
-       _Floor. Both work per run of members whose sides agree on every
-       axis but the last (one run per s_0 in 2-D, per (s_0, s_1) in 3-D,
-       one in 1-D), over tables of shape (levels, leading positions...,
-       n_last), and both carry a run over from one search block to the
-       next. A member of last-axis span [l, l + s) with k = floor(log2 s)
-       is the union of its two level-k windows [l, l + 2**k) and
-       [l + s - 2**k, l + s). _Fold raises both entries to the member's
-       value and, when the run ends, pushes every level down into the two
-       halves of its windows, so level 0 holds the max over the members
-       at each leading position that contain each cell; one cover pass
-       over the leading axes then raises LB. _Floor builds the min table
-       of the leading-axis window min of LB once per run (level k the min
-       over [x, x + 2**k)), and a member's floor is the min of its two
-       entries. Max and min are exact and do not depend on grouping or
-       order, so both give the per-shape window passes bit for bit, in
-       O(leading positions * n_last * log n_last) memory per run. A skipped R
-       has prod N(R) <= prod U(R) < min_R LB <= LB(x) <= field(x) at every
+       L_j(R), folded by _fold. R is a candidate when prod_j U_j(R) *
+       (1 + 4 tol)**m >= floor(R) = min over x in R of LB(x), read by
+       _floor. The members are walked once: per block, the search of
+       step 2 gives L and U together, the block's prod L is folded into
+       LB, and each member's floor is read from that LB, which holds
+       this block and every earlier one. The live members whose prod U *
+       (1 + 4 tol)**m reaches it are kept with their hints. LB only
+       grows, so a floor read mid-walk is never above the floor of the
+       final LB and the kept members are a superset of the candidates;
+       once the walk ends, each block's kept members are trimmed against
+       the final floors by the same comparison of the same floats, which
+       leaves exactly the candidates. _fold and _floor work per run of
+       members whose sides agree on every axis but the last (one run per
+       s_0 in 2-D, per (s_0, s_1) in 3-D, one in 1-D), over a table of
+       shape (levels, leading positions..., n_last) built within the
+       call. A member of last-axis span [l, l + s) with k = floor(log2
+       s) is the union of its two level-k windows [l, l + 2**k) and
+       [l + s - 2**k, l + s). _fold raises both entries to the member's
+       value, then pushes every level down into the two halves of its
+       windows, so level 0 holds the max over the members at each
+       leading position that contain each cell; one cover pass over the
+       leading axes then raises LB. _floor builds the min table of the
+       leading-axis window min of LB (level k the min over [x, x +
+       2**k)), and a member's floor is the min of its two entries. Max
+       and min are exact and do not depend on grouping or order, so both
+       give the per-shape window passes bit for bit, in O(leading
+       positions * n_last * log n_last) memory per run. A skipped R has
+       prod N(R) <= prod U(R) < min_R LB <= LB(x) <= field(x) at every
        cell x of R (floating products are monotone in each factor), so it
        is never the maximum at any cell it covers and the field does not
        change. The member attaining LB(x) is always a candidate, since
-       min_R LB <= LB(x) = prod L <= prod U on it. Building LB needs every
-       member's L, so the search runs once for LB and again for U. The
-       Jensen start changes only which rungs exist, not this argument.
+       min_R LB <= LB(x) = prod L <= prod U on it. The Jensen start
+       changes only which rungs exist, not this argument.
        A member whose norm lies below the first rung, lam_0 = least /
        (q**2 Phi^{-1}(1)), gets U = lam_0 or lam_1 where certified, both
        below what the field reaches at every cell, so it is skipped
        wherever LB comes within a factor q of the field.
     4. Solve. Per function, one grid._box_norms call solves every
-       candidate with the hints of step 2, and _Fold folds the products
+       candidate with the hints of step 2, and _fold folds the products
        into the field as it folds LB.
 
     prune=False runs the same path with every live member (every f_j
-    positive somewhere on it) as a candidate. The two modes agree bit for
-    bit: each candidate gets the same rows and hints in both, and
-    luxemburg_batch stops each row on its own, so a norm does not depend
-    on which other rows share its batch. Provenance counts rects_solved
+    positive somewhere on it) as a candidate, and folds no LB. The two
+    modes agree bit for bit: each candidate gets the same rows and hints
+    in both, and luxemburg_batch stops each row on its own, so a norm does
+    not depend on which other rows share its batch. Provenance counts rects_solved
     (candidates), pruned (live members skipped) and ladder_rungs (tables
     built, over all functions).
     """
@@ -738,37 +719,37 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     supports = [SummedAreaTable(f.with_values((f.values > 0).astype(float))).table.ravel()
                 for f in fs]
 
-    if prune:
-        # a member on which some f_j vanishes has S = 0 <= n_R on every rung
-        # of that f_j, hence L_j = 0: it adds nothing to LB
-        lb = np.zeros(shape)
-        fold = _Fold(lb)
-        for blk in _blocks(shape, shapes):
-            fold.add(blk.lo, blk.sides, math.prod(_brackets(lad, blk)[0] for lad in ladders))
-        fold.close()
-        floor = _Floor(lb)
-        widen = (1.0 + 4.0 * tol) ** len(fs)
-
-    # per block, the candidates' low corners, sides and (candidates, m) hints
-    candidates = []
-    live = solved = 0
+    lb = np.zeros(shape)
+    widen = (1.0 + 4.0 * tol) ** len(fs)
+    # per block, the kept members' low corners, sides, prod U * widen and
+    # (members, m) hints
+    kept = []
+    live = 0
     for blk in _blocks(shape, shapes):
         brackets = [_brackets(lad, blk) for lad in ladders]
-        cand = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
-        live += int(cand.sum())
+        keep = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
+        live += int(keep.sum())
+        upper = math.prod(b[1] for b in brackets) * widen
         if prune:
-            cand &= math.prod(b[1] for b in brackets) * widen >= floor(blk.lo, blk.sides)
-        solved += int(cand.sum())
-        candidates.append((blk.lo[cand], blk.sides[cand],
-                           np.stack([b[2] for b in brackets], axis=1)[cand],
-                           np.stack([b[3] for b in brackets], axis=1)[cand]))
+            # a member on which some f_j vanishes has S = 0 <= n_R on every
+            # rung of that f_j, hence L_j = 0: it adds nothing to LB
+            _fold(lb, blk.lo, blk.sides, math.prod(b[0] for b in brackets))
+            keep &= upper >= _floor(lb, blk.lo, blk.sides)
+        kept.append((blk.lo[keep], blk.sides[keep], upper[keep],
+                     np.stack([b[2] for b in brackets], axis=1)[keep],
+                     np.stack([b[3] for b in brackets], axis=1)[keep]))
+    if prune:
+        # LB is final now, and no floor has fallen; trimmed a block at a
+        # time, the untrimmed chunks are never concatenated
+        for i, chunk in enumerate(kept):
+            c = chunk[2] >= _floor(lb, chunk[0], chunk[1])
+            kept[i] = [a[c] for a in chunk]
 
-    lo, sides, lo_hint, hi_hint = map(np.concatenate, zip(*candidates))
+    lo, sides, _, lo_hint, hi_hint = map(np.concatenate, zip(*kept))
+    solved = len(lo)
     value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
                       for j, (f, phi) in enumerate(zip(fs, phis)))
-    fold = _Fold(out)
-    fold.add(lo, sides, value)
-    fold.close()
+    _fold(out, lo, sides, value)
     return _field(fs, out, basis, count, **prov, pruned=live - solved,
                   rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
                   tol=tol)

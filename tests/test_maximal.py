@@ -557,13 +557,13 @@ def floor_reference(lb, lo, sides):
         for s, i, j in gridmod._shape_runs(sides)])
 
 
-def fed_in_calls(fold, floor, lo, sides, value, step):
-    """The members through fold.add and floor in calls of step members."""
+def fed_in_calls(out, lb, lo, sides, value, step):
+    """The members through _fold into out and _floor of lb, in calls of step
+    members; returns the floors."""
     floors = [np.empty(0)]
     for a in range(0, len(lo), step):
-        fold.add(lo[a:a + step], sides[a:a + step], value[a:a + step])
-        floors.append(floor(lo[a:a + step], sides[a:a + step]))
-    fold.close()
+        maximal._fold(out, lo[a:a + step], sides[a:a + step], value[a:a + step])
+        floors.append(maximal._floor(lb, lo[a:a + step], sides[a:a + step]))
     return np.concatenate(floors)
 
 
@@ -584,7 +584,7 @@ def test_fold_and_floor_tables_equal_per_shape_passes(shape, basis, subset):
     # which cut runs mid-way
     for step in (max(len(lo), 1), 7):
         out = np.zeros(shape)
-        floors = fed_in_calls(maximal._Fold(out), maximal._Floor(lb), lo, sides, value, step)
+        floors = fed_in_calls(out, lb, lo, sides, value, step)
         assert np.array_equal(out, want_field), step
         assert np.array_equal(floors, want_floor), step
 
@@ -597,7 +597,7 @@ def test_orlicz_sweep_is_exact_when_search_blocks_cut_leading_runs(shape, monkey
     want = [orlicz_maximal(f, phis[0]).field.values,
             multilinear_orlicz_maximal([f, g], phis).field.values]
     # blocks of whole shapes of at most 7 members: runs of leading sides
-    # span many blocks, so both tables carry over from block to block
+    # span many blocks, so each run is folded and floored in pieces
     monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 7)
     assert np.array_equal(orlicz_maximal(f, phis[0]).field.values, want[0])
     assert np.array_equal(multilinear_orlicz_maximal([f, g], phis).field.values, want[1])
@@ -613,9 +613,73 @@ def test_orlicz_sweep_makes_a_few_window_passes_per_leading_run(monkeypatch):
     monkeypatch.setattr(maximal, "_window_extreme", counting)
     orlicz_maximal(rand_grid((12, 12), seed=44), PowerLog(1.8, 1.0))
     # 12 runs of leading sides (one per s0): one pass each to fold LB, to
-    # build the floors and to fold the field, plus 12 in the average sweep
-    # behind the ladder's Jensen start, 48 in all; per-shape passes made 766
+    # build the floors in the search, to build them again for the final
+    # trim and to fold the field, plus 12 in the average sweep behind the
+    # ladder's Jensen start, 60 in all; per-shape passes made 766
     assert len(calls) <= 5 * 12
+
+
+def two_pass_counts(fs, phis, basis, tol=1e-9):
+    """rects_solved and pruned by the two-pass rule: LB folded from the L
+    of every member first, then every live member tested against its floor
+    of that LB, with the per-shape fold and floor written above."""
+    shape = fs[0].shape
+    shapes = list(basis.shapes(shape))
+    n_max = max(int(np.prod(s)) for s in shapes)
+    least = float(strong_maximal(fs[0], basis).field.values.min()) if len(fs) == 1 else 0.0
+    ladders = [maximal._ladder(f, phi, n_max, least) for f, phi in zip(fs, phis)]
+    blocks = list(maximal._blocks(shape, shapes))
+    lo = np.concatenate([blk.lo for blk in blocks])
+    sides = np.concatenate([blk.sides for blk in blocks])
+    lower, upper = (np.concatenate([np.prod([maximal._brackets(lad, blk)[i] for lad in ladders],
+                                            axis=0) for blk in blocks]) for i in (0, 1))
+    lb = fold_reference(shape, lo, sides, lower)
+    # a member is live when every f_j is positive somewhere on it
+    live = np.logical_and.reduce([floor_reference(-np.sign(f.values), lo, sides) < 0 for f in fs])
+    solved = live & (upper * (1.0 + 4.0 * tol) ** len(fs) >= floor_reference(lb, lo, sides))
+    return int(solved.sum()), int(live.sum() - solved.sum())
+
+
+@pytest.mark.parametrize("block", [maximal._SEARCH_BLOCK, 7])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("basis", BRUTE_BASES[:3], ids=BRUTE_BASIS_IDS[:3])
+@pytest.mark.parametrize("shape", [(40,), (9, 8), (5, 4, 3)], ids=str)
+def test_orlicz_candidates_match_a_two_pass_reference(shape, basis, m, block, monkeypatch):
+    # the sweep floors each block against a partial LB and trims against
+    # the final one: the candidates must be those of LB built in full first
+    monkeypatch.setattr(maximal, "_SEARCH_BLOCK", block)
+    fs = [rand_grid(shape, seed=64), step_grid(shape, seed=65)][:m]
+    phis = [PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)][:m]
+    prov = maximal._orlicz_field(fs, phis, basis, maximal.DEFAULT_BUDGET, 1e-9, True).provenance
+    solved, pruned = two_pass_counts(fs, phis, basis)
+    assert (prov["rects_solved"], prov["pruned"]) == (solved, pruned)
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("case", ["lognormal_12x12", "bilinear_9x8"])
+def test_orlicz_sweep_searches_the_brackets_once_per_block(case, monkeypatch):
+    if case == "lognormal_12x12":
+        fs, phis = [rand_grid((12, 12), seed=44)], [PowerLog(1.8, 1.0)]
+    else:
+        fs = [rand_grid((9, 8), seed=61), step_grid((9, 8), seed=62)]
+        phis = [PowerLog(1.8, 1.0), PowerLogLog(2.0, 1.5, 1.5)]
+        monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 7)
+    shape = fs[0].shape
+    blocks = len(list(maximal._blocks(shape, list(Basis().shapes(shape)))))
+    searches = []
+    real_brackets = maximal._brackets
+
+    def counting_brackets(*args):
+        searches.append(len(args[1].lo))
+        return real_brackets(*args)
+
+    monkeypatch.setattr(maximal, "_brackets", counting_brackets)
+    maximal._orlicz_field(fs, phis, Basis(), maximal.DEFAULT_BUDGET, 1e-9, True)
+    # one search per block and function, whether the grid is one block
+    # (6,084 members) or many; a search for LB and another for U made twice
+    # as many
+    assert (blocks == 1) == (len(fs) == 1)
+    assert len(searches) == len(fs) * blocks
 
 
 @pytest.mark.parametrize("shape", [(3000,), (128, 128)], ids=str)
@@ -634,7 +698,7 @@ def test_fold_and_floor_tables_hold_levels_not_pair_planes(shape):
     out = np.zeros(shape)
     tracemalloc.start()
     try:
-        fed_in_calls(maximal._Fold(out), maximal._Floor(lb), lo, sides, value, 1 << 15)
+        fed_in_calls(out, lb, lo, sides, value, 1 << 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
