@@ -212,8 +212,10 @@ class SummedAreaTable:
         return np.ldexp(sums / np.prod(sides, axis=1), self.exponent)
 
 
-def _position_grid(grid_shape: tuple[int, ...], sides: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(n - s + 1 for n, s in zip(grid_shape, sides))
+def _position_grid(grid_shape: tuple[int, ...], sides) -> np.ndarray:
+    """Positions per axis of a box of sides in the grid; for (boxes, d) sides,
+    one row per box."""
+    return np.subtract(grid_shape, sides) + 1
 
 
 def _unravel(dims: np.ndarray) -> np.ndarray:
@@ -233,7 +235,7 @@ def _members(grid_shape: tuple[int, ...],
     """Low corners and sides of every box of shapes in the grid, as (boxes, d)
     intp arrays: shape by shape, positions C-ordered."""
     shapes = np.array(shapes, dtype=np.intp).reshape(len(shapes), len(grid_shape))
-    positions = np.array(grid_shape, dtype=np.intp) - shapes + 1
+    positions = _position_grid(grid_shape, shapes)
     return _unravel(positions), np.repeat(shapes, np.prod(positions, axis=1), axis=0)
 
 

@@ -534,7 +534,7 @@ class _Block(NamedTuple):
 def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
     """The members of shapes in blocks of about _SEARCH_BLOCK."""
     padded = tuple(n + 1 for n in grid_shape)
-    sizes = np.prod(np.subtract(grid_shape, shapes) + 1, axis=1)
+    sizes = np.prod(_position_grid(grid_shape, shapes), axis=1)
     for a, b in _runs(sizes, _SEARCH_BLOCK):
         lo, sides = _members(grid_shape, shapes[a:b])
         yield _Block(lo, sides, *_box_index(padded, lo, sides),
@@ -567,7 +567,8 @@ def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray)
     """
     n = out.shape[-1]
     for lead, a, b in _shape_runs(sides[:, :-1]):
-        t = np.full((n.bit_length(),) + _position_grid(out.shape[:-1], lead) + (n,), -np.inf)
+        positions = tuple(_position_grid(out.shape[:-1], lead))
+        t = np.full((n.bit_length(),) + positions + (n,), -np.inf)
         k, left, right = _level_index(t, lo[a:b], sides[a:b, -1])
         flat = t.reshape(-1)
         np.maximum.at(flat, left, value[a:b])
@@ -654,14 +655,18 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        this block and every earlier one. The live members whose prod U *
        (1 + 4 tol)**m reaches it are kept with their hints. LB only
        grows, so a floor read mid-walk is never above the floor of the
-       final LB and the kept members are a superset of the candidates;
-       once the walk ends, each block's kept members are trimmed against
-       the final floors by the same comparison of the same floats, which
-       leaves exactly the candidates. _fold and _floor work per run of
-       members whose sides agree on every axis but the last (one run per
-       s_0 in 2-D, per (s_0, s_1) in 3-D, one in 1-D), over a table of
-       shape (levels, leading positions..., n_last) built within the
-       call. A member of last-axis span [l, l + s) with k = floor(log2
+       final LB and the kept members are a superset of the candidates.
+       Whenever the kept members have doubled since the last trim, and
+       once more when the walk ends, those of earlier blocks are trimmed
+       against their floors in the LB of the moment (the last block's
+       were just read from it), so the walk holds at most twice the
+       members that survived the last trim, plus one block. The trim at
+       the end reads the final LB, runs the same comparison on the same
+       floats and leaves exactly the candidates. _fold and _floor work
+       per run of members whose sides agree on every axis but the last
+       (one run per s_0 in 2-D, per (s_0, s_1) in 3-D, one in 1-D), over
+       a table of shape (levels, leading positions..., n_last) built
+       within the call. A member of last-axis span [l, l + s) with k = floor(log2
        s) is the union of its two level-k windows [l, l + 2**k) and
        [l + s - 2**k, l + s). _fold raises both entries to the member's
        value, then pushes every level down into the two halves of its
@@ -721,31 +726,33 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
 
     lb = np.zeros(shape)
     widen = (1.0 + 4.0 * tol) ** len(fs)
-    # per block, the kept members' low corners, sides, prod U * widen and
-    # (members, m) hints
+    # per block, the kept members' low corners, sides, (members, m) hints
+    # and, under prune, prod U * widen
     kept = []
-    live = 0
+    live = held = since = 0
     for blk in _blocks(shape, shapes):
         brackets = [_brackets(lad, blk) for lad in ladders]
         keep = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
         live += int(keep.sum())
-        upper = math.prod(b[1] for b in brackets) * widen
+        chunk = [blk.lo, blk.sides, *(np.stack([b[i] for b in brackets], axis=1) for i in (2, 3))]
         if prune:
             # a member on which some f_j vanishes has S = 0 <= n_R on every
             # rung of that f_j, hence L_j = 0: it adds nothing to LB
             _fold(lb, blk.lo, blk.sides, math.prod(b[0] for b in brackets))
-            keep &= upper >= _floor(lb, blk.lo, blk.sides)
-        kept.append((blk.lo[keep], blk.sides[keep], upper[keep],
-                     np.stack([b[2] for b in brackets], axis=1)[keep],
-                     np.stack([b[3] for b in brackets], axis=1)[keep]))
-    if prune:
-        # LB is final now, and no floor has fallen; trimmed a block at a
-        # time, the untrimmed chunks are never concatenated
-        for i, chunk in enumerate(kept):
-            c = chunk[2] >= _floor(lb, chunk[0], chunk[1])
-            kept[i] = [a[c] for a in chunk]
-
-    lo, sides, _, lo_hint, hi_hint = map(np.concatenate, zip(*kept))
+            chunk.append(math.prod(b[1] for b in brackets) * widen)
+            keep &= chunk[-1] >= _floor(lb, blk.lo, blk.sides)
+        kept.append([a[keep] for a in chunk])
+        held += int(keep.sum())
+        if prune and held > 2 * since:
+            # trimmed whenever it has doubled, the superset stays under
+            # twice what survives the floors so far, and the trims read
+            # under twice as many floors as the walk keeps
+            kept = [_trimmed(kept, lb)]
+            held = since = len(kept[0][0])
+    # LB is final: trimmed, the kept members are the candidates
+    lo, sides, lo_hint, hi_hint, *_ = (_trimmed(kept, lb) if prune
+                                       else map(np.concatenate, zip(*kept)))
+    kept.clear()  # the solve needs only the concatenated copies
     solved = len(lo)
     value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
                       for j, (f, phi) in enumerate(zip(fs, phis)))
@@ -753,6 +760,16 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     return _field(fs, out, basis, count, **prov, pruned=live - solved,
                   rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
                   tol=tol)
+
+
+def _trimmed(kept: list[list[np.ndarray]], lb: np.ndarray) -> list[np.ndarray]:
+    """The kept chunks as one, each chunk but the last (which was kept
+    against this lb) first cut to the members whose prod U * widen, its
+    last array, reaches their floor in lb."""
+    for chunk in kept[:-1]:
+        c = chunk[-1] >= _floor(lb, chunk[0], chunk[1])
+        chunk[:] = [a[c] for a in chunk]
+    return list(map(np.concatenate, zip(*kept)))
 
 
 def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),

@@ -613,9 +613,9 @@ def test_orlicz_sweep_makes_a_few_window_passes_per_leading_run(monkeypatch):
     monkeypatch.setattr(maximal, "_window_extreme", counting)
     orlicz_maximal(rand_grid((12, 12), seed=44), PowerLog(1.8, 1.0))
     # 12 runs of leading sides (one per s0): one pass each to fold LB, to
-    # build the floors in the search, to build them again for the final
-    # trim and to fold the field, plus 12 in the average sweep behind the
-    # ladder's Jensen start, 60 in all; per-shape passes made 766
+    # build the floors in the search and to fold the field, plus 12 in the
+    # average sweep behind the ladder's Jensen start, 48 in all (the trims
+    # skip the last block, here every member); per-shape passes made 766
     assert len(calls) <= 5 * 12
 
 
@@ -654,6 +654,36 @@ def test_orlicz_candidates_match_a_two_pass_reference(shape, basis, m, block, mo
     solved, pruned = two_pass_counts(fs, phis, basis)
     assert (prov["rects_solved"], prov["pruned"]) == (solved, pruned)
     assert pruned > 0
+
+
+def test_orlicz_walk_holds_at_most_twice_the_last_trim_plus_a_block(monkeypatch):
+    # on a two-valued input the floors stay low until late blocks, so the
+    # walk keeps far more members than it solves; the kept members are
+    # trimmed each time they double, not only once the walk ends
+    vals = np.zeros((24, 24))
+    for box in [np.s_[2:9, 3:15], np.s_[10:22, 1:6], np.s_[14:20, 12:23]]:
+        vals[box] = 1.0
+    monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 256)
+    shapes = list(Basis().shapes(vals.shape))
+    block = max(len(blk.lo) for blk in maximal._blocks(vals.shape, shapes))
+    trims = []
+    real_trimmed = maximal._trimmed
+
+    def counting_trimmed(kept, lb):
+        held = sum(len(chunk[0]) for chunk in kept)
+        out = real_trimmed(kept, lb)
+        trims.append((held, len(out[0])))
+        return out
+
+    monkeypatch.setattr(maximal, "_trimmed", counting_trimmed)
+    prov = orlicz_maximal(grid(vals), PowerLog(1.8, 1.0)).provenance
+    assert trims[-1][1] == prov["rects_solved"]
+    survivors = 0
+    for held, left in trims:
+        assert held <= 2 * survivors + block, (held, survivors, block)
+        survivors = left
+    # the trims before the last drop members the partial floors let by
+    assert sum(held - left for held, left in trims[:-1]) > 0
 
 
 @pytest.mark.parametrize("case", ["lognormal_12x12", "bilinear_9x8"])

@@ -1,18 +1,19 @@
 """Compare two checkouts on the orliczmax benchmark by alternating pairs of runs.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \
-        --seeds 1,2,3 --seconds 20 --out BENCH_16.json
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_16.json
 
-For each workload, pair i runs `bench/run.py --workload W --seed S --seconds T
---trace 0` once in each checkout, S the i-th seed taken round robin; even
-pairs start with the parent and odd pairs with the change, so slow drift of
-the machine falls on both sides alike. The metrics are read from the JSON on
-the last line of each run's standard output. The output file holds, per
-workload and metric, the median and the quartiles over the runs of each side,
-and how many pairs the change won (by the direction `BENCHMARK.json` of the
-change checkout gives the metric), next to the seeds, the pair count, the
-run length, the core count and the Python and numpy versions. Standard
-library only; the checkouts' own interpreter environment runs the benchmark.
+For each workload of the change checkout's `BENCHMARK.json`, pair i of PAIRS
+runs `bench/run.py --workload W --seed S --seconds T --trace 0` once in each
+checkout, S the i-th of SEEDS taken round robin and T the benchmark's
+`run_seconds`; even pairs start with the parent and odd pairs with the
+change, so slow drift of the machine falls on both sides alike. The metrics
+are read from the JSON on the last line of each run's standard output. The
+output file holds, per workload and metric, the median and the quartiles
+over the runs of each side, and how many pairs the change won (by the
+direction that `BENCHMARK.json` gives the metric), next to the seeds, the
+pair count, the run length, the core count and the Python and numpy
+versions. Standard library only; the checkouts' own interpreter environment
+runs the benchmark.
 """
 
 import argparse
@@ -25,6 +26,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+SEEDS = (1, 2, 3)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -84,31 +87,24 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated names (default: all in BENCHMARK.json)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seeds", default="1,2,3")
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seconds = spec["run_seconds"]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
-    result = {"pairs": args.pairs, "seeds": seeds, "seconds": args.seconds, "cores": cores,
+    result = {"pairs": PAIRS, "seeds": list(SEEDS), "seconds": seconds, "cores": cores,
               "python": platform.python_version(), "numpy": numpy_version(),
               "order": "even pairs run the parent first, odd pairs the change",
               "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for i in range(args.pairs):
-            seed = seeds[i % len(seeds)]
+        for i in range(PAIRS):
+            seed = SEEDS[i % len(SEEDS)]
             pair = {"seed": seed}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
-                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                pair[side] = run_once(getattr(args, side), workload, seed, seconds)
+                print(f"{workload} pair {i + 1}/{PAIRS} seed {seed} {side}: "
                       f"{json.dumps(pair[side].get('metrics', pair[side]))}",
                       file=sys.stderr, flush=True)
             runs.append(pair)
