@@ -749,7 +749,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
             # under twice as many floors as the walk keeps
             kept = [_trimmed(kept, lb)]
             held = since = len(kept[0][0])
-    # LB is final: trimmed, the kept members are the candidates
+    # under prune LB is final, and the trim leaves exactly the candidates
     lo, sides, lo_hint, hi_hint, *_ = (_trimmed(kept, lb) if prune
                                        else map(np.concatenate, zip(*kept)))
     kept.clear()  # the solve needs only the concatenated copies
