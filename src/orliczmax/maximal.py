@@ -9,12 +9,18 @@ builder and two sweeps.
 
 The average sweep (_average_sweep) runs a corner DP over the summed-area
 tables: each side of the leading axis is differenced off and its
-positions join a batch, recursively, and the last axis takes the maxima
-over all (lo, hi) pairs at once; cube bases and 1-D grids take one
-vectorized pass per shape instead. Differencing the table axis by axis in
-the fixed canonical order keeps every average bit-identical to
-rect_average on the same rectangle, which is what the brute-force
-comparisons rely on.
+positions join a batch, recursively, a run of consecutive sides sharing
+one batch. The last axis takes its maxima by divide and conquer over the
+prefix indices (Bentley's maximum subarray split): each level halves
+every segment, a pair (lo, hi) is formed once, at the level whose split
+separates lo from hi, and the cells of a segment take prefix maxima over
+lo or suffix maxima over hi of that level's crossing pairs. Cube bases
+and 1-D grids take one vectorized pass per shape instead. Each average
+is the difference of the same table entries, taken axis by axis in the
+fixed canonical order, divided once by the same cell count as in
+rect_average, and max is exact and independent of order and grouping,
+so the field is bit-identical to rect_average maxima over the same
+rectangles, which is what the brute-force comparisons rely on.
 
 The Orlicz sweep (_orlicz_field) brackets every member's Luxemburg norm
 from a ladder of summed-area tables of Phi(f / lam_k), one per rung of a
@@ -38,12 +44,13 @@ sweep starts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from typing import NamedTuple
 
 import numpy as np
@@ -230,12 +237,14 @@ def _field(fs: list[GridFunction], out: np.ndarray, basis: Basis, count: int,
     return MaximalField(field=fs[0].with_values(out), provenance=prov)
 
 
-# pair cells (batch rows times (n+1)^2) per block of the last-axis DP, shared
-# by all threads of a sweep; bounds the DP's buffers whatever the batch is
+# pair cells (batch rows times one stack's pairs per row) per block of the
+# last-axis DP, shared by all threads of a sweep; bounds the DP's buffers
+# whatever the batch is, and the pair cells of one run of leading sides
 _DP_BLOCK = 1 << 18
-# rows times (n+1) a block takes at least: numpy's accumulate holds the GIL
-# over 500 or fewer, and the threads of a sweep would run one at a time
-_DP_MIN_LINES = 501
+# padded pair cells per row a stack of DP levels may hold: a pass over a
+# stack costs some twenty numpy calls, about as much as that many pair
+# cells on each of a few dozen rows
+_DP_STACK = 160
 # grids of fewer cells sweep in the calling thread: on two cores, threads
 # break even near 1,200 cells in 2-D (40x40 gains a quarter) and 2,200 in 3-D
 _THREAD_MIN_CELLS = 2000
@@ -250,65 +259,218 @@ def _sweep_threads(shape: tuple[int, ...], nfirst: int) -> int:
     return min(cores or 1, nfirst)
 
 
-def _dp_last_axis(slabs: list[np.ndarray], pref: int, dmat: np.ndarray,
-                  bad: np.ndarray, block: int) -> np.ndarray:
-    """Per-cell maxima over all (lo, hi) choices of the last table axis.
+class _Stack(NamedTuple):
+    """The crossing pairs of one or more consecutive levels of the last-axis DP.
+
+    Every segment [a, b) of prefix indices at a level is split at
+    m = ceil((a + b) / 2); its crossing pairs are lo in [a, m) and hi in
+    [m, b). A stack holds the segments of its levels side by side, padded
+    to L lo slots and H hi slots: lo runs up from a, hi down from b - 1,
+    and padding repeats the last slot of each, so d >= 1 on every pair.
+    The pairs of a block of rows are laid out so that numpy's passes run
+    along a long last axis. Where H is long against the segment count
+    they are (rows, segments, L, H), and the cells read prefix maxima of
+    the row and column maxima of each segment; else (L, H, segments,
+    rows), with the rows last, and the cells read corners of the 2-D
+    prefix maxima over the slots (corner).
+    """
+
+    lo: np.ndarray          # low prefix index per pair, broadcastable to d
+    hi: np.ndarray          # high prefix index per pair, descending slots
+    d: np.ndarray           # hi - lo as floats, (segments, L, H) or (L, H, segments, 1)
+    bad: np.ndarray | None  # padding or inadmissible d, shaped as d; None if none
+    src: np.ndarray         # (levels, n): each cell's entry per level in a row's maxima
+    gap: np.ndarray | None  # cells no pair of the level covers, shaped as the reads; or None
+    corner: bool
+
+
+def _stack(levels: list[list[tuple[int, int, int]]], admissible: np.ndarray) -> _Stack:
+    """The stack of levels, each a list of (a, m, b) splits."""
+    a, m, b = np.array([split for level in levels for split in level]).T
+    nseg, L, H = len(a), int((m - a).max()), int((b - m).max())
+    jl, jh = np.arange(L)[:, None], np.arange(H)[:, None]
+    lo = (a + np.minimum(jl, m - a - 1))[:, None]     # (L, 1, segments)
+    hi = (b - 1 - np.minimum(jh, b - m - 1))[None]    # (1, H, segments)
+    bad = (jl >= m - a)[:, None] | (jh >= b - m)[None] | ~admissible[hi - lo]
+    # measured on two cores: the segments-first block is the faster one
+    # only while its hi runs are over 16 times the segment count, as on
+    # the top levels of long axes
+    corner = H <= 16 * nseg
+    if not corner:
+        lo, hi, bad = (x.transpose(2, 0, 1) for x in (lo, hi, bad))
+    # the cells x in [a, m) of a segment take the max over lo <= x, those
+    # in [m, b - 1) the max over hi >= x + 1: a corner of the 2-D prefix
+    # maxima of the block, or one of the L + H prefix maxima of its row
+    # and column maxima
+    src = np.full((len(levels), len(admissible) - 1), -1)
+    s = 0
+    for row, level in zip(src, levels):
+        for a_, m_, b_ in level:
+            x = np.arange(a_, b_ - 1)
+            left, right = x - a_, b_ - 2 - x
+            if corner:
+                slot = np.where(x < m_, left * H + H - 1, (L - 1) * H + right) * nseg + s
+            else:
+                slot = s * (L + H) + np.where(x < m_, left, L + right)
+            row[x] = slot
+            s += 1
+    d, bad, gap = (hi - lo).astype(float), np.ascontiguousarray(bad), src < 0
+    if corner:  # the rows come last
+        d, bad, gap = d[..., None], bad[..., None], gap[..., None]
+    return _Stack(lo, hi, d, bad if bad.any() else None, np.maximum(src, 0),
+                  gap if gap.any() else None, corner)
+
+
+@functools.lru_cache(maxsize=16)  # a plan holds about 5 (n+1)^2 bytes
+def _dp_plan(size: int, sides: tuple[int, ...]) -> tuple[_Stack, ...]:
+    """The stacks of the last-axis DP over prefix indices [0, size), for
+    members whose last side is in sides, top level first.
+
+    Every admissible pair lo < hi is a crossing pair of exactly one level
+    and unmasked there once. From the bottom up, a level joins the stack
+    below it while the stack's padding stays within _DP_STACK pair cells
+    per row: small grids run one or two stacks, large ones stack only
+    their last levels.
+    """
+    levels = []
+    segments = [(0, size)]
+    while segments:
+        levels.append([(a, (a + b + 1) // 2, b) for a, b in segments])
+        segments = [seg for a, m, b in levels[-1] for seg in ((a, m), (m, b))
+                    if seg[1] - seg[0] > 1]
+
+    def cells(stack):
+        splits = [split for level in stack for split in level]
+        return len(splits) * max(m - a for a, m, b in splits) * max(b - m for a, m, b in splits)
+
+    stacks = []
+    for level in reversed(levels):
+        if stacks and cells([level] + stacks[-1]) <= _DP_STACK:
+            stacks[-1].insert(0, level)
+        else:
+            stacks.append([level])
+    admissible = np.zeros(size, dtype=bool)
+    admissible[list(sides)] = True
+    return tuple(_stack(stack, admissible) for stack in reversed(stacks))
+
+
+def _dp_last_axis(slabs: list[np.ndarray], pref: np.ndarray, plan: tuple[_Stack, ...],
+                  block: int) -> np.ndarray:
+    """Per-cell maxima over all admissible (lo, hi) pairs of the last table axis.
 
     slabs[j] holds, for each row of the batch, the partially differenced
-    table of function j (shape (batch, n+1)). The average over the pair
-    (lo, hi) is (slab[hi] - slab[lo]) / (pref * d), matching rect_sum's
-    nested differencing and rect_average's division bit for bit; products
-    across functions multiply in input order. Pairs flagged in bad are not
-    admissible. The two max-accumulations turn the pair matrix into corner
-    maxima, whose (x, x+1) diagonal is the best member containing cell x.
-    Rows go through in blocks of block pair cells, or of _DP_MIN_LINES lines.
+    table of function j (shape (batch, n+1)), and pref[i] the product of
+    the sides row i has differenced off. The average over the pair (lo, hi)
+    is (slab[hi] - slab[lo]) / (pref * d): rect_sum's nested differencing
+    and rect_average's one division on the same operands, so it is
+    bit-identical to the scalar path; products across functions multiply
+    in input order. The pairs go level by level (_dp_plan), a divide and
+    conquer over the prefix indices as in Bentley's maximum subarray (CACM
+    27(9), 1984): a crossing pair of segment [a, b) split at m covers the
+    cells lo .. hi - 1, so the cells x in [a, m) take the max over
+    lo <= x and the cells x in [m, b - 1) the max over hi >= x + 1. Each
+    pair is formed once, the n(n+1)/2 of them in place of the (n+1)^2 of
+    a pair matrix, and max is exact and order-free, so each cell gets the
+    max over the members containing it bit for bit. Rows go through each
+    stack in blocks of about block pair cells of that stack.
     """
     batch, size = slabs[0].shape
-    out = np.empty((batch, size - 1))  # C order: norm_lp sums a field in memory order
-    scale = pref * dmat
-    step = max(-(-_DP_MIN_LINES // size), block // (size * size))
-    bufs = [np.empty((min(step, batch), size, size)) for _ in slabs]  # reused by every block
-    for lo in range(0, batch, step):
-        n = min(step, batch - lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v, *ws = [np.subtract(t[lo:lo + n, None, :], t[lo:lo + n, :, None], out=b[:n])
-                      for t, b in zip(slabs, bufs)]
-            v /= scale
-            for w in ws:
+    out = np.full((batch, size - 1), -np.inf)  # C order: norm_lp sums a field in memory order
+    step = [min(batch, max(1, block // st.d.size)) for st in plan]
+
+    def buffer(width):  # reused by every block of rows of every stack
+        return np.empty(max(n * width(st) for n, st in zip(step, plan)))
+
+    # the product's pair cells, the row and column maxima of a stack that
+    # is not corner, the other functions' pair cells and the divisors, and
+    # the cells' reads
+    pairs = buffer(lambda st: st.d.size)
+    maxima = buffer(lambda st: 0 if st.corner else st.d.shape[0] * sum(st.d.shape[1:]))
+    uniform = pref.min() == pref.max()  # one divisor per stack serves every block
+    bufs = [buffer(lambda st: st.d.size) for _ in range(len(slabs) - 1 if uniform else len(slabs))]
+    cells = buffer(lambda st: st.src.size)
+    for st, rows_per in zip(plan, step):
+        scale = pref[0] * st.d if uniform else None
+        for r in range(0, batch, rows_per):
+            rows = slice(r, min(r + rows_per, batch))
+            n = rows.stop - r
+            shape = st.d.shape[:-1] + (n,) if st.corner else (n,) + st.d.shape
+            v, *ws = [b[:math.prod(shape)].reshape(shape) for b in (pairs, *bufs)]
+            if not uniform:
+                p = pref[rows] if st.corner else pref[rows].reshape(n, 1, 1, 1)
+                scale = np.multiply(p, st.d, out=ws.pop())
+            for t, w in zip(slabs, (v, *ws)):
+                t, axis = (t[rows].T, 0) if st.corner else (t[rows], 1)
+                np.subtract(np.take(t, st.hi, axis), np.take(t, st.lo, axis), out=w)
                 w /= scale
+            for w in ws:
                 v *= w
-        np.copyto(v, -np.inf, where=bad)
-        np.maximum.accumulate(v, axis=1, out=v)
-        r = v[:, :, ::-1]
-        np.maximum.accumulate(r, axis=2, out=r)
-        out[lo:lo + n] = np.diagonal(v, 1, 1, 2)
+            if st.bad is not None:
+                np.copyto(v, -np.inf, where=st.bad)
+            if st.corner:
+                # running max over the lo slots, then over the hi slots
+                for j in range(1, v.shape[0]):
+                    np.maximum(v[j], v[j - 1], out=v[j])
+                for j in range(1, v.shape[1]):
+                    np.maximum(v[:, j], v[:, j - 1], out=v[:, j])
+                got = np.take(v.reshape(-1, n), st.src, axis=0,
+                              out=cells[:n * st.src.size].reshape(st.src.shape + (n,)))
+                reads = got.transpose(0, 2, 1)
+            else:
+                nseg, L, H = st.d.shape
+                ext = maxima[:n * nseg * (L + H)].reshape(n, nseg, L + H)
+                for part, axis in ((ext[:, :, :L], 3), (ext[:, :, L:], 2)):
+                    v.max(axis=axis, out=part)
+                    np.maximum.accumulate(part, axis=2, out=part)
+                got = np.take(ext.reshape(n, -1), st.src, axis=1,
+                              out=cells[:n * st.src.size].reshape((n,) + st.src.shape))
+                reads = got.transpose(1, 0, 2)
+            if st.gap is not None:
+                np.copyto(got, -np.inf, where=st.gap)
+            for level in reads:
+                np.maximum(out[rows], level, out=out[rows])
     return out
 
 
-def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: int,
-                  dmat: np.ndarray, bad: np.ndarray, block: int) -> np.ndarray:
+def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: np.ndarray,
+                  plan: tuple[_Stack, ...], block: int) -> np.ndarray:
     """Per-cell maxima over every member with sides from side_lists, any rank.
 
     tables[j] is the summed-area table of function j behind a leading batch
-    axis, shape (batch, n_1+1, ..., n_k+1); the result has shape
+    axis, shape (batch, n_1+1, ..., n_k+1), and pref[i] the product of the
+    sides batch row i has differenced off; the result has shape
     (batch, n_1, ..., n_k), -inf where no member covers a cell. Each side
     d of the leading axis is differenced off, its positions are folded
     into the batch for the remaining axes, and the per-position maxima are
-    expanded back to cells with a cover max. The last axis is the pair DP,
-    with dmat and bad built once per sweep and block its pair-cell bound;
-    pref is the product of the sides already differenced off.
+    expanded back to cells with a cover max. Consecutive sides go in runs
+    (grid._runs) of about block pair cells fed to the last-axis DP
+    (_dp_last_axis on plan), each run's slabs stacked into one batch, so
+    small grids make a few DP calls rather than one per side.
     """
     if len(side_lists) == 1:
-        return _dp_last_axis(tables, pref, dmat, bad, block)
+        return _dp_last_axis(tables, pref, plan, block)
+    batch, size = tables[0].shape[:2]
+    rest = tables[0].shape[2:]
+    per_row = sum(st.d.size for st in plan) * math.prod(
+        sum(e - s for s in lst) for e, lst in zip(rest[:-1], side_lists[1:-1]))
+    firsts = side_lists[0]
     out = None
-    for d in side_lists[0]:
-        slabs = [t[:, d:] - t[:, :-d] for t in tables]
-        batch, npos = slabs[0].shape[:2]
-        rest = slabs[0].shape[2:]
-        u = _corner_sweep([s.reshape((batch * npos,) + rest) for s in slabs],
-                          side_lists[1:], pref * d, dmat, bad, block)
-        u = _window_extreme(u.reshape((batch, npos) + u.shape[1:]), d, 1, cover=True)
-        out = u if out is None else np.maximum(out, u, out=out)
+    for a, b in _runs((size - np.array(firsts)) * (batch * per_row), block):
+        run = firsts[a:b]
+        ends = list(accumulate(batch * (size - d) for d in run))
+        spans = [(d, e - batch * (size - d), e) for d, e in zip(run, ends)]
+        slabs = [np.empty((ends[-1],) + rest) for _ in tables]
+        for t, slab in zip(tables, slabs):
+            for d, lo, hi in spans:
+                np.subtract(t[:, d:], t[:, :-d], out=slab[lo:hi].reshape(t[:, d:].shape))
+        sides = np.array(run)
+        u = _corner_sweep(slabs, side_lists[1:],
+                          np.repeat(np.outer(sides, pref), np.repeat(size - sides, batch)), plan,
+                          block)
+        for d, lo, hi in spans:
+            w = u[lo:hi].reshape((batch, size - d) + u.shape[1:])
+            w = _window_extreme(w, d, 1, cover=True)
+            out = w if out is None else np.maximum(out, w, out=out)
     return out
 
 
@@ -318,11 +480,13 @@ def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
     Cube bases couple the sides, and in 1-D every member is an interval, so
     both go through one vectorized pass per shape, which holds one plane
     at a time. The uncoupled bases in 2-D and 3-D run the corner sweep,
-    whose first side list is split across threads on grids of at least
-    _THREAD_MIN_CELLS cells (_sweep_threads), sharing _DP_BLOCK. Max is
-    exact and every average has its fixed operands, so
-    the field does not depend on the thread count. Cells covered by no
-    admissible member report 0 (empty supremum).
+    with the last-axis DP planned once per sweep (_dp_plan, cached per
+    last-axis length and admissible sides) and the first side list split
+    across threads on grids of at least _THREAD_MIN_CELLS cells
+    (_sweep_threads), sharing _DP_BLOCK. Max is exact and every average
+    has its fixed operands, so the field depends neither on the thread
+    count nor on how sides are grouped into runs and rows into blocks.
+    Cells covered by no admissible member report 0 (empty supremum).
     """
     shape = fs[0].shape
     sats = [SummedAreaTable(f) for f in fs]
@@ -344,18 +508,14 @@ def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
     side_lists = [basis.side_choices(e) for e in shape]
     if any(not lst for lst in side_lists):
         return np.zeros(shape)
-    d = np.arange(shape[-1] + 1)[None, :] - np.arange(shape[-1] + 1)[:, None]
-    dmat = d.astype(float)
-    admissible = np.zeros(shape[-1] + 1, dtype=bool)
-    admissible[side_lists[-1]] = True  # index 0 stays False: d <= 0 is no member
-    bad = ~admissible[np.maximum(d, 0)]
     tables = [t[None] for t in tables]
+    plan = _dp_plan(shape[-1] + 1, tuple(side_lists[-1]))
     firsts = side_lists[0]
     threads = _sweep_threads(shape, len(firsts))
     block = _DP_BLOCK // threads
 
     def sweep(sides: list[int]) -> np.ndarray:
-        return _corner_sweep(tables, [sides] + side_lists[1:], 1, dmat, bad, block)
+        return _corner_sweep(tables, [sides] + side_lists[1:], np.ones(1), plan, block)
 
     if threads == 1:
         out = sweep(firsts)

@@ -333,19 +333,103 @@ def test_average_sweeps_equal_rect_average_loops(shape, basis, cores, monkeypatc
     assert strong.flags.c_contiguous and pair.flags.c_contiguous
 
 
+@pytest.mark.parametrize("basis", [Basis(), Basis(DYADIC), Basis(min_side=2), Basis(max_side=3)],
+                         ids=["rect", "dyadic", "min_side2", "max_side3"])
 @pytest.mark.parametrize("cores", [1, 3])
-def test_average_sweep_is_exact_across_dp_blocks(monkeypatch, cores):
+def test_average_sweep_is_exact_across_dp_blocks(monkeypatch, cores, basis):
     # 100 pair cells per block, shared by the threads, splits every batch
-    # into uneven blocks of rows
+    # into uneven blocks of rows and every run of leading sides into one
+    # side per run; the restricted bases mask pairs inside the blocks
     force_threads(monkeypatch, cores)
     monkeypatch.setattr(maximal, "_DP_BLOCK", 100)
-    monkeypatch.setattr(maximal, "_DP_MIN_LINES", 1)
     for shape in [(7, 6), (5, 4, 3)]:
         f = rand_grid(shape, seed=30)
         g = rand_grid(shape, seed=31)
-        assert np.array_equal(strong_maximal(f).field.values, brute_average([f], Basis()))
-        assert np.array_equal(multilinear_maximal([f, g]).field.values,
-                              brute_average([f, g], Basis()))
+        assert np.array_equal(strong_maximal(f, basis).field.values, brute_average([f], basis))
+        assert np.array_equal(multilinear_maximal([f, g], basis).field.values,
+                              brute_average([f, g], basis))
+
+
+def dp_reference(slabs, pref, sides):
+    """_dp_last_axis by a plain double loop over the (lo, hi) pairs."""
+    batch, size = slabs[0].shape
+    out = np.full((batch, size - 1), -np.inf)
+    for lo in range(size):
+        for hi in range(lo + 1, size):
+            if hi - lo not in sides:
+                continue
+            scale = pref * float(hi - lo)
+            v = (slabs[0][:, hi] - slabs[0][:, lo]) / scale
+            for t in slabs[1:]:
+                v = v * ((t[:, hi] - t[:, lo]) / scale)
+            np.maximum(out[:, lo:hi], v[:, None], out=out[:, lo:hi])
+    return out
+
+
+DP_BASES = [Basis(), Basis(DYADIC), Basis(min_side=3), Basis(max_side=2)]
+
+
+@pytest.mark.parametrize("block", [maximal._DP_BLOCK, 1])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("basis", DP_BASES, ids=["rect", "dyadic", "min_side3", "max_side2"])
+def test_dp_last_axis_matches_a_pair_loop(basis, m, block):
+    # prefix lengths 2..40 take in every 2**k and 2**k +- 1; the rows'
+    # divisors differ within a block (in the order a run of sides gives
+    # them, and shuffled) or are one for the whole call
+    rng = np.random.default_rng(70)
+    for size in range(2, 41):
+        sides = basis.side_choices(size - 1)
+        plan = maximal._dp_plan(size, tuple(sides))
+        batch = 7
+        slabs = [np.cumsum(np.exp(rng.normal(size=(batch, size))), axis=1) - 3.0
+                 for _ in range(m)]
+        for pref in (np.repeat([1.0, 2.0, 6.0], [3, 3, 1]), rng.integers(1, 9, batch) * 1.0,
+                     np.full(batch, 12.0)):
+            got = maximal._dp_last_axis(slabs, pref, plan, block)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, dp_reference(slabs, pref, sides)), (size, pref)
+
+
+@pytest.mark.parametrize("basis", DP_BASES, ids=["rect", "dyadic", "min_side3", "max_side2"])
+def test_dp_plan_unmasks_each_admissible_pair_once(basis):
+    for size in range(2, 41):
+        sides = basis.side_choices(size - 1)
+        pairs = []
+        for st in maximal._dp_plan(size, tuple(sides)):
+            lo, hi = np.broadcast_arrays(st.lo, st.hi)
+            keep = np.ones(lo.shape, dtype=bool) if st.bad is None else ~st.bad.reshape(lo.shape)
+            assert np.array_equal(st.d.reshape(lo.shape), hi - lo) and np.all(st.d >= 1)
+            pairs += zip(lo[keep].tolist(), hi[keep].tolist())
+        want = [(lo, lo + s) for s in sides for lo in range(size - s)]
+        assert len(pairs) == len(set(pairs))
+        assert sorted(pairs) == sorted(want)
+
+
+def test_dp_levels_form_about_half_the_pair_matrix():
+    for size, cells in [(97, 4865), (257, 33665)]:
+        plan = maximal._dp_plan(size, tuple(range(1, size)))
+        assert sum(st.d.size for st in plan) == cells
+        assert cells < 0.52 * size * size
+
+
+@pytest.mark.parametrize("shape, bound", [((12, 12), 2), ((16, 16, 16), 40)], ids=str)
+def test_average_sweep_makes_a_few_dp_calls_per_leading_side_run(monkeypatch, shape, bound):
+    calls = []
+    real = maximal._dp_last_axis
+
+    def counting(*args):
+        calls.append(args[0][0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(maximal, "_dp_last_axis", counting)
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        calls.clear()
+        strong_maximal(rand_grid(shape, seed=45))
+        # one call per side of the axis before the last made 12 and 256
+        # (16 x 16); runs of sides stacked into one batch make 1 and 19
+        # on one core, and 1 and 35 on two, whose threads halve the block
+        assert len(calls) <= bound
 
 
 @pytest.mark.parametrize("shape, basis", [
