@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyRect, GeometryMismatch, DimensionError
-from .young import YoungFunction, _solve_bracketed
+from .young import YoungFunction, _check_tol, _solve_bracketed
 
 __all__ = [
     "GridFunction",
@@ -350,8 +350,10 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
     every open row of the run, and each G is its segment's np.add.reduceat
     sum over its cell count. That sum reads only its own segment, and each
     row stops on its own, so a row's result is the same whichever rows
-    share its run or its batch, in whichever matrix.
+    share its run or its batch, in whichever matrix. Raises ValueError
+    unless 0 < tol < 1.
     """
+    _check_tol(tol)
     mats = _matrices(rows)
     lengths = np.concatenate([np.full(len(a), a.shape[1], dtype=np.intp) for a in mats])
     out = np.zeros(lengths.size)

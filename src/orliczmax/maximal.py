@@ -14,7 +14,8 @@ one batch. The last axis takes its maxima by divide and conquer over the
 prefix indices (Bentley's maximum subarray split): each level halves
 every segment, a pair (lo, hi) is formed once, at the level whose split
 separates lo from hi, and the cells of a segment take prefix maxima over
-lo or suffix maxima over hi of that level's crossing pairs. Cube bases
+lo or suffix maxima over hi of that level's crossing pairs, laid out with
+the batch rows last so that every numpy pass runs along them. Cube bases
 and 1-D grids take one vectorized pass per shape instead. Each average
 is the difference of the same table entries, taken axis by axis in the
 fixed canonical order, divided once by the same cell count as in
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import BudgetExceeded, GeometryMismatch
 from .grid import (GridFunction, SummedAreaTable, _box_index, _box_norms, _box_sums, _members,
                    _position_grid, _runs, _shape_runs)
-from .young import Power, YoungFunction, inverse, young_to_json
+from .young import Power, YoungFunction, _check_tol, inverse, young_to_json
 
 __all__ = [
     "RECTANGLES",
@@ -267,20 +268,20 @@ class _Stack(NamedTuple):
     [m, b). A stack holds the segments of its levels side by side, padded
     to L lo slots and H hi slots: lo runs up from a, hi down from b - 1,
     and padding repeats the last slot of each, so d >= 1 on every pair.
-    The pairs of a block of rows are laid out so that numpy's passes run
-    along a long last axis. Where H is long against the segment count
-    they are (rows, segments, L, H), and the cells read prefix maxima of
-    the row and column maxima of each segment; else (L, H, segments,
-    rows), with the rows last, and the cells read corners of the 2-D
-    prefix maxima over the slots (corner).
+    The pairs of a block of rows are laid out (L, H, segments, rows), with
+    the rows last, so that numpy's passes run along a long last axis. A
+    short stack (corner) takes the 2-D running maxima over the slots and
+    its cells read their corners; the others take the row and column
+    maxima of each segment, (L + H, segments, rows), and their prefix
+    maxima, which is fewer passes once the hi runs are long.
     """
 
-    lo: np.ndarray          # low prefix index per pair, broadcastable to d
-    hi: np.ndarray          # high prefix index per pair, descending slots
-    d: np.ndarray           # hi - lo as floats, (segments, L, H) or (L, H, segments, 1)
+    lo: np.ndarray          # low prefix index per pair, (L, 1, segments)
+    hi: np.ndarray          # high prefix index per pair, descending slots, (1, H, segments)
+    d: np.ndarray           # hi - lo as floats, (L, H, segments, 1)
     bad: np.ndarray | None  # padding or inadmissible d, shaped as d; None if none
     src: np.ndarray         # (levels, n): each cell's entry per level in a row's maxima
-    gap: np.ndarray | None  # cells no pair of the level covers, shaped as the reads; or None
+    gap: np.ndarray | None  # cells no pair of the level covers, (levels, n, 1); or None
     corner: bool
 
 
@@ -292,12 +293,10 @@ def _stack(levels: list[list[tuple[int, int, int]]], admissible: np.ndarray) -> 
     lo = (a + np.minimum(jl, m - a - 1))[:, None]     # (L, 1, segments)
     hi = (b - 1 - np.minimum(jh, b - m - 1))[None]    # (1, H, segments)
     bad = (jl >= m - a)[:, None] | (jh >= b - m)[None] | ~admissible[hi - lo]
-    # measured on two cores: the segments-first block is the faster one
-    # only while its hi runs are over 16 times the segment count, as on
-    # the top levels of long axes
-    corner = H <= 16 * nseg
-    if not corner:
-        lo, hi, bad = (x.transpose(2, 0, 1) for x in (lo, hi, bad))
+    # measured on two cores: the 2-D running maxima are the faster
+    # aggregation only on the short hi runs of the bottom levels (8 and 4
+    # time alike on 96^2; 8 keeps the faster one on 32^2 and 16^3)
+    corner = H <= 8
     # the cells x in [a, m) of a segment take the max over lo <= x, those
     # in [m, b - 1) the max over hi >= x + 1: a corner of the 2-D prefix
     # maxima of the block, or one of the L + H prefix maxima of its row
@@ -309,14 +308,12 @@ def _stack(levels: list[list[tuple[int, int, int]]], admissible: np.ndarray) -> 
             x = np.arange(a_, b_ - 1)
             left, right = x - a_, b_ - 2 - x
             if corner:
-                slot = np.where(x < m_, left * H + H - 1, (L - 1) * H + right) * nseg + s
+                slot = np.where(x < m_, left * H + H - 1, (L - 1) * H + right)
             else:
-                slot = s * (L + H) + np.where(x < m_, left, L + right)
-            row[x] = slot
+                slot = np.where(x < m_, left, L + right)
+            row[x] = slot * nseg + s
             s += 1
-    d, bad, gap = (hi - lo).astype(float), np.ascontiguousarray(bad), src < 0
-    if corner:  # the rows come last
-        d, bad, gap = d[..., None], bad[..., None], gap[..., None]
+    d, bad, gap = (hi - lo).astype(float)[..., None], bad[..., None], (src < 0)[..., None]
     return _Stack(lo, hi, d, bad if bad.any() else None, np.maximum(src, 0),
                   gap if gap.any() else None, corner)
 
@@ -372,7 +369,10 @@ def _dp_last_axis(slabs: list[np.ndarray], pref: np.ndarray, plan: tuple[_Stack,
     pair is formed once, the n(n+1)/2 of them in place of the (n+1)^2 of
     a pair matrix, and max is exact and order-free, so each cell gets the
     max over the members containing it bit for bit. Rows go through each
-    stack in blocks of about block pair cells of that stack.
+    stack in blocks of about block pair cells of that stack, laid out
+    (L, H, segments, rows) as _Stack says, and a stack's cells read either
+    corners of its 2-D running maxima or prefix maxima of its row and
+    column maxima.
     """
     batch, size = slabs[0].shape
     out = np.full((batch, size - 1), -np.inf)  # C order: norm_lp sums a field in memory order
@@ -385,23 +385,23 @@ def _dp_last_axis(slabs: list[np.ndarray], pref: np.ndarray, plan: tuple[_Stack,
     # is not corner, the other functions' pair cells and the divisors, and
     # the cells' reads
     pairs = buffer(lambda st: st.d.size)
-    maxima = buffer(lambda st: 0 if st.corner else st.d.shape[0] * sum(st.d.shape[1:]))
+    maxima = buffer(lambda st: 0 if st.corner else sum(st.d.shape[:2]) * st.d.shape[2])
     uniform = pref.min() == pref.max()  # one divisor per stack serves every block
     bufs = [buffer(lambda st: st.d.size) for _ in range(len(slabs) - 1 if uniform else len(slabs))]
     cells = buffer(lambda st: st.src.size)
     for st, rows_per in zip(plan, step):
         scale = pref[0] * st.d if uniform else None
+        L, H, nseg = st.d.shape[:3]
         for r in range(0, batch, rows_per):
             rows = slice(r, min(r + rows_per, batch))
             n = rows.stop - r
-            shape = st.d.shape[:-1] + (n,) if st.corner else (n,) + st.d.shape
+            shape = (L, H, nseg, n)
             v, *ws = [b[:math.prod(shape)].reshape(shape) for b in (pairs, *bufs)]
             if not uniform:
-                p = pref[rows] if st.corner else pref[rows].reshape(n, 1, 1, 1)
-                scale = np.multiply(p, st.d, out=ws.pop())
+                scale = np.multiply(pref[rows], st.d, out=ws.pop())
             for t, w in zip(slabs, (v, *ws)):
-                t, axis = (t[rows].T, 0) if st.corner else (t[rows], 1)
-                np.subtract(np.take(t, st.hi, axis), np.take(t, st.lo, axis), out=w)
+                t = t[rows].T
+                np.subtract(np.take(t, st.hi, 0), np.take(t, st.lo, 0), out=w)
                 w /= scale
             for w in ws:
                 v *= w
@@ -409,25 +409,21 @@ def _dp_last_axis(slabs: list[np.ndarray], pref: np.ndarray, plan: tuple[_Stack,
                 np.copyto(v, -np.inf, where=st.bad)
             if st.corner:
                 # running max over the lo slots, then over the hi slots
-                for j in range(1, v.shape[0]):
+                for j in range(1, L):
                     np.maximum(v[j], v[j - 1], out=v[j])
-                for j in range(1, v.shape[1]):
+                for j in range(1, H):
                     np.maximum(v[:, j], v[:, j - 1], out=v[:, j])
-                got = np.take(v.reshape(-1, n), st.src, axis=0,
-                              out=cells[:n * st.src.size].reshape(st.src.shape + (n,)))
-                reads = got.transpose(0, 2, 1)
+                table = v
             else:
-                nseg, L, H = st.d.shape
-                ext = maxima[:n * nseg * (L + H)].reshape(n, nseg, L + H)
-                for part, axis in ((ext[:, :, :L], 3), (ext[:, :, L:], 2)):
+                table = maxima[:(L + H) * nseg * n].reshape(L + H, nseg, n)
+                for part, axis in ((table[:L], 1), (table[L:], 0)):
                     v.max(axis=axis, out=part)
-                    np.maximum.accumulate(part, axis=2, out=part)
-                got = np.take(ext.reshape(n, -1), st.src, axis=1,
-                              out=cells[:n * st.src.size].reshape((n,) + st.src.shape))
-                reads = got.transpose(1, 0, 2)
+                    np.maximum.accumulate(part, axis=0, out=part)
+            got = np.take(table.reshape(-1, n), st.src, axis=0,
+                          out=cells[:n * st.src.size].reshape(st.src.shape + (n,)))
             if st.gap is not None:
                 np.copyto(got, -np.inf, where=st.gap)
-            for level in reads:
+            for level in got.transpose(0, 2, 1):
                 np.maximum(out[rows], level, out=out[rows])
     return out
 
@@ -860,6 +856,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     (candidates), pruned (live members skipped) and ladder_rungs (tables
     built, over all functions).
     """
+    _check_tol(tol)
     count = _checked_inputs(fs, basis, budget)
     if (all(isinstance(p, Power) and p.domain_cap is None for p in phis)
             and len({p.r for p in phis}) == 1):

@@ -153,6 +153,12 @@ class SetSamplerSpec:
     max_rects: int = 8
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("count must be positive")
+        if self.max_rects < 1:
+            raise ValueError("max_rects must be positive")
+
     def sets(self, shape: tuple[int, ...]) -> list[list[Rect]]:
         rng = np.random.default_rng(self.seed)
         out = []

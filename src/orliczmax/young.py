@@ -416,6 +416,15 @@ def _itp_point(a, b, fa, fb, j, nmax, eps, k1):
     return a + h - sigma * dist
 
 
+def _check_tol(tol: float) -> None:
+    """The relative tolerance of a solve must lie in (0, 1): the stopping
+    rule takes log1p(-tol), and the Orlicz sweep's skip rule widens bounds
+    by (1 + 4 tol)**m, which a negative or NaN tol would turn into pruning
+    every member."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
+
+
 def _solve_bracketed(lo, hi, probe, log, tol: float, upper: bool) -> np.ndarray:
     """Certified roots of monotone problems: bracket search, then ITP steps.
 
@@ -525,8 +534,9 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     explicit domain cap makes y unreachable, or when Phi stays <= y up to
     the largest float. Every point is solved on its own, so its result does
     not depend on the rest of the vector; long vectors are solved in blocks
-    of _INVERSE_CHUNK points.
+    of _INVERSE_CHUNK points. Raises ValueError unless 0 < tol < 1.
     """
+    _check_tol(tol)
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).copy()

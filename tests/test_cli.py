@@ -232,3 +232,16 @@ def test_orlicz_maximal_sidecar_replays_byte_for_byte(capsys, tmp_path):
     prov = json.loads(sidecars[0])["provenance"]
     assert prov["rects_solved"] + prov["pruned"] == prov["rect_count"]
     assert prov["ladder_rungs"] > 0
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1"])
+def test_bad_tol_is_a_json_error(capsys, tmp_path, tol):
+    src = str(tmp_path / "f.grid")
+    run(capsys, "gen", "--kind", "random", "--shape", "6,6", "--out", src)
+    dst = tmp_path / "m.grid"
+    code, out, err = run(capsys, "maximal", "--input", src, "--tol", tol, "--phi",
+                         '{"kind": "power_log", "alpha": 1.8, "beta": 1}', "--out", str(dst))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert not dst.exists()

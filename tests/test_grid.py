@@ -128,6 +128,15 @@ def test_luxemburg_scaling():
     assert b == pytest.approx(2.0 * a, rel=1e-8)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0], ids=str)
+def test_luxemburg_rejects_a_tol_outside_zero_one(tol):
+    f = grid2(np.arange(1.0, 7.0).reshape(2, 3))
+    with pytest.raises(ValueError, match="tol"):
+        luxemburg_batch(f.values, PowerLog(1.8, 1.0), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        luxemburg_norm(f, Rect((0, 0), (2, 3)), PowerLog(1.8, 1.0), tol=tol)
+
+
 def test_luxemburg_batch_matches_singles():
     rng = np.random.default_rng(4)
     rows = rng.uniform(0.0, 4.0, size=(8, 12))

@@ -209,6 +209,19 @@ def test_orlicz_prune_is_exact_on_zero_heavy_and_constant_grids():
         assert np.array_equal(on, off)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0], ids=str)
+def test_orlicz_maximal_rejects_a_tol_outside_zero_one(tol):
+    # a negative or NaN tol would turn the skip rule's widen factor
+    # negative or NaN, prune every member and return an all-zero field
+    f, g = rand_grid((6, 6), seed=80), rand_grid((6, 6), seed=81)
+    for phi in (PowerLog(1.8, 1.0), Power(2.0)):
+        for prune in (True, False):
+            with pytest.raises(ValueError, match="tol"):
+                orlicz_maximal(f, phi, tol=tol, prune=prune)
+        with pytest.raises(ValueError, match="tol"):
+            multilinear_orlicz_maximal([f, g], [phi, phi], tol=tol)
+
+
 def test_orlicz_dominates_scaled_input():
     f = rand_grid((10, 10), seed=11)
     phi = PowerLog(1.8, 1.0)
@@ -377,9 +390,11 @@ def test_dp_last_axis_matches_a_pair_loop(basis, m, block):
     # divisors differ within a block (in the order a run of sides gives
     # them, and shuffled) or are one for the whole call
     rng = np.random.default_rng(70)
+    corner = set()
     for size in range(2, 41):
         sides = basis.side_choices(size - 1)
         plan = maximal._dp_plan(size, tuple(sides))
+        corner.update(st.corner for st in plan)
         batch = 7
         slabs = [np.cumsum(np.exp(rng.normal(size=(batch, size))), axis=1) - 3.0
                  for _ in range(m)]
@@ -388,6 +403,8 @@ def test_dp_last_axis_matches_a_pair_loop(basis, m, block):
             got = maximal._dp_last_axis(slabs, pref, plan, block)
             assert got.flags.c_contiguous
             assert np.array_equal(got, dp_reference(slabs, pref, sides)), (size, pref)
+    # both aggregations, 2-D running maxima and row/column maxima, ran
+    assert corner == {True, False}
 
 
 @pytest.mark.parametrize("basis", DP_BASES, ids=["rect", "dyadic", "min_side3", "max_side2"])

@@ -283,6 +283,13 @@ def test_condition_a_needs_interior_lambda():
         condition_A_estimate(w, 1.5, SetSamplerSpec(count=4, seed=0))
 
 
+@pytest.mark.parametrize("kwargs", [{"count": 0}, {"count": -3}, {"max_rects": 0}],
+                         ids=["count0", "count_neg", "max_rects0"])
+def test_set_sampler_rejects_empty_draws(kwargs):
+    with pytest.raises(ValueError, match="must be positive"):
+        SetSamplerSpec(**kwargs)
+
+
 @pytest.mark.parametrize("shape", [(1,), (7,), (16, 16), (3, 40), (5, 4, 3)], ids=str)
 def test_set_sampler_draws_the_sides_of_its_log_uniform_formula(shape):
     # the sides were once drawn as clip(exp(U(0, log(e + 1))), 1, e): the

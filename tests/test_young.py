@@ -90,6 +90,12 @@ def test_biconjugate_recovers_power():
     assert rel.max() < 1e-6
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0], ids=str)
+def test_inverse_rejects_a_tol_outside_zero_one(tol):
+    with pytest.raises(ValueError, match="tol"):
+        inverse(PowerLog(1.8, 1.0), [0.5, 2.0], tol=tol)
+
+
 def test_inverse_right_inverse():
     for phi in (Power(2.0), PowerLog(2.0, 1.5), PowerLogLog(1.8, 1.0)):
         y = np.geomspace(1e-6, 1e8, 60)
