@@ -34,9 +34,8 @@ skipped, and the few members left are solved by grid._box_norms, the
 box-norm gather the weight constants share. Its per-cell suprema and its
 per-member minima of the lower envelope go through range-extreme tables
 over the last axis (_fold, _floor), built per call for each run of
-members whose other sides agree, and one block prefix/suffix min/max
-filter (_window_extreme) per run over the leading axes; the average sweep
-uses that filter alone.
+members whose other sides agree, and one _window_extreme pass per run
+over the leading axes, which the average sweep uses alone.
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -56,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, GeometryMismatch
+from .errors import BudgetExceeded, GeometryMismatch, NonFinite
 from .grid import (GridFunction, SummedAreaTable, _box_index, _box_norms, _box_sums, _members,
                    _position_grid, _runs, _shape_runs)
 from .young import Power, YoungFunction, _check_tol, inverse, young_to_json
@@ -167,30 +166,24 @@ def _window_extreme(a: np.ndarray, s: int, axis: int, take_min: bool = False,
     Without cover, entry i is the extreme of a[i:i+s]: one value per
     position of a member with side s. With cover, a is indexed by position
     and entry x is the extreme over the positions whose member covers cell
-    x, those in (x - s, x]; the axis grows by s - 1. Block prefix and
-    suffix extremes (van Herk 1992; Gil & Werman 1993) cost O(1) per
-    element whatever s is. Max and min are exact, so the result does not
-    depend on the method; it is C-contiguous when a is.
+    x, those in (x - s, x]; the axis grows by s - 1. The window is split as
+    _fold and _floor split a span: extremes over [i, i + 2**j) double up to
+    k = floor(log2 s), then join at i and i + s - 2**k. Max and min are
+    exact, so the split changes no bit; the result is C-contiguous when a is.
     """
     if s == 1:
         return a
-    n = a.shape[axis]
-    off = s - 1 if cover else 0
-    length = n + 2 * off
-    blocks = -(-length // s)
-    ufunc = np.minimum if take_min else np.maximum
+    ufunc, identity = (np.minimum, np.inf) if take_min else (np.maximum, -np.inf)
     lead = (slice(None),) * axis
-    buf = np.full(a.shape[:axis] + (blocks * s,) + a.shape[axis + 1:],
-                  np.inf if take_min else -np.inf)
-    buf[lead + (slice(off, off + n),)] = a
-    split = buf.reshape(a.shape[:axis] + (blocks, s) + a.shape[axis + 1:])
-    suffix = np.empty_like(split)
-    rev = lead + (slice(None), slice(None, None, -1))
-    ufunc.accumulate(split[rev], axis=axis + 1, out=suffix[rev])
-    ufunc.accumulate(split, axis=axis + 1, out=split)  # prefix extremes, into buf
-    suffix = suffix.reshape(buf.shape)
-    return ufunc(suffix[lead + (slice(0, length - s + 1),)],
-                 buf[lead + (slice(s - 1, length),)])
+    if cover:  # s - 1 identities at each end
+        edge = np.full(a.shape[:axis] + (s - 1,) + a.shape[axis + 1:], identity)
+        a = np.concatenate((edge, a, edge), axis=axis)
+    w = 1  # a[i] is the extreme over [i, i + w)
+    while w < s:
+        h = min(w, s - w)
+        a = ufunc(a[lead + (slice(None, -h),)], a[lead + (slice(h, None),)])
+        w += h
+    return a
 
 
 def _window_extremes(a: np.ndarray, sides: tuple[int, ...], take_min: bool = False,
@@ -233,6 +226,8 @@ def _checked_inputs(fs: list[GridFunction], basis: Basis, budget: int) -> int:
 def _field(fs: list[GridFunction], out: np.ndarray, basis: Basis, count: int,
            **prov) -> MaximalField:
     """The field on the inputs' grid, with the provenance every operator shares."""
+    if not np.isfinite(out).all():  # the sweeps let an overflowing product go to inf
+        raise NonFinite("a product of averages or norms overflows the float range")
     prov.update(basis=basis.to_dict(), grid_shape=list(fs[0].shape), rect_count=count,
                 inputs=_input_digest(*fs))
     return MaximalField(field=fs[0].with_values(out), provenance=prov)
@@ -470,6 +465,7 @@ def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: n
     return out
 
 
+@np.errstate(over="ignore")  # an overflowing product is inf, which _field rejects
 def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
     """Sup over basis members of the product of per-function averages.
 
@@ -510,6 +506,7 @@ def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
     threads = _sweep_threads(shape, len(firsts))
     block = _DP_BLOCK // threads
 
+    @np.errstate(over="ignore")  # the caller's errstate does not reach pool threads
     def sweep(sides: list[int]) -> np.ndarray:
         return _corner_sweep(tables, [sides] + side_lists[1:], np.ones(1), plan, block)
 
@@ -761,6 +758,7 @@ def _floor(lb: np.ndarray, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # an overflowing product is inf, which _field rejects
 def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
                   budget: int, tol: float, prune: bool, /, **prov) -> MaximalField:
     """Sup over basis members of the product of per-function Luxemburg norms.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orliczmax.cli import main
-from orliczmax.grid import read_grid
+from orliczmax.grid import GridFunction, read_grid, write_grid
 
 
 def run(capsys, *argv):
@@ -151,6 +151,23 @@ def test_phi_with_multilinear_inputs_is_a_json_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("phi", [None, '{"kind": "power_log", "alpha": 1.8, "beta": 1.0}'],
+                         ids=["average", "orlicz"])
+def test_overflowing_multilinear_product_exits_2(capsys, tmp_path, monkeypatch, phi, cores):
+    # 48x48 averages sweep on up to 3 threads; 6x6 keeps the Orlicz sweep short
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    n = 48 if phi is None else 6
+    big = str(tmp_path / "big.grid")
+    write_grid(GridFunction((n, n), (0.0, 0.0), (1.0, 1.0), np.full((n, n), 1e200)), big)
+    dest = str(tmp_path / "m.grid")
+    code, out, err = run(capsys, "maximal", "--inputs", big, big, "--out", dest,
+                         *(() if phi is None else ("--phis", phi, phi)))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFinite"
 
 
 def test_maximal_run_config_does_not_depend_on_core_count(capsys, tmp_path, monkeypatch):

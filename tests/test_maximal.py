@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orliczmax import grid as gridmod, maximal
-from orliczmax.errors import BudgetExceeded, GeometryMismatch
+from orliczmax.errors import BudgetExceeded, GeometryMismatch, NonFinite
 from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch, luxemburg_norm,
                             rect_average)
 from orliczmax.maximal import (CUBES, DYADIC, Basis, _window_extreme, indicator_far_field,
@@ -333,7 +333,7 @@ BRUTE_BASIS_IDS = ["rect", "cubes", "dyadic", "sides3to6"]
 
 @pytest.mark.parametrize("cores", [1, 3])
 @pytest.mark.parametrize("basis", BRUTE_BASES, ids=BRUTE_BASIS_IDS)
-@pytest.mark.parametrize("shape", [(9,), (1, 8), (8, 1), (5, 4, 3)], ids=str)
+@pytest.mark.parametrize("shape", [(9,), (40,), (1, 8), (8, 1), (12, 11), (5, 4, 3)], ids=str)
 def test_average_sweeps_equal_rect_average_loops(shape, basis, cores, monkeypatch):
     force_threads(monkeypatch, cores)
     f = rand_grid(shape, seed=20)
@@ -498,20 +498,22 @@ def test_power_dispatch_scales_by_powers_of_two_exactly():
 @pytest.mark.parametrize("take_min", [False, True], ids=["max", "min"])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_window_extreme_matches_direct_windows(axis, take_min, cover):
-    # one decimal leaves ties between neighbours
-    a = np.round(np.random.default_rng(29).normal(size=(5, 4, 6)), 1)
-    n = a.shape[axis]
-    pick = np.min if take_min else np.max
-    for s in range(1, n + 3 if cover else n + 1):
-        if cover:  # cell x is covered by the positions in (x - s, x]
-            spans = [range(max(0, x - s + 1), min(n, x + 1)) for x in range(n + s - 1)]
-        else:
-            spans = [range(i, i + s) for i in range(n - s + 1)]
-        want = np.stack([pick(np.take(a, list(idx), axis=axis), axis=axis) for idx in spans],
-                        axis=axis)
-        got = _window_extreme(a, s, axis, take_min=take_min, cover=cover)
-        assert np.array_equal(got, want), s
-        assert got.flags.c_contiguous, s
+    # one decimal leaves ties between neighbours; the 37-cell axis takes
+    # windows of 2**k and 2**k +- 1 cells up to k = 5
+    rng = np.random.default_rng(29)
+    for a in (np.round(rng.normal(size=(5, 4, 6)), 1), np.round(rng.normal(size=(3, 37, 2)), 1)):
+        n = a.shape[axis]
+        pick = np.min if take_min else np.max
+        for s in range(1, n + 3 if cover else n + 1):
+            if cover:  # cell x is covered by the positions in (x - s, x]
+                spans = [range(max(0, x - s + 1), min(n, x + 1)) for x in range(n + s - 1)]
+            else:
+                spans = [range(i, i + s) for i in range(n - s + 1)]
+            want = np.stack([pick(np.take(a, list(idx), axis=axis), axis=axis)
+                             for idx in spans], axis=axis)
+            got = _window_extreme(a, s, axis, take_min=take_min, cover=cover)
+            assert np.array_equal(got, want), (a.shape, s)
+            assert got.flags.c_contiguous, (a.shape, s)
 
 
 def batch_field(fs, phis, basis):
@@ -950,3 +952,21 @@ def test_average_sweeps_equal_rect_average_loops_on_flat_grids(basis, case):
     assert np.array_equal(strong_maximal(f, basis).field.values, brute_average([f], basis))
     assert np.array_equal(multilinear_maximal([g, f], basis).field.values,
                           brute_average([g, f], basis))
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_overflowing_products_raise_nonfinite(monkeypatch, cores):
+    # each average or norm is 1e200, their product is past the float range
+    force_threads(monkeypatch, cores)
+    small, large = grid(np.full((6, 6), 1e200)), grid(np.full((48, 48), 1e200))
+    for basis in (Basis(), Basis(CUBES)):
+        for f in (small, large):
+            with pytest.raises(NonFinite):
+                multilinear_maximal([f, f], basis)
+            with pytest.raises(NonFinite):
+                multilinear_orlicz_maximal([f, f], [Power(2.0)] * 2, basis)
+        with pytest.raises(NonFinite):
+            multilinear_orlicz_maximal([small, small], [PowerLog(1.8, 1.0)] * 2, basis)
+    # one factor below 1 keeps the product in range
+    tame = grid(np.full((6, 6), 1e-150))
+    assert np.allclose(multilinear_maximal([small, tame]).field.values, 1e50)

@@ -54,6 +54,11 @@ def strong(shape):
     return lambda om: (lambda g=grids(om, shape, 1)[0]: om.strong_maximal(g))
 
 
+def cubes(shape):
+    return lambda om: (lambda g=grids(om, shape, 1)[0], basis=om.Basis(om.CUBES):
+                       om.strong_maximal(g, basis))
+
+
 def bilinear(shape):
     return lambda om: (lambda gs=grids(om, shape, 2): om.multilinear_maximal(gs))
 
@@ -75,6 +80,11 @@ CASES = {
     "bilinear 64x64": bilinear((64, 64)),
     "strong 128x128": strong((128, 128)),
     "orlicz 12x12": orlicz((12, 12)),
+    # the per-shape pass: cube bases and 1-D grids
+    "cubes 16^3": cubes((16, 16, 16)),
+    "cubes 24x24": cubes((24, 24)),
+    "strong 1000": strong((1000,)),
+    "strong 3000": strong((3000,)),
 }
 
 
