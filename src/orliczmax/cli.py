@@ -4,7 +4,9 @@ Every command prints one JSON document (or writes it to --out) that embeds
 the fully resolved run configuration, so replaying the printed config
 reproduces the payload byte for byte. Outputs carry no timestamps. Errors
 are structured JSON on stderr; exit 0 on success, 1 on validation errors,
-2 when a budget or numeric limit is hit.
+2 when a budget or numeric limit is hit, 3 when stdout closes before the
+payload is written (a reader such as `head` that stops early), which
+prints nothing more.
 """
 
 from __future__ import annotations
@@ -315,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _LIMIT_ERRORS = (BudgetExceeded, NonFinite, NoBracket, VerdictConflict)
+_EXIT_CLOSED_STDOUT = 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -338,7 +341,14 @@ def main(argv: list[str] | None = None) -> int:
         _fail(e)
         return 1
     payload["run_config"] = _run_config(args)
-    _emit(payload, out_path)
+    try:
+        _emit(payload, out_path)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now goes to devnull, so the flush at interpreter exit
+        # cannot fail again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_STDOUT
     return 0
 
 

@@ -35,7 +35,9 @@ box-norm gather the weight constants share. Its per-cell suprema and its
 per-member minima of the lower envelope go through range-extreme tables
 over the last axis (_fold, _floor), built per call for each run of
 members whose other sides agree, and one _window_extreme pass per run
-over the leading axes, which the average sweep uses alone.
+over the leading axes, which the average sweep uses alone. Where the
+norm has a closed form (a power, the conjugate of one, an input of
+values 0 and c), the Orlicz operators take one average sweep instead.
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -55,10 +57,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, GeometryMismatch, NonFinite
+from .errors import BudgetExceeded, GeometryMismatch, NoBracket, NonFinite
 from .grid import (GridFunction, SummedAreaTable, _box_index, _box_norms, _box_sums, _members,
                    _position_grid, _runs, _shape_runs)
-from .young import Power, YoungFunction, _check_tol, inverse, young_to_json
+from .young import YoungFunction, _check_tol, _power_form, inverse, young_to_json
 
 __all__ = [
     "RECTANGLES",
@@ -223,11 +225,14 @@ def _checked_inputs(fs: list[GridFunction], basis: Basis, budget: int) -> int:
     return count
 
 
+_OVERFLOW = "a product of averages or norms overflows the float range"
+
+
 def _field(fs: list[GridFunction], out: np.ndarray, basis: Basis, count: int,
            **prov) -> MaximalField:
     """The field on the inputs' grid, with the provenance every operator shares."""
     if not np.isfinite(out).all():  # the sweeps let an overflowing product go to inf
-        raise NonFinite("a product of averages or norms overflows the float range")
+        raise NonFinite(_OVERFLOW)
     prov.update(basis=basis.to_dict(), grid_shape=list(fs[0].shape), rect_count=count,
                 inputs=_input_digest(*fs))
     return MaximalField(field=fs[0].with_values(out), provenance=prov)
@@ -763,14 +768,24 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
                   budget: int, tol: float, prune: bool, /, **prov) -> MaximalField:
     """Sup over basis members of the product of per-function Luxemburg norms.
 
-    When every phi is an uncapped Power with one exponent r, the norm is
-    (mean_R f^r)^{1/r} in closed form and the outer 1/r power commutes
-    with the sup, so the field is the average sweep of the f_j^r to the
-    1/r: r = 1 is the plain average sweep (dispatch "average"), any other
-    r is dispatch "power_mean". Each f_j is first divided by the power of
-    two 2**e_j with 2**(e_j-1) <= max f_j < 2**e_j, and the field is
-    multiplied back by 2**(sum e_j), so f^r neither under- nor overflows
-    and scaling an input by a power of two scales the field exactly.
+    Three dispatches skip the solver where the answer has a closed form.
+
+    - "average" and "power_mean": every phi_j is c_j t^q with one exponent
+      q (young._power_form): an uncapped Power(q), or the conjugate of an
+      uncapped Power(r), r > 1, read as (r-1) r^{-q} t^q with q = r/(r-1).
+      The norm is c_j^{1/q} (mean_R f^q)^{1/q} and the outer 1/q power
+      commutes with the sup, so the field is the average sweep of the
+      f_j^q to the 1/q, times prod_j c_j^{1/q}: q = 1 with every c_j = 1
+      is the plain average sweep (dispatch "average"), anything else is
+      dispatch "power_mean". Each f_j is first divided by the power of two
+      2**e_j with 2**(e_j-1) <= max f_j < 2**e_j, and the field is
+      multiplied back by 2**(sum e_j), so f^q neither under- nor
+      overflows and scaling an input by a power of two scales the field
+      exactly.
+    - "two_valued": m = 1 and every value of f is 0 or one c > 0; the
+      field is c / Phi^{-1}(1 / M_B chi_E), one average sweep and one
+      inverse call (_two_valued). It runs before any pruning, so prune
+      on and off give the same bits.
 
     Otherwise the sweep runs in four steps.
 
@@ -842,6 +857,8 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        (q**2 Phi^{-1}(1)), gets U = lam_0 or lam_1 where certified, both
        below what the field reaches at every cell, so it is skipped
        wherever LB comes within a factor q of the field.
+       A block whose prod L holds an inf raises NonFinite at once: the
+       member's prod N >= prod L is inf, so the field is not finite.
     4. Solve. Per function, one grid._box_norms call solves every
        candidate with the hints of step 2, and _fold folds the products
        into the field as it folds LB.
@@ -856,16 +873,23 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     """
     _check_tol(tol)
     count = _checked_inputs(fs, basis, budget)
-    if (all(isinstance(p, Power) and p.domain_cap is None for p in phis)
-            and len({p.r for p in phis}) == 1):
-        r = phis[0].r
-        if r == 1.0:
+    forms = [_power_form(p) for p in phis]
+    if None not in forms and len({q for q, _ in forms}) == 1:
+        q = forms[0][0]
+        scale = math.prod(s for _, s in forms)
+        if q == 1.0 and scale == 1.0:
             return _field(fs, _average_sweep(fs, basis), basis, count, **prov,
                           dispatch="average")
         es = [int(np.frexp(f.values.max())[1]) for f in fs]
-        powered = [f.with_values(np.ldexp(f.values, -e) ** r) for f, e in zip(fs, es)]
-        out = np.ldexp(_average_sweep(powered, basis) ** (1.0 / r), sum(es))
+        powered = [f.with_values(np.ldexp(f.values, -e) ** q) for f, e in zip(fs, es)]
+        out = np.ldexp(_average_sweep(powered, basis) ** (1.0 / q) * scale, sum(es))
         return _field(fs, out, basis, count, **prov, dispatch="power_mean")
+    if len(fs) == 1:
+        vals = fs[0].values
+        top = vals.max()
+        if top > 0 and np.all((vals == 0) | (vals == top)):
+            return _field(fs, _two_valued(fs[0], phis[0], basis, tol), basis, count, **prov,
+                          dispatch="two_valued", tol=tol)
 
     shape = fs[0].shape
     shapes = list(basis.shapes(shape))
@@ -893,7 +917,10 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         if prune:
             # a member on which some f_j vanishes has S = 0 <= n_R on every
             # rung of that f_j, hence L_j = 0: it adds nothing to LB
-            _fold(lb, blk.lo, blk.sides, math.prod(b[0] for b in brackets))
+            low = math.prod(b[0] for b in brackets)
+            if np.isinf(low).any():  # prod N >= prod L = inf: the field is not finite
+                raise NonFinite(_OVERFLOW)
+            _fold(lb, blk.lo, blk.sides, low)
             chunk.append(math.prod(b[1] for b in brackets) * widen)
             keep &= chunk[-1] >= _floor(lb, blk.lo, blk.sides)
         kept.append([a[keep] for a in chunk])
@@ -917,6 +944,38 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
                   tol=tol)
 
 
+@np.errstate(divide="ignore")  # t = 0 gives inf, which raises NoBracket below
+def _two_valued(f: GridFunction, phi: YoungFunction, basis: Basis, tol: float) -> np.ndarray:
+    """The Orlicz field of f = c chi_E, c > 0: c / Phi^{-1}(1 / M_B chi_E).
+
+    On a member R, ||c chi_E||_{Phi,R} = c / Phi^{-1}(|R| / |E cap R|)
+    (mean_R Phi(c chi_E / lam) = Phi(c / lam) |E cap R| / |R|), and
+    Phi^{-1} is nondecreasing, so the sup over the members containing x
+    is c / Phi^{-1}(1 / a(x)), a = M_B chi_E the average sweep of the
+    indicator under the same basis; cells where a = 0 stay 0. Every box
+    sum of the indicator is an exact integer, so a(x) is k / n rounded
+    once and 1 / a(x) is rounded twice: y two ULPs lower is at most n / k.
+    y is clamped at Phi(cap) as in _ladder, since Phi^{-1} is the cap past
+    it, and inverse solves each distinct y once. It returns t with
+    Phi(t) <= y <= n / k, within a factor 1 + tol below the exact inverse,
+    and c / t is rounded up one ULP, so the field sits on the solver's
+    side of the exact one, within tol of it. A c / t past the float range
+    raises NoBracket, as the solver does when no lam up to the largest
+    float is feasible.
+    """
+    a = _average_sweep([f.with_values((f.values > 0).astype(float))], basis)
+    hit = a > 0
+    y = np.nextafter(np.nextafter(1.0 / a[hit], 0.0), 0.0)
+    cap = phi.domain_cap
+    if cap is not None and np.isfinite(cap):
+        y = np.minimum(y, phi.eval(float(cap)))
+    out = np.zeros(f.shape)
+    out[hit] = np.nextafter(float(f.values.max()) / inverse(phi, y, tol), np.inf)
+    if np.isinf(out).any():
+        raise NoBracket("no bracket below the largest float")
+    return out
+
+
 def _trimmed(kept: list[list[np.ndarray]], lb: np.ndarray) -> list[np.ndarray]:
     """The kept chunks as one, each chunk but the last (which was kept
     against this lb) first cut to the members whose prod U * widen, its
@@ -932,11 +991,17 @@ def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
                    prune: bool = True) -> MaximalField:
     """Pointwise sup of Luxemburg norms over basis members containing x.
 
-    Phi(t) = t makes the Luxemburg norm the plain average, so Power(r=1)
-    runs the average sweep of strong_maximal and inherits its exact
-    arithmetic; other uncapped powers use the closed form. Pruning skips
+    Three inputs skip the solver (see _orlicz_field). Phi(t) = t makes the
+    Luxemburg norm the plain average, so Power(r=1) runs the average sweep
+    of strong_maximal and inherits its exact arithmetic (dispatch
+    "average"); other uncapped powers and the conjugates of uncapped
+    powers, c t^q, use the closed form c^{1/q} (mean_R f^q)^{1/q}
+    (dispatch "power_mean"); and an f whose values are 0 and one c > 0
+    gets c / Phi^{-1}(1 / M_B chi_E) from one average sweep and one
+    inverse call that solves each distinct y once (dispatch
+    "two_valued"). Otherwise the ladder sweep runs, and pruning skips
     members that provably cannot raise the field, so prune on and off
-    give the same field bit for bit (see _orlicz_field).
+    give the same field bit for bit.
     """
     return _orlicz_field([f], [phi], basis, budget, tol, prune,
                          operator="orlicz_maximal", phi=young_to_json(phi))

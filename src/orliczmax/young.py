@@ -376,6 +376,26 @@ def complementary(phi: YoungFunction) -> NumericComplement:
     return NumericComplement(phi)
 
 
+def _power_form(phi: YoungFunction) -> tuple[float, float] | None:
+    """(q, s) when Phi is read as c t**q with no domain cap, else None.
+
+    Then ||f||_{Phi,R} = s (mean_R f**q)**(1/q) with s = c**(1/q). An
+    uncapped Power(r) is (r, 1). The conjugate of an uncapped Power(r),
+    r > 1, is read as the exact one, (r - 1) r**(-r') t**r' with
+    r' = r / (r - 1) (the sup of s t - t**r sits at t = (s/r)**(1/(r-1))),
+    whose factor c**(1/r') is (r - 1)**(1/r') / r; the numeric table lies
+    at most its table error below it.
+    """
+    if isinstance(phi, Power) and phi.domain_cap is None:
+        return phi.r, 1.0
+    if (isinstance(phi, NumericComplement) and isinstance(phi.base, Power)
+            and phi.base.domain_cap is None and phi.base.r > 1.0):
+        r = phi.base.r
+        q = r / (r - 1.0)
+        return q, (r - 1.0) ** (1.0 / q) / r
+    return None
+
+
 # Points per block of one inverse call: the solver keeps about a dozen
 # arrays per point, so long vectors are solved a block at a time.
 _INVERSE_CHUNK = 8192
@@ -533,8 +553,11 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     A y so small that t_lo underflows gives 0. Raises NoBracket when an
     explicit domain cap makes y unreachable, or when Phi stays <= y up to
     the largest float. Every point is solved on its own, so its result does
-    not depend on the rest of the vector; long vectors are solved in blocks
-    of _INVERSE_CHUNK points. Raises ValueError unless 0 < tol < 1.
+    not depend on the rest of the vector. Each distinct positive y is
+    solved once (np.unique), in blocks of _INVERSE_CHUNK distinct values,
+    and its t goes to every position that holds it: the same bits as one
+    solve per position, for the work of the distinct values only. Raises
+    ValueError unless 0 < tol < 1.
     """
     _check_tol(tol)
     arr = np.asarray(y, dtype=float)
@@ -555,11 +578,11 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     if not np.any(pos):
         return float(out[0]) if scalar else out
 
-    yq = arr[pos]
+    yq, where = np.unique(arr[pos], return_inverse=True)
     out[pos] = np.concatenate([
         _inverse_block(phi, yq[i:i + _INVERSE_CHUNK], tol)
         for i in range(0, yq.size, _INVERSE_CHUNK)
-    ])
+    ])[where]
     return float(out[0]) if scalar else out
 
 

@@ -1,10 +1,15 @@
 """Command-line contract: exit codes, JSON payloads, replay stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orliczmax
 from orliczmax.cli import main
 from orliczmax.grid import GridFunction, read_grid, write_grid
 
@@ -262,3 +267,20 @@ def test_bad_tol_is_a_json_error(capsys, tmp_path, tol):
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
     assert not dst.exists()
+
+
+def test_closed_stdout_exits_three_without_a_traceback():
+    # as under `| head -c 100`, but deterministic: the pipe has no reader
+    # before the command starts, so its first write fails
+    src = str(Path(orliczmax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "orliczmax.cli", "verify", "--suite",
+                               "covering"], stdout=w, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 3
+    assert proc.stderr == b""

@@ -318,7 +318,11 @@ def test_luxemburg_power_of_two_scaling_is_exact(phi):
 
 
 def phi_mean(phi, rows, lam):
-    return np.mean(phi.eval(rows / lam[:, None]), axis=1)
+    """G(lam) per row as luxemburg_batch sums it, its row's np.add.reduceat
+    sum over the cell count: at a root the solver lands on exactly, another
+    summation order (np.mean's) can read one ULP above 1."""
+    n = rows.shape[1]
+    return np.add.reduceat(phi.eval(rows / lam[:, None]).ravel(), np.arange(0, rows.size, n)) / n
 
 
 # norms far outside the start bracket [m * 1e-14, m * 1e3]: past a jump to

@@ -2,18 +2,20 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from orliczmax import grid as gridmod, maximal
-from orliczmax.errors import BudgetExceeded, GeometryMismatch, NonFinite
+from orliczmax.errors import BudgetExceeded, GeometryMismatch, NoBracket, NonFinite
 from orliczmax.grid import (GridFunction, Rect, SummedAreaTable, luxemburg_batch, luxemburg_norm,
                             rect_average)
 from orliczmax.maximal import (CUBES, DYADIC, Basis, _window_extreme, indicator_far_field,
                                multilinear_maximal, multilinear_orlicz_maximal,
                                orlicz_maximal, strong_maximal)
-from orliczmax.young import Power, PowerLog, PowerLogLog, complementary
+from orliczmax.verify import ProbeSuite
+from orliczmax.young import Power, PowerLog, PowerLogLog, Tabulated, _power_form, complementary
 
 
 def grid(vals, spacing=0.5):
@@ -494,6 +496,37 @@ def test_power_dispatch_scales_by_powers_of_two_exactly():
     assert np.array_equal(small, orlicz_maximal(f, Power(1.5)).field.values * 2.0**-31)
 
 
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_power_conjugate_takes_the_closed_form(r):
+    # complementary(Power(r)) is c t^q, q = r / (r - 1), c = (r - 1) r^-q
+    q = r / (r - 1.0)
+    c = (r - 1.0) * r ** -q
+    f = rand_grid((6, 5), seed=70)
+    phi = complementary(Power(r))
+    mf = orlicz_maximal(f, phi)
+    assert mf.provenance["dispatch"] == "power_mean"
+    exact = c ** (1.0 / q) * brute_average([f.with_values(f.values ** q)], Basis()) ** (1.0 / q)
+    assert max_rel_diff(mf.field.values, exact) <= 1e-12
+    # the solver on the numeric table, which lies below c t^q by at most
+    # 2.3e-9 (r = 1.5) to 1.2e-8 (r = 3) relative: the solver's tol plus
+    # that error through the 1/q power
+    s = np.geomspace(1e-6, 1e6, 4001)
+    table = float(np.max(np.abs(phi.eval(s) / (c * s ** q) - 1.0)))
+    bound = 1e-9 + table / q + 1e-12
+    assert max_rel_diff(mf.field.values, batch_field([f], [phi], Basis())) <= bound
+    assert np.array_equal(mf.field.values, orlicz_maximal(f, phi, prune=False).field.values)
+    doubled = orlicz_maximal(f.with_values(2.0 * f.values), phi).field.values
+    assert np.array_equal(doubled, 2.0 * mf.field.values)
+
+
+def test_bilinear_power_and_power_conjugate_take_the_power_mean():
+    f, g = rand_grid((6, 5), seed=71), rand_grid((6, 5), seed=72)
+    phis = [Power(3.0), complementary(Power(1.5))]  # both exponents are 3
+    mf = multilinear_orlicz_maximal([f, g], phis)
+    assert mf.provenance["dispatch"] == "power_mean"
+    assert max_rel_diff(mf.field.values, batch_field([f, g], phis, Basis())) <= 2e-9
+
+
 @pytest.mark.parametrize("cover", [False, True], ids=["position", "cover"])
 @pytest.mark.parametrize("take_min", [False, True], ids=["max", "min"])
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -576,6 +609,65 @@ def test_orlicz_sweeps_match_batch_brute_force_for_every_solver_phi(solver_phi, 
                         batch_field([f, g], [solver_phi, solver_phi], basis)) <= 2e-9
     assert np.array_equal(two.field.values,
                           assert_prune_exact([f, g], [solver_phi, solver_phi], basis).field.values)
+
+
+def two_valued_grid(shape, seed, c=2.5):
+    rng = np.random.default_rng(seed)
+    vals = (rng.random(shape) < 0.3) * c
+    vals.flat[0] = c
+    return grid(vals)
+
+
+@pytest.mark.parametrize("basis", BRUTE_BASES[:3], ids=BRUTE_BASIS_IDS[:3])
+@pytest.mark.parametrize("shape", ORLICZ_SHAPES, ids=str)
+def test_two_valued_fields_match_batch_brute_force_for_every_solver_phi(solver_phi, shape,
+                                                                         basis):
+    f = two_valued_grid(shape, seed=73)
+    mf = assert_prune_exact([f], [solver_phi], basis)
+    # a power or the conjugate of one still takes the power mean first
+    want = "power_mean" if _power_form(solver_phi) else "two_valued"
+    assert mf.provenance["dispatch"] == want
+    assert max_rel_diff(mf.field.values, batch_field([f], [solver_phi], basis)) <= 1e-9
+
+
+@pytest.mark.parametrize("basis", BRUTE_BASES[:3], ids=BRUTE_BASIS_IDS[:3])
+@pytest.mark.parametrize("shape", [(13,), (7, 6), (4, 3, 3)], ids=str)
+def test_two_valued_field_is_never_below_the_exact_norm(shape, basis):
+    # Phi = t^2 up to a cap of 3: the exact norm of c chi_E on R is
+    # max(c sqrt(a), c / 3), a = |E cap R| / |R|; compared in exact rationals
+    c = Fraction(2.5)
+    f = two_valued_grid(shape, seed=74, c=float(c))
+    mf = orlicz_maximal(f, Power(2.0, domain_cap=3.0), basis)
+    assert mf.provenance["dispatch"] == "two_valued"
+    inside = (f.values > 0).astype(int)
+    best = np.full(shape, Fraction(0), dtype=object)
+    for sides in basis.shapes(shape):
+        for lo in itertools.product(*(range(e - s + 1) for e, s in zip(shape, sides))):
+            sl = tuple(slice(a, a + s) for a, s in zip(lo, sides))
+            a = Fraction(int(inside[sl].sum()), int(np.prod(sides)))
+            best[sl] = np.maximum(best[sl], a)
+    for got, a in zip(mf.field.values.ravel(), best.ravel()):
+        if a == 0:
+            assert got == 0.0
+        else:
+            assert Fraction(got) >= c / 3 and Fraction(got) ** 2 >= c * c * a, (got, a)
+
+
+def test_two_valued_field_past_the_float_range_raises_nobracket_as_the_solver_does():
+    # Phi > 1 for every t > 0: no lam makes Phi(c / lam) <= 1 on the spike
+    vals = np.zeros((3, 3))
+    vals[1, 1] = 1.0
+    with pytest.raises(NoBracket):
+        orlicz_maximal(grid(vals), Tabulated([(1e-300, 2.0), (1.0, 3.0)]))
+
+
+def test_indicator_draw_skips_the_ladder(monkeypatch):
+    ladders = []
+    monkeypatch.setattr(maximal, "_ladder", lambda *args: ladders.append(args))
+    f = ProbeSuite(seed=0, resolutions=(64,)).functions(64)[0][1]
+    for phi in (PowerLog(1.8, 1.0), complementary(PowerLog(2.0, 1.0))):
+        assert orlicz_maximal(f, phi).provenance["dispatch"] == "two_valued"
+    assert ladders == []
 
 
 @pytest.mark.parametrize("case", ["tiny", "huge", "range_1e300", "spike", "zero", "constant"])
@@ -760,12 +852,14 @@ def test_orlicz_candidates_match_a_two_pass_reference(shape, basis, m, block, mo
 
 
 def test_orlicz_walk_holds_at_most_twice_the_last_trim_plus_a_block(monkeypatch):
-    # on a two-valued input the floors stay low until late blocks, so the
-    # walk keeps far more members than it solves; the kept members are
-    # trimmed each time they double, not only once the walk ends
+    # on a nearly two-valued input the floors stay low until late blocks,
+    # so the walk keeps far more members than it solves; the kept members
+    # are trimmed each time they double, not only once the walk ends (the
+    # third box a hair above 1 keeps the input off the two-valued dispatch)
     vals = np.zeros((24, 24))
-    for box in [np.s_[2:9, 3:15], np.s_[10:22, 1:6], np.s_[14:20, 12:23]]:
-        vals[box] = 1.0
+    for box, v in zip([np.s_[2:9, 3:15], np.s_[10:22, 1:6], np.s_[14:20, 12:23]],
+                      [1.0, 1.0, 1.0 + 2.0**-20]):
+        vals[box] = v
     monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 256)
     shapes = list(Basis().shapes(vals.shape))
     block = max(len(blk.lo) for blk in maximal._blocks(vals.shape, shapes))
@@ -889,8 +983,9 @@ def test_orlicz_field_level_sets_are_strong_level_sets(solver_phi, basis):
     assert_level_sets(rand_grid((32, 32), seed=50), solver_phi, basis)
 
 
-@pytest.mark.parametrize("phi", [PowerLog(1.8, 1.0), complementary(Power(1.5))],
-                         ids=["power_log", "complement"])
+@pytest.mark.parametrize("phi", [PowerLog(1.8, 1.0), complementary(Power(1.5)),
+                                 complementary(PowerLog(2.0, 1.0))],
+                         ids=["power_log", "complement", "complement_log"])
 def test_orlicz_field_level_sets_at_48_squared(phi):
     assert_level_sets(rand_grid((48, 48), seed=51), phi, Basis())
 
@@ -952,6 +1047,25 @@ def test_average_sweeps_equal_rect_average_loops_on_flat_grids(basis, case):
     assert np.array_equal(strong_maximal(f, basis).field.values, brute_average([f], basis))
     assert np.array_equal(multilinear_maximal([g, f], basis).field.values,
                           brute_average([g, f], basis))
+
+
+def test_overflowing_orlicz_product_raises_at_the_first_block(monkeypatch):
+    # prod L = inf in the first block proves the field is not finite: no
+    # later block is searched and no member is solved
+    calls = {"_brackets": 0, "_box_norms": 0}
+    for name in calls:
+        def counting(*args, real=getattr(maximal, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(maximal, name, counting)
+    fs = [rand_grid((24, 24), seed=1), rand_grid((24, 24), seed=2)]
+    phis = [PowerLog(1.8, 1.0)] * 2
+    assert len(list(maximal._blocks((24, 24), list(Basis().shapes((24, 24)))))) > 1
+    with pytest.raises(NonFinite, match="overflows the float range"):
+        multilinear_orlicz_maximal([f.with_values(f.values * 1e200) for f in fs], phis)
+    assert calls == {"_brackets": 2, "_box_norms": 0}
+    multilinear_orlicz_maximal(fs, phis)  # unscaled, the candidates are solved
+    assert calls["_box_norms"] == 2
 
 
 @pytest.mark.parametrize("cores", [1, 3])

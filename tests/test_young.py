@@ -125,6 +125,15 @@ def test_inverse_point_does_not_depend_on_its_vector(solver_phi):
         assert t[i] == inverse(solver_phi, y[i:i + 1])[0], (i, y[i])
 
 
+def test_inverse_of_a_vector_with_repeats_equals_one_call_per_element(solver_phi):
+    # each distinct y is solved once and its t copied to every repeat
+    rng = np.random.default_rng(9)
+    y = rng.choice(solver_ys(solver_phi)[:40], size=200)
+    y[[3, 17]] = 0.0
+    t = inverse(solver_phi, y)
+    assert np.array_equal(t, [inverse(solver_phi, v) for v in y])
+
+
 def test_inverse_returns_certified_lower_end(solver_phi):
     # Phi(t) <= y at the returned t, and t is within tol of the exact inverse
     y = solver_ys(solver_phi)
