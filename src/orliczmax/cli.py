@@ -4,9 +4,10 @@ Every command prints one JSON document (or writes it to --out) that embeds
 the fully resolved run configuration, so replaying the printed config
 reproduces the payload byte for byte. Outputs carry no timestamps. Errors
 are structured JSON on stderr; exit 0 on success, 1 on validation errors,
-2 when a budget or numeric limit is hit, 3 when stdout closes before the
-payload is written (a reader such as `head` that stops early), which
-prints nothing more.
+2 when a budget or numeric limit is hit, 3 when stdout closes before
+everything meant for it is printed (a reader such as `head` that stops
+early), which prints nothing more. An --out file is written before its
+{"written": ...} line, so it is complete under exit 3 too.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -307,6 +308,11 @@ def _matrices(rows) -> list[np.ndarray]:
 # cells per solver run of luxemburg_batch (whole rows, at least one)
 _RUN_CELLS = 1 << 14
 
+# u = 2**-53. A float sum of n nonnegative terms lies within (n - 1) u of
+# the exact sum relative to it, and dividing by n adds one rounding, so a
+# rounded mean at most 1 - (n + 1) u proves the exact mean is below 1.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 def _runs(sizes, limit: int):
     """Consecutive runs [a, b) of items whose sizes add up to at most limit, or one item."""
@@ -336,8 +342,9 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
     float. It raises NoBracket when G > 1 up to the largest float and
     gives 0 when G <= 1 down to underflow. The returned value is the
     feasible upper end of a bracket with hi - lo <= tol * hi, so G <= 1
-    there and it never undershoots the true norm by more than the bracket
-    width. Each row is divided by the power of two 2**e with
+    there, G the exact mean of the float Phi values (see _solve_rows), and
+    it never undershoots the true norm by more than the bracket width.
+    Each row is divided by the power of two 2**e with
     2**(e-1) <= max(row) < 2**e, and its hints with it, and the result is
     multiplied back, so scaling a row by a power of two scales its norm
     exactly.
@@ -419,7 +426,14 @@ def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: Young
 
 def _solve_rows(cells: np.ndarray, lengths: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 phi: YoungFunction, tol: float) -> np.ndarray:
-    """One _solve_bracketed call: the scaled rows laid end to end in cells."""
+    """One _solve_bracketed call: the scaled rows laid end to end in cells.
+
+    A probe is feasible where the exact mean of its Phi values is at most
+    1. The rounded mean decides that outside (n + 1) u of 1 (see
+    _UNIT_ROUNDOFF); a row whose rounded mean reads <= 1 within that
+    margin is summed again exactly (_sum_at_most), since its exact mean
+    can lie above 1. The ITP steps interpolate the rounded log G.
+    """
     starts = np.cumsum(lengths) - lengths
     # the cells of the open rows idx, segment by segment, gathered again
     # only when the solver passes a new idx (when some row has stopped)
@@ -431,19 +445,36 @@ def _solve_rows(cells: np.ndarray, lengths: np.ndarray, lo: np.ndarray, hi: np.n
             n = lengths[idx]
             offsets = np.cumsum(n) - n
             key, open_rows = idx, (n, offsets, cells[np.arange(offsets[-1] + n[-1])
-                                                      + np.repeat(starts[idx] - offsets, n)])
-        n, offsets, sub = open_rows
+                                                      + np.repeat(starts[idx] - offsets, n)],
+                                   1.0 - (n + 1) * _UNIT_ROUNDOFF)
+        n, offsets, sub, sure = open_rows
         if lam.size > 1:
             lam = np.repeat(lam, n)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = np.add.reduceat(phi.eval(sub / lam), offsets) / n
-        return g, g <= 1.0
+            vals = phi.eval(sub / lam)
+            g = np.add.reduceat(vals, offsets) / n
+        feasible = g <= 1.0
+        for i in np.flatnonzero(feasible & (g > sure)):
+            feasible[i] = _sum_at_most(vals[offsets[i]:offsets[i] + n[i]], int(n[i]))
+        return g, feasible
 
     def log(idx, g):
         with np.errstate(divide="ignore"):
             return np.log(g)
 
     return _solve_bracketed(lo, hi, probe, log, tol, upper=True)
+
+
+def _sum_at_most(vals: np.ndarray, n: int) -> bool:
+    """Whether the exact sum of the finite floats vals is at most n.
+
+    math.fsum rounds the exact sum once, and rounding is monotone, so a
+    result other than n decides it; at n the sum is taken in rationals.
+    """
+    s = math.fsum(vals)
+    if s != n:
+        return s < n
+    return sum(map(Fraction, vals)) <= n
 
 
 def luxemburg_norm(f: GridFunction, rect: Rect, phi: YoungFunction,

@@ -58,8 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, GeometryMismatch, NoBracket, NonFinite
-from .grid import (GridFunction, SummedAreaTable, _box_index, _box_norms, _box_sums, _members,
-                   _position_grid, _runs, _shape_runs)
+from .grid import (_UNIT_ROUNDOFF, GridFunction, SummedAreaTable, _box_index, _box_norms,
+                   _box_sums, _members, _position_grid, _runs, _shape_runs)
 from .young import YoungFunction, _check_tol, _power_form, inverse, young_to_json
 
 __all__ = [
@@ -576,6 +576,15 @@ class _Ladder(NamedTuple):
         return self.tables.shape[0]
 
 
+def _capped_inverse(phi: YoungFunction, ys: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """inverse(phi, ys, tol) with ys clamped at Phi(cap): past an explicit
+    cap Phi^{-1}(y) is the cap itself, which inverse() refuses."""
+    cap = phi.domain_cap
+    if cap is not None and np.isfinite(cap):
+        ys = np.minimum(ys, phi.eval(float(cap)))
+    return inverse(phi, ys, tol)
+
+
 def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _Ladder:
     """The ladder of one function, for members of at most n_max cells.
 
@@ -593,12 +602,7 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _L
     """
     vals = f.values
     positive = vals[vals > 0]
-    ys = np.array([float(n_max), 1.0])
-    cap = phi.domain_cap
-    if cap is not None and np.isfinite(cap):
-        # past the cap Phi^{-1}(y) is the cap itself, which inverse() refuses
-        ys = np.minimum(ys, phi.eval(float(cap)))
-    t_n, t_1 = inverse(phi, ys)
+    t_n, t_1 = _capped_inverse(phi, np.array([float(n_max), 1.0]))
     log_lo = math.log(positive.min()) - math.log(t_n)
     log_hi = math.log(positive.max()) - math.log(t_1)
     jensen = math.log(least) - math.log(t_1) if least > 0 else -math.inf
@@ -779,9 +783,11 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
       is the plain average sweep (dispatch "average"), anything else is
       dispatch "power_mean". Each f_j is first divided by the power of two
       2**e_j with 2**(e_j-1) <= max f_j < 2**e_j, and the field is
-      multiplied back by 2**(sum e_j), so f^q neither under- nor
-      overflows and scaling an input by a power of two scales the field
-      exactly.
+      multiplied back by 2**(sum e_j), so f^q does not overflow and
+      scaling an input by a power of two scales the field exactly. Where
+      the prefix sums' rounding could move the field by more than tol (a
+      large q, a local basis far from the maximum: _power_sweep), the
+      input goes on to the dispatches below instead.
     - "two_valued": m = 1 and every value of f is 0 or one c > 0; the
       field is c / Phi^{-1}(1 / M_B chi_E), one average sweep and one
       inverse call (_two_valued). It runs before any pruning, so prune
@@ -881,9 +887,11 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
             return _field(fs, _average_sweep(fs, basis), basis, count, **prov,
                           dispatch="average")
         es = [int(np.frexp(f.values.max())[1]) for f in fs]
-        powered = [f.with_values(np.ldexp(f.values, -e) ** q) for f, e in zip(fs, es)]
-        out = np.ldexp(_average_sweep(powered, basis) ** (1.0 / q) * scale, sum(es))
-        return _field(fs, out, basis, count, **prov, dispatch="power_mean")
+        swept = _power_sweep([f.with_values(np.ldexp(f.values, -e) ** q)
+                              for f, e in zip(fs, es)], fs, basis, q, tol)
+        if swept is not None:
+            out = np.ldexp(swept ** (1.0 / q) * scale, sum(es))
+            return _field(fs, out, basis, count, **prov, dispatch="power_mean")
     if len(fs) == 1:
         vals = fs[0].values
         top = vals.max()
@@ -944,6 +952,33 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
                   tol=tol)
 
 
+def _power_sweep(powered: list[GridFunction], fs: list[GridFunction], basis: Basis,
+                 q: float, tol: float) -> np.ndarray | None:
+    """The average sweep A of the g_j = (f_j / 2**e_j)**q, or None where its
+    rounding could move the field A**(1/q) by more than tol.
+
+    A box sum taken from prefix sums of the N cells errs by at most
+    err_j = 2**(d+1) N u sum g_j (u = 2**-53). Each factor's mean at a
+    cell's best member is at least the product A there (the others are at
+    most 1), so A >= sum_j err_j / (q tol) keeps the relative error of
+    A**(1/q) within tol. A cell that reads 0 is a true 0 when every g_j at
+    a positive f_j exceeds err_j (none underflows, and a member on which
+    every f_j has mass has a positive computed product). A large q (the
+    conjugate of a power near 1), or a local basis far from the maximum,
+    fails this, and the ladder solves those inputs instead.
+    """
+    n, d = fs[0].values.size, fs[0].ndim
+    errs = [2.0 ** (d + 1) * n * _UNIT_ROUNDOFF * float(g.values.sum()) for g in powered]
+    swept = _average_sweep(powered, basis)
+    live = swept > 0
+    if live.any() and swept[live].min() < sum(errs) / (q * tol):
+        return None
+    if not live.all() and any(np.any(g.values[f.values > 0] <= err)
+                              for g, f, err in zip(powered, fs, errs)):
+        return None
+    return swept
+
+
 @np.errstate(divide="ignore")  # t = 0 gives inf, which raises NoBracket below
 def _two_valued(f: GridFunction, phi: YoungFunction, basis: Basis, tol: float) -> np.ndarray:
     """The Orlicz field of f = c chi_E, c > 0: c / Phi^{-1}(1 / M_B chi_E).
@@ -955,8 +990,8 @@ def _two_valued(f: GridFunction, phi: YoungFunction, basis: Basis, tol: float) -
     indicator under the same basis; cells where a = 0 stay 0. Every box
     sum of the indicator is an exact integer, so a(x) is k / n rounded
     once and 1 / a(x) is rounded twice: y two ULPs lower is at most n / k.
-    y is clamped at Phi(cap) as in _ladder, since Phi^{-1} is the cap past
-    it, and inverse solves each distinct y once. It returns t with
+    y is clamped at Phi(cap) (_capped_inverse), since Phi^{-1} is the cap
+    past it, and inverse solves each distinct y once. It returns t with
     Phi(t) <= y <= n / k, within a factor 1 + tol below the exact inverse,
     and c / t is rounded up one ULP, so the field sits on the solver's
     side of the exact one, within tol of it. A c / t past the float range
@@ -966,11 +1001,8 @@ def _two_valued(f: GridFunction, phi: YoungFunction, basis: Basis, tol: float) -
     a = _average_sweep([f.with_values((f.values > 0).astype(float))], basis)
     hit = a > 0
     y = np.nextafter(np.nextafter(1.0 / a[hit], 0.0), 0.0)
-    cap = phi.domain_cap
-    if cap is not None and np.isfinite(cap):
-        y = np.minimum(y, phi.eval(float(cap)))
     out = np.zeros(f.shape)
-    out[hit] = np.nextafter(float(f.values.max()) / inverse(phi, y, tol), np.inf)
+    out[hit] = np.nextafter(float(f.values.max()) / _capped_inverse(phi, y, tol), np.inf)
     if np.isinf(out).any():
         raise NoBracket("no bracket below the largest float")
     return out
@@ -996,7 +1028,7 @@ def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
     of strong_maximal and inherits its exact arithmetic (dispatch
     "average"); other uncapped powers and the conjugates of uncapped
     powers, c t^q, use the closed form c^{1/q} (mean_R f^q)^{1/q}
-    (dispatch "power_mean"); and an f whose values are 0 and one c > 0
+    (dispatch "power_mean") where its rounding stays within tol; and an f whose values are 0 and one c > 0
     gets c / Phi^{-1}(1 / M_B chi_E) from one average sweep and one
     inverse call that solves each distinct y once (dispatch
     "two_valued"). Otherwise the ladder sweep runs, and pruning skips

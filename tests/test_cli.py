@@ -277,9 +277,9 @@ def test_closed_stdout_exits_three_without_a_traceback():
     r, w = os.pipe()
     os.close(r)
     try:
-        proc = subprocess.run([sys.executable, "-m", "orliczmax.cli", "verify", "--suite",
-                               "covering"], stdout=w, stderr=subprocess.PIPE, env=env,
-                              timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "orliczmax.cli", "young", "eval",
+                               "--phi", '{"kind": "power", "r": 2}', "--at", "1"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(w)
     assert proc.returncode == 3

@@ -1,5 +1,8 @@
 """Grid container, rectangle sums, Luxemburg norms, file round trips."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import SOLVER_IDS, SOLVER_PHIS
@@ -318,11 +321,11 @@ def test_luxemburg_power_of_two_scaling_is_exact(phi):
 
 
 def phi_mean(phi, rows, lam):
-    """G(lam) per row as luxemburg_batch sums it, its row's np.add.reduceat
-    sum over the cell count: at a root the solver lands on exactly, another
-    summation order (np.mean's) can read one ULP above 1."""
-    n = rows.shape[1]
-    return np.add.reduceat(phi.eval(rows / lam[:, None]).ravel(), np.arange(0, rows.size, n)) / n
+    """G(lam) per row, the exact rational mean of the float Phi values
+    (inf where one is inf): no float summation order can hide a G above 1."""
+    vals = phi.eval(rows / lam[:, None])
+    return np.array([math.inf if np.isinf(v).any() else sum(map(Fraction, v)) / len(v)
+                     for v in vals], dtype=object)
 
 
 # norms far outside the start bracket [m * 1e-14, m * 1e3]: past a jump to

@@ -527,6 +527,22 @@ def test_bilinear_power_and_power_conjugate_take_the_power_mean():
     assert max_rel_diff(mf.field.values, batch_field([f, g], phis, Basis())) <= 2e-9
 
 
+@pytest.mark.parametrize("r, shape, seed", [(1.01, (40,), 75), (1.01, (12, 12), 75),
+                                             (1.2, (40,), 3)], ids=["q101_1d", "q101_2d", "q6_1d"])
+def test_power_form_whose_rounding_could_pass_tol_takes_the_ladder(r, shape, seed):
+    # under a local basis the small boxes far from the maximum hold sums of
+    # f^q far below the prefix sums' rounding: with q = 101 they underflow
+    # to 0, and with q = 6 this draw's power mean is off by 1.6e-8
+    rng = np.random.default_rng(seed)
+    f = grid(np.exp(rng.normal(size=shape)))
+    phi, basis = complementary(Power(r)), Basis(max_side=3)
+    mf = orlicz_maximal(f, phi, basis)
+    assert "dispatch" not in mf.provenance
+    assert max_rel_diff(mf.field.values, batch_field([f], [phi], basis)) <= 1e-9
+    # every member of the full basis reaches a box near the maximum
+    assert orlicz_maximal(f, phi).provenance["dispatch"] == "power_mean"
+
+
 @pytest.mark.parametrize("cover", [False, True], ids=["position", "cover"])
 @pytest.mark.parametrize("take_min", [False, True], ids=["max", "min"])
 @pytest.mark.parametrize("axis", [0, 1, 2])
