@@ -18,13 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyRect, GeometryMismatch, DimensionError
-from .young import YoungFunction, _check_tol, _solve_bracketed
+from .young import YoungFunction, _check_tol, _power_form, _solve_bracketed
 
 __all__ = [
     "GridFunction",
@@ -314,6 +313,15 @@ _RUN_CELLS = 1 << 14
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
+# The start bracket of a power form c t**q about its closed form v. The
+# norm of the float Phi values of a power lies within a few u of v (2 u
+# above was too little for Power(2)); a numeric conjugate's lies below v
+# by its table error over q: 7.8e-9 for the complement of Power(3), 2.7e-7
+# for that of Power(10). A root outside only costs bracket-search steps.
+_POWER_BELOW = 1e-6
+_POWER_ABOVE = 8 * _UNIT_ROUNDOFF
+
+
 def _runs(sizes, limit: int):
     """Consecutive runs [a, b) of items whose sizes add up to at most limit, or one item."""
     ends = np.cumsum(sizes, dtype=np.int64)
@@ -339,7 +347,14 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
     maximum) or from the optional hints, G(lo) >= 1 >= G(hi) where they
     are right: a hint on the wrong side costs bracket-search steps, and a
     hint that overflows once scaled with its row is taken as the largest
-    float. It raises NoBracket when G > 1 up to the largest float and
+    float. Without hints, a Phi that young._power_form reads as c t**q (an
+    uncapped Power or the complement of one) starts at its closed form
+    v = c**(1/q) (mean row**q)**(1/q), taken of the row scaled below: the
+    bracket [v (1 - _POWER_BELOW), v (1 + _POWER_ABOVE)] holds the root of
+    a power up to rounding and of a numeric complement, which lies at most
+    its table error below v, so the solver starts a few steps from tol
+    and still probes both ends and certifies the end it returns.
+    It raises NoBracket when G > 1 up to the largest float and
     gives 0 when G <= 1 down to underflow. The returned value is the
     feasible upper end of a bracket with hi - lo <= tol * hi, so G <= 1
     there, G the exact mean of the float Phi values (see _solve_rows), and
@@ -379,15 +394,31 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
         hi = m * 1e3 if hi_hint is None else np.ldexp(np.asarray(hi_hint, float)[active], -e)
     hi = np.minimum(hi, np.finfo(float).max)
     lo = np.minimum(np.maximum(lo, 1e-300), hi)
+    form = _power_form(phi) if lo_hint is None and hi_hint is None else None
 
     norms = np.empty(lengths.size)
     ends = np.cumsum(lengths)
     for a, b in _runs(lengths, _RUN_CELLS):
         n = lengths[a:b]
         run = np.ldexp(cells[ends[a] - n[0]:ends[b - 1]], -np.repeat(e[a:b], n))
+        if form is not None:
+            lo[a:b], hi[a:b] = _power_bracket(run, n, m[a:b], *form)
         norms[a:b] = _solve_rows(run, n, lo[a:b], hi[a:b], phi, tol)
     out[active] = np.ldexp(norms, e)
     return out
+
+
+def _power_bracket(cells: np.ndarray, lengths: np.ndarray, m: np.ndarray,
+                   q: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start bracket about v = s (mean x**q)**(1/q), the norm of c t**q, for
+    each scaled row x of maximum m laid end to end in cells. The mean is
+    taken of (x / m)**q, which is 1 at the maximum, so it neither
+    overflows nor vanishes."""
+    with np.errstate(under="ignore"):
+        powers = (cells / np.repeat(m, lengths)) ** q
+    mean = np.add.reduceat(powers, np.cumsum(lengths) - lengths) / lengths
+    v = s * m * mean ** (1.0 / q)
+    return v * (1.0 - _POWER_BELOW), v * (1.0 + _POWER_ABOVE)
 
 
 def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: YoungFunction,
@@ -468,13 +499,11 @@ def _solve_rows(cells: np.ndarray, lengths: np.ndarray, lo: np.ndarray, hi: np.n
 def _sum_at_most(vals: np.ndarray, n: int) -> bool:
     """Whether the exact sum of the finite floats vals is at most n.
 
-    math.fsum rounds the exact sum once, and rounding is monotone, so a
-    result other than n decides it; at n the sum is taken in rationals.
+    math.fsum rounds the exact sum of vals and -n once. That sum is a
+    multiple of the least subnormal, so when it is not 0 it rounds to a
+    float of its sign, never to 0: the sign of the result is exact.
     """
-    s = math.fsum(vals)
-    if s != n:
-        return s < n
-    return sum(map(Fraction, vals)) <= n
+    return math.fsum([*vals.tolist(), -n]) <= 0.0
 
 
 def luxemburg_norm(f: GridFunction, rect: Rect, phi: YoungFunction,

@@ -279,6 +279,16 @@ class NumericComplement(YoungFunction):
     the exact supremum. Beyond the asymptotic slope of an uncapped base the
     conjugate is +inf.
 
+    The knot of s, the count of table slopes below it, is what
+    np.searchsorted(slopes, s, side="left") gives, read from an index
+    built on the first evaluation (_knot_index), so a complement that is
+    never evaluated costs only its table. Nonnegative floats order like
+    their int64 bit patterns, so the high bits of s pick a bucket of the
+    distinct slopes, the bucket's start holds the count below it, and a
+    fixed-width binary search inside the bucket settles the rest; equal
+    slopes (plateaus of the running maximum) count once as a distinct
+    value whose first position is the answer.
+
     Serializes as a complement_of descriptor wrapping the base.
     """
 
@@ -326,6 +336,42 @@ class NumericComplement(YoungFunction):
         self._y = y
         slopes = np.diff(y) / np.diff(t)
         self._slopes = np.maximum.accumulate(slopes)
+        self._index = None
+
+    def _knot_index(self):
+        """The bucket index of the distinct slopes, about two buckets each.
+
+        A bucket is a run of equal bit patterns >> shift. starts[b] counts
+        the distinct slopes in the buckets below b, and the last entry,
+        for everything above the top bucket, counts them all. A search
+        of width 2**steps - 1 from starts[b] covers any bucket, and the
+        +inf padding past the last value stops it there. first[i] is the
+        position in the table of the i-th distinct slope, and its last
+        entry the table size.
+        """
+        # slopes below 0 lie below every s >= 0; + 0.0 turns -0.0 into 0.0
+        below = int(np.searchsorted(self._slopes, 0.0))
+        vals, first = np.unique(self._slopes[below:] + 0.0, return_index=True)
+        keys = vals.view(np.int64)
+        # shift >= 1 keeps the bucket of -0.0's pattern, -2**63, from wrapping
+        shift = max(1, (int(keys[-1] - keys[0]) // (2 * vals.size)).bit_length())
+        bucket = (keys >> shift) - (keys[0] >> shift)
+        starts = np.searchsorted(bucket, np.arange(bucket[-1] + 2))
+        steps = int(np.diff(starts).max()).bit_length()
+        padded = np.append(vals, np.full(1 << steps, np.inf))
+        return (shift, int(keys[0] >> shift), starts, steps, padded,
+                np.append(first + below, self._slopes.size))
+
+    def _knot(self, s: np.ndarray) -> np.ndarray:
+        """np.searchsorted(self._slopes, s, side="left") for s >= 0 (-0.0 included)."""
+        if self._index is None:
+            self._index = self._knot_index()
+        shift, base, starts, steps, vals, first = self._index
+        # -0.0 clips to bucket 0, where it counts nothing
+        pos = starts.take((s.view(np.int64) >> shift) - base, mode="clip")
+        for j in range(steps - 1, -1, -1):
+            pos += (vals[pos + ((1 << j) - 1)] < s) << j
+        return first.take(pos)
 
     def _objective(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -334,7 +380,7 @@ class NumericComplement(YoungFunction):
     def _raw(self, s):
         t, u, y = self._t, self._u, self._y
         slopes = self._slopes
-        k = np.searchsorted(slopes, s, side="left")
+        k = self._knot(s)
 
         top = k >= slopes.size
         kc = np.minimum(k, slopes.size - 1)

@@ -378,6 +378,62 @@ def test_unhinted_luxemburg_row_takes_few_phi_means(solver_phi):
         assert counting.calls <= 16
 
 
+def power_form_rows(rng):
+    """40 lognormal rows of 30 cells: ten scaled by 1e150, ten by 1e-150 and
+    five single spikes."""
+    rows = np.exp(rng.normal(size=(40, 30)))
+    rows[:10] *= 1e150
+    rows[10:20] *= 1e-150
+    rows[20:25] = 0.0
+    rows[np.arange(20, 25), rng.integers(0, 30, 5)] = rng.uniform(0.1, 10.0, 5)
+    return rows
+
+
+@pytest.mark.parametrize("phi", [Power(2.0), complementary(Power(1.5)),
+                                 complementary(Power(3.0)), complementary(Power(1.01))],
+                         ids=["power", "complement_1.5", "complement_3", "complement_1.01"])
+def test_power_form_rows_start_at_the_closed_form(phi, monkeypatch):
+    # one _raw call per probe of the batch; the start bracket [m 1e-14, m 1e3]
+    # took 10-13, the closed form takes 4-6, and each norm stays certified
+    raw, calls = type(phi)._raw, []
+    monkeypatch.setattr(type(phi), "_raw", lambda self, t: calls.append(t.size) or raw(self, t))
+    rng = np.random.default_rng(13)
+    tol = 1e-9
+    for plain in (True, False):
+        for _ in range(5):
+            rows = np.exp(rng.normal(size=(40, 30))) if plain else power_form_rows(rng)
+            calls.clear()
+            lam = luxemburg_batch(rows, phi, tol=tol)
+            assert len(calls) <= 6
+            assert np.all(phi_mean(phi, rows, lam) <= 1.0)
+            assert np.all(phi_mean(phi, rows, lam * (1.0 - tol)) > 1.0)
+
+
+def sum_at_most_reference(vals, n):
+    return sum(map(Fraction, vals)) <= n
+
+
+def test_sum_at_most_decides_ties_exactly():
+    tiny = 2.0 ** -60
+    cases = [([0.5, 0.5, tiny], 1), ([0.5, 0.5], 1), ([0.5, 0.5 + tiny, -tiny], 1),
+             ([1.0, 5e-324], 1), ([1.0 - 2.0 ** -53, 2.0 ** -53], 1),
+             ([3.0, -5e-324], 3), ([2.0 ** 52, 0.5, 0.5], 2 ** 52 + 1),
+             ([2.0 ** 52, 0.5, 0.5, tiny], 2 ** 52 + 1)]
+    # random ties: the last value is the float nearest n - (the rest) and its
+    # neighbours, so the exact sum lands on n or just beside it
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        rest = rng.uniform(0.0, 2.0 * n / (n + 1), size=n)
+        last = float(n - sum(map(Fraction, rest)))
+        for v in (np.nextafter(last, -np.inf), last, np.nextafter(last, np.inf)):
+            cases.append(([*rest.tolist(), float(v)], n))
+    results = [grid._sum_at_most(np.array(v), n) for v, n in cases]
+    assert results == [sum_at_most_reference(v, n) for v, n in cases]
+    assert results[:8] == [False, True, True, False, True, True, True, False]
+    assert 0 < sum(results) < len(results)
+
+
 def test_norm_lp_and_weight():
     f = grid2(np.full((4, 4), 2.0), spacing=0.5)
     # integral of 2^2 over a 2x2 box is 16 cells * 0.25 area * 4

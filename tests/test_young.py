@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import SOLVER_PHIS
 
 from orliczmax.errors import InvalidYoungFunction, NonFinite
 from orliczmax.young import (_INVERSE_CHUNK, NumericComplement, Power, PowerLog,
@@ -69,6 +70,31 @@ def test_complement_of_power_r():
         want = (r - 1.0) * (s / r) ** (r / (r - 1.0))
         rel = np.abs(phibar.eval(s) - want) / want
         assert rel.max() < 2e-6, (r, rel.max())
+
+
+# the bases of every complement the solver tests use, a steep and a nearly
+# linear power, a capped base, a zero stretch, and two bases whose running
+# maximum of the chord slopes has plateaus: a non-convex Tabulated and t
+KNOT_BASES = [p.base for p in SOLVER_PHIS if isinstance(p, NumericComplement)] + [
+    Power(1.01), Power(3.0), Power(2.0, domain_cap=10.0),
+    Tabulated([(0.5, 0.0), (1.0, 0.5), (2.0, 3.0), (8.0, 64.0)]),
+    Tabulated([(1.0, 1.0), (2.0, 10.0), (3.0, 11.0), (100.0, 1e4)]),
+    Power(1.0)]
+
+
+@pytest.mark.parametrize("base", KNOT_BASES, ids=lambda b: young_to_json(b)["kind"])
+def test_knot_index_equals_searchsorted(base):
+    phibar = complementary(base)
+    slopes = phibar._slopes
+    assert phibar._index is None  # built on the first evaluation
+    rng = np.random.default_rng(12)
+    tiny = np.finfo(float).smallest_subnormal
+    s = np.concatenate([
+        slopes, np.nextafter(slopes, 0.0), np.nextafter(slopes, np.inf),
+        [0.0, -0.0, tiny, 2 * tiny, 1e-310, np.finfo(float).tiny, np.inf,
+         np.finfo(float).max], np.exp(rng.normal(scale=8.0, size=100_000))])
+    assert np.array_equal(phibar._knot(s), np.searchsorted(slopes, s, side="left"))
+    assert phibar._index is not None
 
 
 def test_young_inequality():

@@ -87,6 +87,26 @@ def counterexample(om):
     return om.counterexample_divergence
 
 
+def complement_eval(om):
+    """NumericComplement.eval of Power(1.5)'s conjugate at 16k lognormal points."""
+    phi = om.complementary(om.Power(1.5))
+    s = np.exp(np.random.default_rng(SEED).standard_normal(1 << 14))
+    return lambda: phi.eval(s)
+
+
+def holder(om):
+    """The holder suite's norms at 4000 triples: 100 rows of |N(0, 1)| draws
+    in each of 40 sizes from 2 to 64, f and g apart, and per family one
+    luxemburg_batch of the f rows under Phi and one of the g rows under
+    its complement."""
+    rng = np.random.default_rng(SEED)
+    sizes = rng.integers(2, 65, size=40)
+    fmats, gmats = ([np.abs(rng.standard_normal((100, n))) for n in sizes] for _ in range(2))
+    solves = [(mats, young) for phi in (om.Power(1.5), om.Power(2.0), om.PowerLog(1.8, 1.0))
+              for mats, young in ((fmats, phi), (gmats, om.complementary(phi)))]
+    return lambda: np.concatenate([om.luxemburg_batch(mats, young) for mats, young in solves])
+
+
 class Case(NamedTuple):
     build: Callable  # given a package, the call to time, its inputs built once
     rel: float     # relative difference allowed between the two sides' outputs
@@ -98,8 +118,9 @@ class Case(NamedTuple):
 # Power(1.5), read as c t^3, that tol plus a third of the numeric table's
 # error of 2.3e-9. The solver case allows its tol too: a solver that
 # certifies G <= 1 on the rounded sum of the Phi values, not the exact
-# one, ends some rows on another float of the same bracket. Every other
-# case demands the same bytes.
+# one, ends some rows on another float of the same bracket; so does the
+# holder case, whose power rows one side may start at their closed form.
+# Every other case demands the same bytes.
 CASES = {
     "strong 6x6": Case(strong((6, 6)), 0.0),
     "strong 8x8": Case(strong((8, 8)), 0.0),
@@ -119,12 +140,16 @@ CASES = {
     "complement 8x8": Case(complement((8, 8)), 1e-9 + 2.3e-9 / 3),
     "indicator 64x64": Case(indicator(64), 1e-9),
     "counterexample": Case(counterexample, 0.0),
+    "complement eval 16k": Case(complement_eval, 0.0),
+    "holder": Case(holder, 1e-9),
 }
 
 
 def output(result) -> np.ndarray:
-    """The numbers a call returns: a maximal field, or the increments of
-    counterexample_divergence."""
+    """The numbers a call returns: an array, a maximal field, or the
+    increments of counterexample_divergence."""
+    if isinstance(result, np.ndarray):
+        return result
     if isinstance(result, dict):
         return np.array(result["increments"] + result["control_increments"])
     return result.field.values
@@ -180,7 +205,7 @@ def main(argv=None) -> int:
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     result = {"rounds": args.rounds, "cores": cores, "python": platform.python_version(),
               "numpy": np.__version__, "seed": SEED, "cases": {}}
-    print(f"{'case':<16} {'parent med/min ms':>19} {'change med/min ms':>19} "
+    print(f"{'case':<20} {'parent med/min ms':>19} {'change med/min ms':>19} "
           f"{'ratio med':>9} {'ratio min':>9} {'won':>7}")
     for case in args.cases:
         t = times[case]
@@ -191,7 +216,7 @@ def main(argv=None) -> int:
                                  "calls_per_batch": reps[case], "median_s": med, "min_s": low,
                                  "ratio_median": med["change"] / med["parent"],
                                  "ratio_min": low["change"] / low["parent"], "rounds_won": won}
-        print(f"{case:<16} {med['parent'] * 1e3:9.3f}/{low['parent'] * 1e3:<9.3f} "
+        print(f"{case:<20} {med['parent'] * 1e3:9.3f}/{low['parent'] * 1e3:<9.3f} "
               f"{med['change'] * 1e3:9.3f}/{low['change'] * 1e3:<9.3f} "
               f"{med['change'] / med['parent']:9.3f} {low['change'] / low['parent']:9.3f} "
               f"{won:>3}/{args.rounds}")
