@@ -339,22 +339,26 @@ class NumericComplement(YoungFunction):
         self._index = None
 
     def _knot_index(self):
-        """The bucket index of the distinct slopes, about two buckets each.
+        """The bucket index of the distinct slopes, about one bucket each.
 
-        A bucket is a run of equal bit patterns >> shift. starts[b] counts
-        the distinct slopes in the buckets below b, and the last entry,
-        for everything above the top bucket, counts them all. A search
-        of width 2**steps - 1 from starts[b] covers any bucket, and the
-        +inf padding past the last value stops it there. first[i] is the
+        The slopes are sorted (a running maximum), so the distinct ones
+        start where a slope differs from the one before. A bucket is a run
+        of equal bit patterns >> shift. starts[b] counts the distinct
+        slopes in the buckets below b, and the last entry, for everything
+        above the top bucket, counts them all. A search of width
+        2**steps - 1 from starts[b] covers any bucket, and the +inf
+        padding past the last value stops it there. first[i] is the
         position in the table of the i-th distinct slope, and its last
         entry the table size.
         """
         # slopes below 0 lie below every s >= 0; + 0.0 turns -0.0 into 0.0
         below = int(np.searchsorted(self._slopes, 0.0))
-        vals, first = np.unique(self._slopes[below:] + 0.0, return_index=True)
+        slopes = self._slopes[below:] + 0.0
+        first = np.flatnonzero(np.append(True, slopes[1:] != slopes[:-1]))
+        vals = slopes[first]
         keys = vals.view(np.int64)
         # shift >= 1 keeps the bucket of -0.0's pattern, -2**63, from wrapping
-        shift = max(1, (int(keys[-1] - keys[0]) // (2 * vals.size)).bit_length())
+        shift = max(1, (int(keys[-1] - keys[0]) // vals.size).bit_length())
         bucket = (keys >> shift) - (keys[0] >> shift)
         starts = np.searchsorted(bucket, np.arange(bucket[-1] + 2))
         steps = int(np.diff(starts).max()).bit_length()
