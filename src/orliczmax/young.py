@@ -339,7 +339,7 @@ class NumericComplement(YoungFunction):
         self._index = None
 
     def _knot_index(self):
-        """The bucket index of the distinct slopes, about one bucket each.
+        """The bucket index of the distinct slopes, in no more buckets than slopes.
 
         The slopes are sorted (a running maximum), so the distinct ones
         start where a slope differs from the one before. A bucket is a run
