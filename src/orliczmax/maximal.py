@@ -246,6 +246,10 @@ _DP_BLOCK = 1 << 18
 # stack costs some twenty numpy calls, about as much as that many pair
 # cells on each of a few dozen rows
 _DP_STACK = 160
+# summed-area-table cells per function that one batched corner sweep
+# stacks: bounds the batch's tables and per-side slabs, as _DP_BLOCK bounds
+# its pair cells
+_BATCH_CELLS = 1 << 18
 # grids of fewer cells sweep in the calling thread: on two cores, threads
 # break even near 1,200 cells in 2-D (40x40 gains a quarter) and 2,200 in 3-D
 _THREAD_MIN_CELLS = 2000
@@ -470,59 +474,76 @@ def _corner_sweep(tables: list[np.ndarray], side_lists: list[list[int]], pref: n
     return out
 
 
+def _scaled_tables(fs: list[GridFunction]) -> tuple[list[np.ndarray], int]:
+    """The summed-area tables of fs and the sum of their exponents: averages
+    of tables scaled against overflow are scaled back once, at the end, as
+    a power of two commutes with the division and the products."""
+    sats = [SummedAreaTable(f) for f in fs]
+    return [sat.table for sat in sats], sum(sat.exponent for sat in sats)
+
+
 @np.errstate(over="ignore")  # an overflowing product is inf, which _field rejects
-def _average_sweep(fs: list[GridFunction], basis: Basis) -> np.ndarray:
-    """Sup over basis members of the product of per-function averages.
+def _average_sweep(groups: list[list[GridFunction]], basis: Basis) -> list[np.ndarray]:
+    """Sup over basis members of the product of per-function averages, one
+    field per group of m functions; every function of every group on one
+    grid shape, every group of the same m.
 
     Cube bases couple the sides, and in 1-D every member is an interval, so
-    both go through one vectorized pass per shape, which holds one plane
-    at a time. The uncoupled bases in 2-D and 3-D run the corner sweep,
-    with the last-axis DP planned once per sweep (_dp_plan, cached per
-    last-axis length and admissible sides) and the first side list split
-    across threads on grids of at least _THREAD_MIN_CELLS cells
-    (_sweep_threads), sharing _DP_BLOCK. Max is exact and every average
-    has its fixed operands, so the field depends neither on the thread
-    count nor on how sides are grouped into runs and rows into blocks.
-    Cells covered by no admissible member report 0 (empty supremum).
+    both go through one vectorized pass per shape and group, which holds
+    one plane at a time. The uncoupled bases in 2-D and 3-D run the corner
+    sweep with the groups stacked on its batch axis, _BATCH_CELLS table
+    cells at a time, so a family of small grids makes one sweep; the
+    last-axis DP is planned once per sweep (_dp_plan, cached per last-axis
+    length and admissible sides) and the first side list split across
+    threads on grids of at least _THREAD_MIN_CELLS cells (_sweep_threads),
+    sharing _DP_BLOCK. Max is exact and every average has its fixed
+    operands, so each field depends neither on the other groups nor on
+    the thread count, nor on how sides are grouped into runs and rows into
+    blocks. Cells covered by no admissible member report 0 (empty
+    supremum).
     """
-    shape = fs[0].shape
-    sats = [SummedAreaTable(f) for f in fs]
-    tables = [sat.table for sat in sats]
-    # averages of tables scaled against overflow are scaled back once, at
-    # the end; a power of two commutes with the division and the products
-    scale = sum(sat.exponent for sat in sats)
-
+    shape = groups[0][0].shape
     if basis.kind == CUBES or len(shape) == 1:
-        out = np.zeros(shape)
-        for sides in basis.shapes(shape):
-            ncells = math.prod(sides)
-            plane = _window_sums(tables[0], sides) / ncells
-            for t in tables[1:]:
-                plane = plane * (_window_sums(t, sides) / ncells)
-            np.maximum(out, _window_extremes(plane, sides, cover=True), out=out)
-        return np.ldexp(out, scale) if scale else out
+        outs = []
+        for fs in groups:
+            tables, scale = _scaled_tables(fs)
+            out = np.zeros(shape)
+            for sides in basis.shapes(shape):
+                ncells = math.prod(sides)
+                plane = _window_sums(tables[0], sides) / ncells
+                for t in tables[1:]:
+                    plane = plane * (_window_sums(t, sides) / ncells)
+                np.maximum(out, _window_extremes(plane, sides, cover=True), out=out)
+            outs.append(np.ldexp(out, scale) if scale else out)
+        return outs
 
     side_lists = [basis.side_choices(e) for e in shape]
     if any(not lst for lst in side_lists):
-        return np.zeros(shape)
-    tables = [t[None] for t in tables]
+        return [np.zeros(shape) for _ in groups]
     plan = _dp_plan(shape[-1] + 1, tuple(side_lists[-1]))
     firsts = side_lists[0]
     threads = _sweep_threads(shape, len(firsts))
     block = _DP_BLOCK // threads
 
     @np.errstate(over="ignore")  # the caller's errstate does not reach pool threads
-    def sweep(sides: list[int]) -> np.ndarray:
-        return _corner_sweep(tables, [sides] + side_lists[1:], np.ones(1), plan, block)
+    def sweep(tables: list[np.ndarray], sides: list[int]) -> np.ndarray:
+        pref = np.ones(len(tables[0]))
+        return _corner_sweep(tables, [sides] + side_lists[1:], pref, plan, block)
 
-    if threads == 1:
-        out = sweep(firsts)
-    else:
-        chunks = [firsts[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = np.maximum.reduce(list(pool.map(sweep, chunks)))
-    out = np.maximum(out[0], 0.0)
-    return np.ldexp(out, scale) if scale else out
+    per = max(1, _BATCH_CELLS // math.prod(n + 1 for n in shape))  # groups per batch
+    outs = []
+    for g in range(0, len(groups), per):
+        batch, scales = zip(*map(_scaled_tables, groups[g:g + per]))
+        tables = [np.stack(ts) if len(ts) > 1 else ts[0][None] for ts in zip(*batch)]
+        if threads == 1:
+            out = sweep(tables, firsts)
+        else:
+            chunks = [firsts[i::threads] for i in range(threads)]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                out = np.maximum.reduce(list(pool.map(functools.partial(sweep, tables), chunks)))
+        np.maximum(out, 0.0, out=out)
+        outs += [np.ldexp(o, scale) if scale else o for o, scale in zip(out, scales)]
+    return outs
 
 
 def strong_maximal(f: GridFunction, basis: Basis = Basis(),
@@ -534,8 +555,18 @@ def strong_maximal(f: GridFunction, basis: Basis = Basis(),
     with the same bits as on one.
     """
     count = _checked_inputs([f], basis, budget)
-    return _field([f], _average_sweep([f], basis), basis, count,
+    return _field([f], _average_sweep([[f]], basis)[0], basis, count,
                   operator="strong_maximal")
+
+
+def _strong_fields(fs: list[GridFunction], basis: Basis = Basis(),
+                   budget: int = DEFAULT_BUDGET) -> list[np.ndarray]:
+    """strong_maximal(f, basis, budget).field.values for each f of fs, all
+    of one grid geometry, from one batched sweep."""
+    if not fs:
+        return []
+    _checked_inputs(fs, basis, budget)
+    return _average_sweep([[f] for f in fs], basis)
 
 
 def multilinear_maximal(fs: list[GridFunction], basis: Basis = Basis(),
@@ -543,7 +574,7 @@ def multilinear_maximal(fs: list[GridFunction], basis: Basis = Basis(),
     """Sup over basis members of the product of the m averages; threaded as
     strong_maximal."""
     count = _checked_inputs(fs, basis, budget)
-    return _field(fs, _average_sweep(fs, basis), basis, count,
+    return _field(fs, _average_sweep([fs], basis)[0], basis, count,
                   operator="multilinear_maximal", m=len(fs))
 
 
@@ -884,7 +915,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         q = forms[0][0]
         scale = math.prod(s for _, s in forms)
         if q == 1.0 and scale == 1.0:
-            return _field(fs, _average_sweep(fs, basis), basis, count, **prov,
+            return _field(fs, _average_sweep([fs], basis)[0], basis, count, **prov,
                           dispatch="average")
         es = [int(np.frexp(f.values.max())[1]) for f in fs]
         swept = _power_sweep([f.with_values(np.ldexp(f.values, -e) ** q)
@@ -906,7 +937,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
         return _field(fs, out, basis, count, **prov, pruned=0, rects_solved=0,
                       ladder_rungs=0, tol=tol)
     n_max = max(math.prod(s) for s in shapes)
-    least = float(_average_sweep(fs, basis).min()) if len(fs) == 1 else 0.0
+    least = float(_average_sweep([fs], basis)[0].min()) if len(fs) == 1 else 0.0
     ladders = [_ladder(f, phi, n_max, least) for f, phi in zip(fs, phis)]
     supports = [SummedAreaTable(f.with_values((f.values > 0).astype(float))).table.ravel()
                 for f in fs]
@@ -977,7 +1008,7 @@ def _power_sweep(powered: list[GridFunction], fs: list[GridFunction], basis: Bas
     d = fs[0].ndim
     spread = 2.0 ** d * math.sqrt(sum(fs[0].shape)) * _UNIT_ROUNDOFF
     errs = [spread * float(g.values.sum()) for g in powered]
-    swept = _average_sweep(powered, basis)
+    swept = _average_sweep([powered], basis)[0]
     live = swept > 0
     if live.any() and swept[live].min() < sum(errs) / (q * tol):
         return None
@@ -1006,7 +1037,7 @@ def _two_valued(f: GridFunction, phi: YoungFunction, basis: Basis, tol: float) -
     raises NoBracket, as the solver does when no lam up to the largest
     float is feasible.
     """
-    a = _average_sweep([f.with_values((f.values > 0).astype(float))], basis)
+    a = _average_sweep([[f.with_values((f.values > 0).astype(float))]], basis)[0]
     hit = a > 0
     y = np.nextafter(np.nextafter(1.0 / a[hit], 0.0), 0.0)
     out = np.zeros(f.shape)

@@ -20,7 +20,7 @@ from .covering import (RectFamily, cf_overlap_check, choose_cf_subfamily,
                        weight_growth_sweep)
 from .errors import DegenerateSet
 from .grid import GridFunction, Rect, RowBlocks, luxemburg_batch, norm_lp
-from .maximal import Basis, orlicz_maximal, strong_maximal
+from .maximal import Basis, _strong_fields, orlicz_maximal, strong_maximal
 from .weights import SetSamplerSpec, bump_constant, condition_A_estimate
 from .young import (Power, PowerLog, YoungFunction, complementary, inverse, tabulate,
                     young_to_json)
@@ -222,19 +222,21 @@ def weighted_transfer_probe(phi: YoungFunction, p: float,
     cert = _verdict_cert(phibar, p, suite.dims, "bp_star")
     rows, skipped = [], 0
     for res in suite.resolutions:
-        mus: dict[int, np.ndarray] = {}  # M_phibar u^{1/p}, one sweep per weight
+        live = []  # (name, f, weight index, weight, denominator) of the rows kept
         for k, (name, f) in enumerate(suite.functions(res)):
             u = suite.weight_field(res, which=k % 3)
             den = norm_lp(f, p, weight=u.with_values(1.0 / u.values))
             if den == 0.0:
                 skipped += 1
-                continue
-            if k % 3 not in mus:
-                mus[k % 3] = orlicz_maximal(u.with_values(u.values ** (1.0 / p)),
+            else:
+                live.append((name, f, k % 3, u, den))
+        mus: dict[int, np.ndarray] = {}  # M_phibar u^{1/p}, one sweep per weight
+        for (name, f, which, u, den), mf in zip(live, _strong_fields([r[1] for r in live])):
+            if which not in mus:
+                mus[which] = orlicz_maximal(u.with_values(u.values ** (1.0 / p)),
                                             phibar).field.values
-            mf = strong_maximal(f).field.values
             rows.append({"test": name, "resolution": res,
-                         "ratio": norm_lp(f.with_values(mf / mus[k % 3]), p) / den})
+                         "ratio": norm_lp(f.with_values(mf / mus[which]), p) / den})
     return _make_report("weighted_transfer", rows,
                         {"complement_bp_star": cert},
                         cert["label"] == "Diverges", skipped)
@@ -308,12 +310,14 @@ def two_weight_probe(u: GridFunction, v: GridFunction, phi: YoungFunction,
         template = suite.grid(res)
         u_res = _resample_to(u, template)
         v_res = _resample_to(v, template)
+        live = []  # (name, f, denominator) of the rows kept
         for name, f in suite.functions(res):
             den = norm_lp(f.with_values(v_res.values * f.values), p)
             if den == 0.0:
                 skipped += 1
-                continue
-            mf = strong_maximal(f).field.values
+            else:
+                live.append((name, f, den))
+        for (name, f, den), mf in zip(live, _strong_fields([r[1] for r in live])):
             num = norm_lp(f.with_values(u_res.values * mf), p)
             rows.append({"test": name, "resolution": res, "ratio": num / den})
     expect = cert["complement_bp_star"]["label"] == "Diverges"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSet, GeometryMismatch
 from .grid import GridFunction, Rect, SummedAreaTable, _box_norms, _members
-from .maximal import CUBES, Basis, strong_maximal
+from .maximal import CUBES, Basis, _strong_fields, strong_maximal
 from .young import YoungFunction
 
 __all__ = [
@@ -347,19 +347,30 @@ def sawyer_constant(u: GridFunction, v: GridFunction, p: float,
                    family, Basis(CUBES), {"p": p})
 
 
+def _condition_A_values(w: GridFunction, lam: float, sets: list[list[Rect]]) -> list[float]:
+    """condition_A_value of every set, from one batched sweep of their
+    indicators. Every set is checked first, in order: each rectangle lies
+    in the grid (GeometryMismatch), and w(E) > 0 (DegenerateSet)."""
+    masks, masses = [], []
+    for rects in sets:
+        mask = np.zeros(w.shape, dtype=bool)
+        for r in rects:
+            r.check_within(w.shape)
+            mask[r.slices] = True
+        wE = float(np.sum(w.values[mask]))
+        if wE == 0.0:
+            raise DegenerateSet("sampled set carries no weight")
+        masks.append(w.with_values(mask.astype(float)))
+        masses.append(wE)
+    fields = _strong_fields(masks)
+    return [float(np.sum(w.values[m > lam])) / wE for m, wE in zip(fields, masses)]
+
+
 def condition_A_value(w: GridFunction, lam: float, rects: list[Rect]) -> float:
-    """w-mass ratio of the lambda-superlevel set of M(chi_E) to E, E = union."""
-    mask = np.zeros(w.shape, dtype=bool)
-    for r in rects:
-        r.check_within(w.shape)
-        mask[r.slices] = True
-    wE = float(np.sum(w.values[mask]))
-    if wE == 0.0:
-        raise DegenerateSet("sampled set carries no weight")
-    chi = w.with_values(mask.astype(float))
-    m = strong_maximal(chi).field.values
-    level = m > lam
-    return float(np.sum(w.values[level])) / wE
+    """w-mass ratio of the lambda-superlevel set of M(chi_E) to E, E = union:
+    the one-set case of condition_A_estimate's evaluation, so a witness set
+    re-evaluates to its reported value bit for bit."""
+    return _condition_A_values(w, lam, [rects])[0]
 
 
 def condition_A_estimate(w: GridFunction, lam: float,
@@ -367,13 +378,15 @@ def condition_A_estimate(w: GridFunction, lam: float,
     """Empirical lower bound for the superlevel-set control constant c(lambda).
 
     A best-effort sampler over unions of a few rectangles; the report
-    records the sampler so the limitation travels with the number.
+    records the sampler so the limitation travels with the number. The
+    sets are checked in order, each as condition_A_value checks its one,
+    and then one batched strong sweep serves them all.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lambda must lie in (0, 1)")
     _positive_values(w, "w")
     sets = sampler.sets(w.shape)
-    vals = [condition_A_value(w, lam, rects) for rects in sets]
+    vals = _condition_A_values(w, lam, sets)
     arr = np.asarray(vals)
     best = int(np.argmax(arr))
     witness = [{"lo": list(r.lo), "hi": list(r.hi)} for r in sets[best]]

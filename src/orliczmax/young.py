@@ -597,7 +597,11 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     """Generalized inverse sup{t >= 0 : Phi(t) <= y}.
 
     Each positive y is one problem of _solve_bracketed on log Phi(t) / y
-    over log t, from the start bracket [1, 1]. The returned t_lo has
+    over log t. Where Phi's formula inverts exactly (an uncapped Power, a
+    Tabulated: _closed_inverse), the start bracket is the closed form g
+    widened to [g (1 - tol/3), g (1 + tol/3)]: one probe of both ends
+    certifies it, and an end the probe refutes moves by the bracket
+    search. Every other family starts at [1, 1]. The returned t_lo has
     Phi(t_lo) <= y exactly and lies within a factor 1 + tol below the exact
     inverse; where Phi jumps to +inf the bracket closes on the jump point.
     A y so small that t_lo underflows gives 0. Raises NoBracket when an
@@ -636,8 +640,52 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     return float(out[0]) if scalar else out
 
 
+def _closed_inverse(phi: YoungFunction, y: np.ndarray) -> np.ndarray | None:
+    """Phi^{-1}(y) from Phi's own formula, where it inverts exactly, else None.
+
+    An uncapped Power(r) gives y**(1/r). A Tabulated inverts the segment
+    holding y among its knot values (the last knot with value <= y, so a
+    plateau gives its right end) by the interpolation _raw uses there:
+    log-log between positive values, linear from a zero value, and the
+    boundary segment's log-log slope outside the knots. A point with no
+    usable answer (past a flat boundary segment, or out of float range)
+    comes out nan, inf or 0. Only the exact classes qualify: a subclass
+    may evaluate differently.
+    """
+    if type(phi) is Power and phi.domain_cap is None:
+        with np.errstate(over="ignore"):
+            return y ** (1.0 / phi.r)
+    if type(phi) is not Tabulated:
+        return None
+    tk, yk, logt, logy = phi._t, phi._y, phi._logt, phi._logy
+    last = tk.size - 1
+    j = np.searchsorted(yk, y, side="right") - 1  # yk[j] <= y < yk[j + 1]
+    g = np.full(y.size, np.nan)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for sel, i in ((j < 0, 0), (j >= last, last)):  # outside the knots
+            k = phi._segment_slope(min(i, last - 1))
+            if np.any(sel) and yk[i] > 0 and k > 0:
+                g[sel] = tk[i] * (y[sel] / yk[i]) ** (1.0 / k)
+        inner = (j >= 0) & (j < last)
+        both = inner & (yk[np.clip(j, 0, last)] > 0)
+        i = j[both]
+        g[both] = np.exp(logt[i] + (np.log(y[both]) - logy[i])
+                         * ((logt[i + 1] - logt[i]) / (logy[i + 1] - logy[i])))
+        zero = inner & ~both
+        i = j[zero]
+        g[zero] = tk[i] + (y[zero] - yk[i]) * ((tk[i + 1] - tk[i]) / (yk[i + 1] - yk[i]))
+    return g
+
+
 def _inverse_block(phi: YoungFunction, y: np.ndarray, tol: float) -> np.ndarray:
-    """inverse() on one block of positive y."""
+    """inverse() on one block of positive y.
+
+    Where _closed_inverse has an answer g, the start bracket is
+    [g (1 - tol/3), g (1 + tol/3)], narrower than tol, so a guess whose
+    ends the probe confirms stops after that one probe; a guess that
+    misses (float rounding, a cap) moves its ends by the bracket search.
+    Every other point starts at [1, 1].
+    """
     logy = np.log(y)
 
     def probe(idx, t):
@@ -648,8 +696,14 @@ def _inverse_block(phi: YoungFunction, y: np.ndarray, tol: float) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(ft) - logy[idx]
 
-    one = np.ones(y.size)
-    return _solve_bracketed(one, one, probe, log, tol, upper=False)
+    lo, hi = np.ones(y.size), np.ones(y.size)
+    g = _closed_inverse(phi, y)
+    if g is not None:
+        with np.errstate(over="ignore"):
+            a, b = g * (1.0 - tol / 3.0), g * (1.0 + tol / 3.0)
+        ok = (a > 0) & (b <= _T_MAX)  # nan fails both tests
+        lo[ok], hi[ok] = a[ok], b[ok]
+    return _solve_bracketed(lo, hi, probe, log, tol, upper=False)
 
 
 def phi_n_eval(n: int, t):

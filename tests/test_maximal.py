@@ -365,6 +365,32 @@ def test_average_sweep_is_exact_across_dp_blocks(monkeypatch, cores, basis):
                               brute_average([f, g], basis))
 
 
+@pytest.mark.parametrize("batch_cells", [maximal._BATCH_CELLS, 40])
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("basis", [Basis(), Basis(CUBES), Basis(DYADIC)],
+                         ids=["rect", "cubes", "dyadic"])
+@pytest.mark.parametrize("shape", [(13,), (6, 6), (7, 5), (4, 3, 5)], ids=str)
+def test_batched_groups_equal_per_group_sweeps(shape, basis, cores, batch_cells, monkeypatch):
+    # one group near the top of the float range, whose tables are scaled
+    # against overflow, among unscaled ones; 40 table cells per batch
+    # splits the groups into batches of one to three
+    force_threads(monkeypatch, cores)
+    monkeypatch.setattr(maximal, "_BATCH_CELLS", batch_cells)
+    fs = [rand_grid(shape, seed=80 + k) for k in range(6)]
+    fs[2] = fs[2].with_values(fs[2].values * 1e307)
+    fs[5] = fs[5].with_values(fs[5].values * 1e-9)  # keeps fs[2]'s products finite
+    assert SummedAreaTable(fs[2]).exponent > 0
+    for groups in ([[f] for f in fs], [fs[0:2], [fs[2], fs[5]], fs[3:5]]):
+        got = maximal._average_sweep(groups, basis)
+        assert len(got) == len(groups)
+        for fields, g in zip(got, groups):
+            want = maximal._average_sweep([g], basis)[0]
+            assert fields.tobytes() == want.tobytes()
+            ref = (strong_maximal(g[0], basis) if len(g) == 1
+                   else multilinear_maximal(g, basis)).field.values
+            assert fields.tobytes() == ref.tobytes()
+
+
 def dp_reference(slabs, pref, sides):
     """_dp_last_axis by a plain double loop over the (lo, hi) pairs."""
     batch, size = slabs[0].shape

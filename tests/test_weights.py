@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from orliczmax.errors import GeometryMismatch
+from orliczmax import weights
+from orliczmax.errors import DegenerateSet, GeometryMismatch
 from orliczmax.grid import GridFunction, Rect, SummedAreaTable
-from orliczmax.maximal import CUBES, DYADIC, Basis
+from orliczmax.maximal import CUBES, DYADIC, Basis, strong_maximal
 from orliczmax.weights import (RectFamilySpec, SetSamplerSpec, WeightSystem,
                                ap_constant, ap_value, bump_constant, bump_value,
                                condition_A_estimate, condition_A_value,
@@ -275,6 +276,45 @@ def test_condition_a_estimate_witness():
     rep = condition_A_estimate(w, 0.5, SetSamplerSpec(count=32, seed=3))
     rects = [Rect(tuple(r["lo"]), tuple(r["hi"])) for r in rep.extra["witness_set"]]
     assert condition_A_value(w, 0.5, rects) == rep.sup_constant
+
+
+def condition_a_reference(w, lam, rects):
+    """condition_A_value as one strong_maximal call per set."""
+    mask = np.zeros(w.shape, dtype=bool)
+    for r in rects:
+        mask[r.slices] = True
+    m = strong_maximal(w.with_values(mask.astype(float))).field.values
+    return float(np.sum(w.values[m > lam])) / float(np.sum(w.values[mask]))
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (9, 7), (5, 4, 3), (20,)], ids=str)
+def test_condition_a_estimate_equals_per_set_values(shape):
+    w = rand_weight(shape, seed=28)
+    spec = SetSamplerSpec(count=40, seed=5)
+    sets = spec.sets(shape)
+    vals = weights._condition_A_values(w, 0.5, sets)
+    for rects, v in zip(sets, vals):
+        assert v == condition_A_value(w, 0.5, rects) == condition_a_reference(w, 0.5, rects)
+    rep = condition_A_estimate(w, 0.5, spec)
+    assert rep.sup_constant == max(vals)
+    witness = [Rect(tuple(r["lo"]), tuple(r["hi"])) for r in rep.extra["witness_set"]]
+    assert condition_A_value(w, 0.5, witness) == rep.sup_constant
+
+
+def test_condition_a_checks_every_set_in_order_before_the_sweep(monkeypatch):
+    w = rand_weight((8, 8), seed=29)
+    w = w.with_values(np.where(np.arange(8)[:, None] < 4, 0.0, w.values))  # no weight in rows 0-3
+    ok, empty = [Rect((4, 0), (6, 3))], [Rect((0, 0), (2, 2))]
+    outside = [Rect((6, 6), (9, 9))]
+    swept = []
+    monkeypatch.setattr(weights, "_strong_fields", lambda fs: swept.append(fs))
+    with pytest.raises(DegenerateSet):
+        weights._condition_A_values(w, 0.5, [ok, empty, outside])
+    with pytest.raises(GeometryMismatch):
+        weights._condition_A_values(w, 0.5, [ok, outside, empty])
+    with pytest.raises(DegenerateSet):
+        condition_A_value(w, 0.5, empty)
+    assert not swept
 
 
 def test_condition_a_needs_interior_lambda():

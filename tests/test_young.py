@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import SOLVER_PHIS
+from conftest import SOLVER_IDS, SOLVER_PHIS
 
-from orliczmax.errors import InvalidYoungFunction, NonFinite
+from orliczmax import young
+from orliczmax.errors import InvalidYoungFunction, NoBracket, NonFinite
 from orliczmax.young import (_INVERSE_CHUNK, NumericComplement, Power, PowerLog,
                              PowerLogLog, Tabulated, YoungFunction, complementary, inverse,
                              probe_doubling, probe_submultiplicative, tabulate,
@@ -194,6 +195,99 @@ def test_bracket_search_squares_its_factor():
     inverse(phi, 1e-12)
     assert [float(t[0]) for t in phi.points[:6]] == [2.0 ** -k for k in (0, 1, 3, 7, 15, 31)]
     assert 2.0 ** -31 < phi.points[6][0] < 2.0 ** -15
+
+
+def start_at_one(monkeypatch):
+    """Make inverse start every point at [1, 1], as it does without a closed form."""
+    monkeypatch.setattr(young, "_closed_inverse", lambda phi, y: None)
+
+
+def within_tol(a, b, tol=1e-10):
+    """Two certified inverses of the same y both lie in (exact / (1 + tol), exact]."""
+    a, b = np.asarray(a), np.asarray(b)
+    return bool(np.all(np.abs(a - b) <= tol * np.maximum(a, b)))
+
+
+CLOSED_FORM_PHIS = {i: p for i, p in zip(SOLVER_IDS, SOLVER_PHIS)
+                    if i in ("power", "tabulated", "capped")}
+
+
+@pytest.mark.parametrize("phi", CLOSED_FORM_PHIS.values(), ids=CLOSED_FORM_PHIS.keys())
+def test_closed_form_start_is_certified_and_within_tol_of_a_start_at_one(phi, monkeypatch):
+    y = solver_ys(phi)
+    t = inverse(phi, y, tol=1e-10)
+    assert np.all(phi.eval(t) <= y)
+    assert np.all(phi.eval(t * (1.0 + 2e-10)) > y)
+    start_at_one(monkeypatch)
+    assert within_tol(t, inverse(phi, y, tol=1e-10))
+
+
+def damped_power(delta=0.5, p=2.0, hi=256.0):
+    """The Young function of verify.counterexample_divergence at its defaults."""
+    return tabulate(lambda t: t ** p / np.log1p(t) ** (1.0 + delta), 0.5,
+                    max(1e7, hi * hi), points_per_decade=400)
+
+
+@pytest.mark.parametrize("phi", [Power(1.0), Power(2.5), damped_power()],
+                         ids=["power1", "power2.5", "damped"])
+def test_closed_form_inverse_evaluates_phi_once_per_block(phi, monkeypatch):
+    # y over the counterexample's range, more than one block of distinct values
+    calls = []
+    raw = type(phi)._raw
+
+    def counting(self, t):
+        calls.append(t.size)
+        return raw(self, t)
+
+    monkeypatch.setattr(type(phi), "_raw", counting)
+    y = np.geomspace(16.0, 256.0 ** 2, _INVERSE_CHUNK + 100)
+    t = inverse(phi, y)
+    assert len(calls) == 2  # one probe of both bracket ends per block
+    assert np.all(phi.eval(t) <= y)
+
+
+PLATEAU = Tabulated([(1.0, 1.0), (2.0, 4.0), (3.0, 4.0), (4.0, 16.0)])
+CAPPED_TABLE = Tabulated([(0.5, 0.25), (1.0, 1.0), (4.0, 16.0)], domain_cap=3.0)
+
+
+@pytest.mark.parametrize("phi", [Power(2.0), SOLVER_PHIS[2], PLATEAU, CAPPED_TABLE],
+                         ids=["power", "tabulated", "plateau", "capped_table"])
+def test_closed_form_edge_cases_behave_as_a_start_at_one(phi, monkeypatch):
+    tiny = np.finfo(float).smallest_subnormal
+    # subnormal y, y below, inside and above the knots (and the cap), on a
+    # knot value, and the largest float
+    y = np.array([tiny, 7 * tiny, 1e-310, 1e-8, 0.2, 0.7, 1.0, 2.5, 4.0, 8.0, 1e3, 1e300,
+                  np.finfo(float).max])
+    cap = CAPPED_TABLE.eval(3.0)
+    y = y[y <= cap] if phi.domain_cap else y
+    # y = inf and y past the cap raise, with a closed form or without
+    bad = [np.inf, 2.0 * cap] if phi.domain_cap else [np.inf]
+    got = inverse(phi, y)
+    assert np.all(phi.eval(got) <= y)
+    for closed in (True, False):
+        if not closed:
+            start_at_one(monkeypatch)
+        for b in bad:
+            with pytest.raises(NoBracket):
+                inverse(phi, b)
+    assert within_tol(got, inverse(phi, y))
+
+
+def test_closed_form_on_a_plateau_returns_its_right_end():
+    # Phi = 4 on [2, 3]: sup{t : Phi(t) <= 4} = 3
+    t = inverse(PLATEAU, 4.0)
+    assert 3.0 / (1.0 + 1e-10) < t <= 3.0
+    assert PLATEAU.eval(t) <= 4.0
+
+
+def test_closed_form_skips_subclasses_and_capped_powers():
+    class Sub(Power):
+        pass
+
+    assert young._closed_inverse(Sub(2.0), np.array([4.0])) is None
+    assert young._closed_inverse(Power(2.0, domain_cap=10.0), np.array([4.0])) is None
+    assert young._closed_inverse(PowerLog(1.8, 1.0), np.array([4.0])) is None
+    assert young._closed_inverse(Power(2.0), np.array([4.0]))[0] == 2.0
 
 
 def test_tabulated_interpolates_between_knots():

@@ -87,6 +87,28 @@ def counterexample(om):
     return om.counterexample_divergence
 
 
+def condition_a(om):
+    """condition_A_estimate over 64 sets of a 6x6 weight, as the t12 suite's
+    certificate takes it: the constant and its witness set's corners."""
+    w = grids(om, (6, 6), 1)[0]
+    spec = om.SetSamplerSpec(count=64, seed=SEED)
+
+    def call():
+        rep = om.condition_A_estimate(w, 0.5, spec)
+        corners = [c for r in rep.extra["witness_set"] for c in r["lo"] + r["hi"]]
+        return np.array([rep.sup_constant, *corners], dtype=float)
+    return call
+
+
+def inverse_tabulated(om):
+    """inverse of the counterexample suite's table at the 41,905 products
+    y_i y_j, i <= j, of its mesh at T = 256."""
+    phi = om.tabulate(lambda t: t ** 2 / np.log1p(t) ** 1.5, 0.5, 1e7, points_per_decade=400)
+    y = np.geomspace(4.0, 256.0, int(np.log10(256.0 / 4.0) * 160))
+    i, j = np.triu_indices(y.size)
+    return lambda: om.inverse(phi, y[i] * y[j])
+
+
 def complement_eval(om):
     """NumericComplement.eval of Power(1.5)'s conjugate at 16k lognormal points."""
     phi = om.complementary(om.Power(1.5))
@@ -120,6 +142,14 @@ class Case(NamedTuple):
 # certifies G <= 1 on the rounded sum of the Phi values, not the exact
 # one, ends some rows on another float of the same bracket; so does the
 # holder case, whose power rows one side may start at their closed form.
+# An inverse certifies t in (t*/(1 + tol), t*] about the exact t*, so two
+# sides that start their brackets apart (one at a closed form) differ by
+# at most tol = 1e-10: the inverse case allows that. In the
+# counterexample each side's partial integral of t**-p then lies in
+# [I*, I* (1 + p tol)), and an increment I(2T) - I(T) moves by at most
+# p tol I(2T), which relative to the increment is largest for the
+# control at T = 128: I(256) / (I(256) - I(128)) is about
+# (1/4 - 1/256)**2 / 0.00191 < 32, so p = 2 gives 2 * 1e-10 * 32.
 # Every other case demands the same bytes.
 CASES = {
     "strong 6x6": Case(strong((6, 6)), 0.0),
@@ -139,7 +169,9 @@ CASES = {
     "strong 3000": Case(strong((3000,)), 0.0),
     "complement 8x8": Case(complement((8, 8)), 1e-9 + 2.3e-9 / 3),
     "indicator 64x64": Case(indicator(64), 1e-9),
-    "counterexample": Case(counterexample, 0.0),
+    "counterexample": Case(counterexample, 2 * 1e-10 * 32),
+    "inverse tabulated": Case(inverse_tabulated, 1e-10),
+    "condition A 6x6": Case(condition_a, 0.0),
     "complement eval 16k": Case(complement_eval, 0.0),
     "holder": Case(holder, 1e-9),
 }
