@@ -653,15 +653,14 @@ def _closed_inverse(phi: YoungFunction, y: np.ndarray) -> np.ndarray | None:
     may evaluate differently.
     """
     if type(phi) is Power and phi.domain_cap is None:
-        with np.errstate(over="ignore"):
-            return y ** (1.0 / phi.r)
+        return y ** (1.0 / phi.r)
     if type(phi) is not Tabulated:
         return None
     tk, yk, logt, logy = phi._t, phi._y, phi._logt, phi._logy
     last = tk.size - 1
     j = np.searchsorted(yk, y, side="right") - 1  # yk[j] <= y < yk[j + 1]
     g = np.full(y.size, np.nan)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         for sel, i in ((j < 0, 0), (j >= last, last)):  # outside the knots
             k = phi._segment_slope(min(i, last - 1))
             if np.any(sel) and yk[i] > 0 and k > 0:
