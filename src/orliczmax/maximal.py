@@ -559,14 +559,13 @@ def strong_maximal(f: GridFunction, basis: Basis = Basis(),
                   operator="strong_maximal")
 
 
-def _strong_fields(fs: list[GridFunction], basis: Basis = Basis(),
-                   budget: int = DEFAULT_BUDGET) -> list[np.ndarray]:
-    """strong_maximal(f, basis, budget).field.values for each f of fs, all
-    of one grid geometry, from one batched sweep."""
+def _strong_fields(fs: list[GridFunction]) -> list[np.ndarray]:
+    """strong_maximal(f).field.values for each f of fs, all of one grid
+    geometry, from one batched sweep."""
     if not fs:
         return []
-    _checked_inputs(fs, basis, budget)
-    return _average_sweep([[f] for f in fs], basis)
+    _checked_inputs(fs, Basis(), DEFAULT_BUDGET)
+    return _average_sweep([[f] for f in fs], Basis())
 
 
 def multilinear_maximal(fs: list[GridFunction], basis: Basis = Basis(),
