@@ -173,13 +173,21 @@ class PowerLogLog(YoungFunction):
 
 
 class Tabulated(YoungFunction):
-    """Piecewise interpolation through (t, Phi(t)) knots.
+    """Piecewise power law through (t, Phi(t)) knots t_0 < ... < t_{n-1}.
 
-    Interpolation is linear in log-log coordinates wherever both endpoint
-    values are positive (exact for pure powers), linear in t across a
-    zero-to-positive segment, and extrapolates by the boundary segment's
-    log-log slope outside the knot range. Knot values must be nondecreasing;
-    convexity of the represented function is the caller's responsibility.
+    The piece of t is p = searchsorted(t_knots, t, side="right"): piece 0
+    lies below the knots, piece i + 1 is [t_i, t_{i+1}) and piece n lies
+    above them. On each piece Phi(t) = min(Y_p (t / T_p)**K_p, C_p), with
+    the anchor (T_p, Y_p) its left knot (t_0 for piece 0), K_p the log-log
+    slope of its segment (0 on a flat or zero segment; outside the knots
+    that of the nearest boundary segment) and C_p the value of its right
+    knot (+inf above the knots). A segment from a zero value to a positive
+    one is linear instead: C_p (t - T_p) / W_p, W_p its width (its slope
+    C_p / W_p may overflow). So Phi(t_j) = y_j exactly, a plateau reads its
+    own value, and the clamp keeps Phi nondecreasing across knots;
+    _closed_inverse inverts the same pieces. The law is exact for pure
+    powers. Knot values must be nondecreasing; convexity of the represented
+    function is the caller's responsibility.
     """
 
     def __init__(self, knots: Iterable[Sequence[float]], domain_cap: float | None = None):
@@ -198,63 +206,23 @@ class Tabulated(YoungFunction):
             raise InvalidYoungFunction("Tabulated values must be nonnegative and nondecreasing")
         self._t = t
         self._y = y
-        with np.errstate(divide="ignore"):
-            self._logt = np.log(t)
-            self._logy = np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logy = np.log(np.where(y > 0, y, 1.0))
+            k = np.where((y[:-1] > 0) & (y[1:] > 0), np.diff(logy) / np.diff(np.log(t)), 0.0)
+        w = np.where((y[:-1] == 0) & (y[1:] > 0), np.diff(t), 0.0)
+        # per piece: anchor T, Y, log-log slope K, linear width W, ceiling C
+        self._pieces = np.stack([np.append(t[0], t), np.append(y[0], y),
+                                 np.concatenate([k[:1], k, k[-1:]]),
+                                 np.concatenate([[0.0], w, [0.0]]), np.append(y, np.inf)])
         self.domain_cap = domain_cap
 
     @property
     def knots(self) -> list[tuple[float, float]]:
         return [(float(a), float(b)) for a, b in zip(self._t, self._y)]
 
-    def _segment_slope(self, i: int) -> float:
-        # log-log slope of segment [i, i+1]; 0 for flat-zero segments
-        if self._y[i] > 0 and self._y[i + 1] > 0:
-            return float(
-                (self._logy[i + 1] - self._logy[i]) / (self._logt[i + 1] - self._logt[i])
-            )
-        return 0.0
-
     def _raw(self, t):
-        tk, yk = self._t, self._y
-        out = np.empty_like(t)
-        idx = np.searchsorted(tk, t, side="right") - 1
-
-        below = idx < 0
-        above = idx >= tk.size - 1
-        inner = ~(below | above)
-
-        if np.any(below):
-            tb = t[below]
-            if yk[0] == 0.0:
-                out[below] = 0.0
-            else:
-                k = self._segment_slope(0)
-                out[below] = yk[0] * (tb / tk[0]) ** k
-        if np.any(above):
-            ta = t[above]
-            k = self._segment_slope(tk.size - 2)
-            if yk[-1] == 0.0:
-                out[above] = 0.0
-            else:
-                out[above] = yk[-1] * (ta / tk[-1]) ** k
-        if np.any(inner):
-            i = idx[inner]
-            ti = t[inner]
-            y0, y1 = yk[i], yk[i + 1]
-            both = (y0 > 0) & (y1 > 0)
-            res = np.empty_like(ti)
-            if np.any(both):
-                j = i[both]
-                w = (np.log(ti[both]) - self._logt[j]) / (self._logt[j + 1] - self._logt[j])
-                res[both] = np.exp(self._logy[j] + w * (self._logy[j + 1] - self._logy[j]))
-            rest = ~both
-            if np.any(rest):
-                j = i[rest]
-                w = (ti[rest] - tk[j]) / (tk[j + 1] - tk[j])
-                res[rest] = yk[j] + w * (yk[j + 1] - yk[j])
-            out[inner] = res
-        return out
+        T, Y, K, W, C = self._pieces.take(np.searchsorted(self._t, t, side="right"), axis=1)
+        return np.minimum(np.where(W > 0, (t - T) / W * C, Y * (t / T) ** K), C)
 
 
 def tabulate(fn: Callable[[np.ndarray], np.ndarray], t_lo: float, t_hi: float,
@@ -454,9 +422,9 @@ _INVERSE_CHUNK = 8192
 _BRACKET_FACTOR_CAP = 1e16
 _T_MAX = float(np.finfo(float).max)
 # ITP stops a problem within its nmax = ceil(log2(w0 / (2 eps))) + 1 steps,
-# at most 62 for a bracket inside the float range at tol >= 1e-15; this
-# bound only ends a tol below float resolution, where no step can close
-# the bracket to tol.
+# at most 62 for a bracket inside the float range at tol >= 1e-15, and a
+# problem whose ends are adjacent floats stops too (a tol below float
+# resolution, or tol * end underflowing); this bound is only a guard.
 _ITP_STEPS = 200
 
 
@@ -520,10 +488,10 @@ def _solve_bracketed(lo, hi, probe, log, tol: float, upper: bool) -> np.ndarray:
 
     ITP steps in log space (see _itp_point) then shrink each bracket; a
     probe is evaluated at exactly the float that becomes the new end. A
-    problem stops once hi - lo <= tol * (its feasible end), and that end
-    is returned, so every result is certified by a probe. Problems drop
-    out as they stop, so each one takes the same steps whichever problems
-    share the call.
+    problem stops once hi - lo <= tol * (its feasible end), or once no
+    float lies strictly between lo and hi, and that end is returned, so
+    every result is certified by a probe. Problems drop out as they stop,
+    so each one takes the same steps whichever problems share the call.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     n = lo.size
@@ -572,7 +540,7 @@ def _solve_bracketed(lo, hi, probe, log, tol: float, upper: bool) -> np.ndarray:
         nmax = np.ceil(np.log2(np.maximum(w0 / (2.0 * eps), 1.0))) + 1.0
     for j in range(_ITP_STEPS):
         end = hi if upper else lo
-        done = hi - lo <= tol * end
+        done = (hi - lo <= tol * end) | (hi <= np.nextafter(lo, np.inf))
         if np.any(done):
             res[idx[done]] = end[done]
             keep = ~done
@@ -604,9 +572,13 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     search. Every other family starts at [1, 1]. The returned t_lo has
     Phi(t_lo) <= y exactly and lies within a factor 1 + tol below the exact
     inverse; where Phi jumps to +inf the bracket closes on the jump point.
-    A y so small that t_lo underflows gives 0. Raises NoBracket when an
+    A y so small that t_lo underflows gives 0. A Tabulated Phi is one
+    clamped power law per piece that equals its knot values and never
+    decreases (see Tabulated), so at a plateau's value the result is
+    within tol below the plateau's right end. Raises NoBracket when an
     explicit domain cap makes y unreachable, or when Phi stays <= y up to
-    the largest float. Every point is solved on its own, so its result does
+    the largest float (a Tabulated whose last segment is flat, at y of at
+    least its value). Every point is solved on its own, so its result does
     not depend on the rest of the vector. Each distinct positive y is
     solved once (np.unique), in blocks of _INVERSE_CHUNK distinct values,
     and its t goes to every position that holds it: the same bits as one
@@ -643,37 +615,21 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
 def _closed_inverse(phi: YoungFunction, y: np.ndarray) -> np.ndarray | None:
     """Phi^{-1}(y) from Phi's own formula, where it inverts exactly, else None.
 
-    An uncapped Power(r) gives y**(1/r). A Tabulated inverts the segment
-    holding y among its knot values (the last knot with value <= y, so a
-    plateau gives its right end) by the interpolation _raw uses there:
-    log-log between positive values, linear from a zero value, and the
-    boundary segment's log-log slope outside the knots. A point with no
-    usable answer (past a flat boundary segment, or out of float range)
-    comes out nan, inf or 0. Only the exact classes qualify: a subclass
-    may evaluate differently.
+    An uncapped Power(r) gives y**(1/r). A Tabulated inverts the law of
+    the piece p = searchsorted(knot values, y, side="right"), the piece
+    whose left knot is the last one with value <= y (so a plateau gives its
+    right end): T_p (y / Y_p)**(1 / K_p), or T_p + y (W_p / C_p) on a
+    linear piece. A point with no usable answer (past a flat boundary
+    segment, or out of float range) comes out nan, inf or 0. Only the exact
+    classes qualify: a subclass may evaluate differently.
     """
     if type(phi) is Power and phi.domain_cap is None:
         return y ** (1.0 / phi.r)
     if type(phi) is not Tabulated:
         return None
-    tk, yk, logt, logy = phi._t, phi._y, phi._logt, phi._logy
-    last = tk.size - 1
-    j = np.searchsorted(yk, y, side="right") - 1  # yk[j] <= y < yk[j + 1]
-    g = np.full(y.size, np.nan)
-    with np.errstate(over="ignore", under="ignore"):
-        for sel, i in ((j < 0, 0), (j >= last, last)):  # outside the knots
-            k = phi._segment_slope(min(i, last - 1))
-            if np.any(sel) and yk[i] > 0 and k > 0:
-                g[sel] = tk[i] * (y[sel] / yk[i]) ** (1.0 / k)
-        inner = (j >= 0) & (j < last)
-        both = inner & (yk[np.clip(j, 0, last)] > 0)
-        i = j[both]
-        g[both] = np.exp(logt[i] + (np.log(y[both]) - logy[i])
-                         * ((logt[i + 1] - logt[i]) / (logy[i + 1] - logy[i])))
-        zero = inner & ~both
-        i = j[zero]
-        g[zero] = tk[i] + (y[zero] - yk[i]) * ((tk[i + 1] - tk[i]) / (yk[i + 1] - yk[i]))
-    return g
+    T, Y, K, W, C = phi._pieces.take(np.searchsorted(phi._y, y, side="right"), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        return np.where(W > 0, T + y * (W / C), T * (y / Y) ** (1.0 / K))
 
 
 def _inverse_block(phi: YoungFunction, y: np.ndarray, tol: float) -> np.ndarray:

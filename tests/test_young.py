@@ -280,6 +280,71 @@ def test_closed_form_on_a_plateau_returns_its_right_end():
     assert PLATEAU.eval(t) <= 4.0
 
 
+FLAT_KNOTS = [(1.0, 1.0), (2.0, 10.0), (3.0, 10.0), (4.0, 20.0)]
+FLAT_TAIL = [(1.0, 1.0), (2.0, 10.0), (3.0, 10.0)]
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed_form", "start_at_one"])
+def test_inverse_at_a_plateau_value_returns_its_right_end_or_raises_past_a_flat_tail(
+        closed, monkeypatch):
+    # Phi = 10 on [2, 3] must read exactly 10 there, so sup{t : Phi(t) <= 10}
+    # is 3; past a flat last segment Phi stays 10 up to the largest float
+    if not closed:
+        start_at_one(monkeypatch)
+    t = inverse(Tabulated(FLAT_KNOTS), 10.0)
+    assert 3.0 / (1.0 + 1e-10) < t <= 3.0
+    with pytest.raises(NoBracket):
+        inverse(Tabulated(FLAT_TAIL), 10.0)
+
+
+KNOT_TABLES = {"damped": damped_power(), "tabulated": SOLVER_PHIS[2], "plateau": PLATEAU,
+               "flat_knots": Tabulated(FLAT_KNOTS), "flat_tail": Tabulated(FLAT_TAIL)}
+
+
+@pytest.mark.parametrize("phi", KNOT_TABLES.values(), ids=KNOT_TABLES.keys())
+def test_tabulated_reads_its_knot_values(phi):
+    t, y = np.array(phi.knots).T
+    assert np.array_equal(phi.eval(t), y)
+
+
+MONOTONE_TABLES = {
+    "zero_start": SOLVER_PHIS[2], "plateau": PLATEAU, "flat_tail": Tabulated(FLAT_TAIL),
+    "tiny_knot": Tabulated([(1e-300, 2.0), (1.0, 3.0)]),
+    "tiny_values": Tabulated([(1e-300, 1e-300), (2e-300, 1e-299), (1.0, 5.0)]),
+    "huge_knots": Tabulated([(1e100, 0.0), (2e100, 1.0), (4e100, 4.0)]),
+    # a zero segment whose slope 1e300 / 1e-10 overflows
+    "steep_zero": Tabulated([(0.5, 0.0), (0.5 + 1e-10, 1e300), (1.0, 2e300)]),
+    "damped": damped_power()}
+
+
+@pytest.mark.parametrize("phi", MONOTONE_TABLES.values(), ids=MONOTONE_TABLES.keys())
+def test_tabulated_never_decreases_across_its_knots(phi):
+    t = np.array(phi.knots)[:, 0]
+    pts = np.sort(np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                                  np.geomspace(t[0] / 10.0, t[-1] * 10.0, 1000)]))
+    assert np.all(np.diff(phi.eval(pts)) >= 0)
+
+
+@pytest.mark.parametrize("phi, y, tol", [(Power(1.0), 1e-321, 1e-10),
+                                         (Power(1.0), 3.5e-323, 1e-10),
+                                         (Power(1.5), 2.0, 1e-17)],
+                         ids=["subnormal", "deep_subnormal", "tol_below_resolution"])
+def test_inverse_stops_once_its_ends_are_adjacent_floats(phi, y, tol, monkeypatch):
+    # tol * t underflows or lies below an ulp of t, so only the ends meeting
+    # can stop the solve, not the step cap
+    calls = []
+    raw = Power._raw
+
+    def counting(self, t):
+        calls.append(t.size)
+        return raw(self, t)
+
+    monkeypatch.setattr(Power, "_raw", counting)
+    t = inverse(phi, y, tol=tol)
+    assert len(calls) < 50
+    assert phi.eval(t) <= y < phi.eval(np.nextafter(t, np.inf))
+
+
 def test_closed_form_skips_subclasses_and_capped_powers():
     class Sub(Power):
         pass
