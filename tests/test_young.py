@@ -308,13 +308,13 @@ def test_tabulated_reads_its_knot_values(phi):
 
 
 MONOTONE_TABLES = {
-    "zero_start": SOLVER_PHIS[2], "plateau": PLATEAU, "flat_tail": Tabulated(FLAT_TAIL),
+    "zero_start": SOLVER_PHIS[2], "plateau": PLATEAU, "flat_tail": KNOT_TABLES["flat_tail"],
     "tiny_knot": Tabulated([(1e-300, 2.0), (1.0, 3.0)]),
     "tiny_values": Tabulated([(1e-300, 1e-300), (2e-300, 1e-299), (1.0, 5.0)]),
     "huge_knots": Tabulated([(1e100, 0.0), (2e100, 1.0), (4e100, 4.0)]),
     # a zero segment whose slope 1e300 / 1e-10 overflows
     "steep_zero": Tabulated([(0.5, 0.0), (0.5 + 1e-10, 1e300), (1.0, 2e300)]),
-    "damped": damped_power()}
+    "damped": KNOT_TABLES["damped"]}
 
 
 @pytest.mark.parametrize("phi", MONOTONE_TABLES.values(), ids=MONOTONE_TABLES.keys())
