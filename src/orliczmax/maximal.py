@@ -23,21 +23,22 @@ rect_average, and max is exact and independent of order and grouping,
 so the field is bit-identical to rect_average maxima over the same
 rectangles, which is what the brute-force comparisons rely on.
 
-The Orlicz sweep (_orlicz_field) brackets every member's Luxemburg norm
-from a ladder of summed-area tables of Phi(f / lam_k), one per rung of a
-geometric ladder of lam (Crow, SIGGRAPH 1984, for the tables): G(lam) =
-mean_R Phi(f / lam) is one box sum per rung (grid._box_sums, in rect_sum's
-order), and a rung certifies a side of the norm only when that sum clears
-the cell count by an explicit rounding bound. The brackets give a lower
-envelope of the field, every member whose upper bound cannot reach it is
-skipped, and the few members left are solved by grid._box_norms, the
-box-norm gather the weight constants share. Its per-cell suprema and its
-per-member minima of the lower envelope go through range-extreme tables
-over the last axis (_fold, _floor), built per call for each run of
-members whose other sides agree, and one _window_extreme pass per run
-over the leading axes, which the average sweep uses alone. Where the
-norm has a closed form (a power, the conjugate of one, an input of
-values 0 and c), the Orlicz operators take one average sweep instead.
+The Orlicz operators (_orlicz_field) take one average sweep where the
+norm has a closed form (_closed_form: a power, the conjugate of one, an
+input of values 0 and c). Otherwise the ladder sweep (_ladder_field)
+brackets every member's Luxemburg norm from a ladder of summed-area
+tables of Phi(f / lam_k), one per rung of a geometric ladder of lam
+(Crow, SIGGRAPH 1984, for the tables): G(lam) = mean_R Phi(f / lam) is
+one box sum per rung (grid._box_sums, in rect_sum's order), and a rung
+certifies a side of the norm only when that sum clears the cell count by
+an explicit rounding bound. The brackets give a lower envelope of the
+field, every member whose upper bound cannot reach it is skipped, and
+the few members left are solved by grid._box_norms, the box-norm gather
+the weight constants share. Its per-cell suprema and its per-member
+minima of the lower envelope go through range-extreme tables over the
+last axis (_fold, _floor), built per call for each run of members whose
+other sides agree, and one _window_extreme pass per run over the leading
+axes, which the average sweep uses alone.
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -659,7 +660,8 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _L
             np.cumsum(block, axis=ax, out=block)
         tables[(ks,) + inner] = block
     tables = tables.reshape(rungs, -1)
-    # A padded sum carries at most (sum of extents) * u * total of error,
+    # A padded sum carries at most (sum of extents) * u * total of error
+    # (u = _UNIT_ROUNDOFF),
     # each of the 2**d corners of a box sum one such, and the differences
     # add a few u * total more. The solver sums the same Phi values
     # (at the very same floats f / lam_k) with np.add.reduceat, in some
@@ -667,8 +669,7 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _L
     # total, and divides by n_R; the factor 2**(d+2) * (cells + 4) covers
     # all of it twice over. max(total, cells) keeps the margin above the
     # rounding of n_R itself.
-    u = 2.0 ** -53
-    slack = 2.0 ** (d + 2) * (cells + 4) * u * np.maximum(tables[:, -1], float(cells))
+    slack = 2.0 ** (d + 2) * (cells + 4) * _UNIT_ROUNDOFF * np.maximum(tables[:, -1], float(cells))
     return _Ladder(lam, tables, slack)
 
 
@@ -800,30 +801,104 @@ def _floor(lb: np.ndarray, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")  # an overflowing product is inf, which _field rejects
 def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
                   budget: int, tol: float, prune: bool, /, **prov) -> MaximalField:
-    """Sup over basis members of the product of per-function Luxemburg norms.
+    """Sup over basis members of the product of per-function Luxemburg norms:
+    the closed form where the norm has one (_closed_form), else the ladder
+    sweep (_ladder_field). Each gives the field and its own provenance
+    entries, next to the operator's prov."""
+    _check_tol(tol)
+    count = _checked_inputs(fs, basis, budget)
+    out, how = _closed_form(fs, phis, basis, tol) or _ladder_field(fs, phis, basis, tol, prune)
+    return _field(fs, out, basis, count, **prov, **how)
 
-    Three dispatches skip the solver where the answer has a closed form.
+
+@np.errstate(divide="ignore")  # two_valued: t = 0 gives inf, which raises NoBracket
+def _closed_form(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
+                 tol: float) -> tuple[np.ndarray, dict] | None:
+    """The Orlicz field and its dispatch where the norm has a closed form,
+    from one average sweep; None where none applies.
 
     - "average" and "power_mean": every phi_j is c_j t^q with one exponent
       q (young._power_form): an uncapped Power(q), or the conjugate of an
       uncapped Power(r), r > 1, read as (r-1) r^{-q} t^q with q = r/(r-1).
       The norm is c_j^{1/q} (mean_R f^q)^{1/q} and the outer 1/q power
-      commutes with the sup, so the field is the average sweep of the
-      f_j^q to the 1/q, times prod_j c_j^{1/q}: q = 1 with every c_j = 1
-      is the plain average sweep (dispatch "average"), anything else is
-      dispatch "power_mean". Each f_j is first divided by the power of two
-      2**e_j with 2**(e_j-1) <= max f_j < 2**e_j, and the field is
-      multiplied back by 2**(sum e_j), so f^q does not overflow and
-      scaling an input by a power of two scales the field exactly. Where
-      the prefix sums' rounding could move the field by more than tol (a
-      large q, a local basis far from the maximum: _power_sweep), the
-      input goes on to the dispatches below instead.
-    - "two_valued": m = 1 and every value of f is 0 or one c > 0; the
-      field is c / Phi^{-1}(1 / M_B chi_E), one average sweep and one
-      inverse call (_two_valued). It runs before any pruning, so prune
-      on and off give the same bits.
+      commutes with the sup, so the field is the average sweep A of the
+      g_j = (f_j / 2**e_j)**q to the 1/q, times prod_j c_j^{1/q} and
+      2**(sum e_j): q = 1 with every c_j = 1 is the plain average sweep
+      of the f_j (dispatch "average", exact), anything else is dispatch
+      "power_mean". 2**(e_j-1) <= max f_j < 2**e_j, so g_j does not
+      overflow and scaling an input by a power of two scales the field
+      exactly.
+      A guard refuses "power_mean" where the prefix sums' rounding could
+      move the field A**(1/q) by more than tol, and the input goes on.
+      A box sum taken from prefix sums is a difference of 2**d running
+      sums of up to sum g_j, each rounded along a path of at most L = sum
+      of the grid's sides additions; err_j = 2**d sqrt(L) u sum g_j (u =
+      2**-53) takes their rounding as a random walk. That is not the
+      worst case (L u sum g_j per running sum, which would refuse every
+      grid from 128^2 on), but it is well above what the sums show: over
+      every box of sides 1 to 5 in uniform and lognormal grids of 40 to
+      256^2 cells, g = f^2 and f^6, the largest error was 6.7 u sum g,
+      against 90 u sum g for err_j at 256^2. Each factor's mean at a
+      cell's best member is at least the product A there (the others are
+      at most 1), so A >= sum_j err_j / (q tol) keeps the relative error
+      of A**(1/q) within tol. A cell that reads 0 is a true 0 when every
+      g_j at a positive f_j exceeds err_j (none underflows, and a member
+      on which every f_j has mass has a positive computed product). A
+      large q (the conjugate of a power near 1), or a local basis far
+      from the maximum, fails this.
+    - "two_valued": m = 1 and f = c chi_E, c > 0. On a member R,
+      ||c chi_E||_{Phi,R} = c / Phi^{-1}(|R| / |E cap R|) (mean_R Phi(c
+      chi_E / lam) = Phi(c / lam) |E cap R| / |R|), and Phi^{-1} is
+      nondecreasing, so the sup over the members containing x is c /
+      Phi^{-1}(1 / a(x)), a = M_B chi_E the average sweep of the
+      indicator under the same basis; cells where a = 0 stay 0. Every box
+      sum of the indicator is an exact integer, so a(x) is k / n rounded
+      once and 1 / a(x) is rounded twice: y two ULPs lower is at most n /
+      k. y is clamped at Phi(cap) (_capped_inverse), since Phi^{-1} is
+      the cap past it, and inverse solves each distinct y once. It
+      returns t with Phi(t) <= y <= n / k, within a factor 1 + tol below
+      the exact inverse, and c / t is rounded up one ULP, so the field
+      sits on the solver's side of the exact one, within tol of it. A c /
+      t past the float range raises NoBracket, as the solver does when no
+      lam up to the largest float is feasible.
 
-    Otherwise the sweep runs in four steps.
+    None of them prunes, so prune on and off give the same bits.
+    """
+    forms = [_power_form(p) for p in phis]
+    if None not in forms and len({q for q, _ in forms}) == 1:
+        q = forms[0][0]
+        scale = math.prod(s for _, s in forms)
+        if q == 1.0 and scale == 1.0:
+            return _average_sweep([fs], basis)[0], dict(dispatch="average")
+        es = [int(np.frexp(f.values.max())[1]) for f in fs]
+        powered = [f.with_values(np.ldexp(f.values, -e) ** q) for f, e in zip(fs, es)]
+        spread = 2.0 ** fs[0].ndim * math.sqrt(sum(fs[0].shape)) * _UNIT_ROUNDOFF
+        errs = [spread * float(g.values.sum()) for g in powered]
+        swept = _average_sweep([powered], basis)[0]
+        live = swept > 0
+        refused = (live.any() and swept[live].min() < sum(errs) / (q * tol)
+                   or not live.all() and any(np.any(g.values[f.values > 0] <= err)
+                                             for g, f, err in zip(powered, fs, errs)))
+        if not refused:
+            return (np.ldexp(swept ** (1.0 / q) * scale, sum(es)),
+                    dict(dispatch="power_mean"))
+    vals = fs[0].values
+    top = vals.max()
+    if len(fs) == 1 and top > 0 and np.all((vals == 0) | (vals == top)):
+        a = _average_sweep([[fs[0].with_values((vals > 0).astype(float))]], basis)[0]
+        hit = a > 0
+        y = np.nextafter(np.nextafter(1.0 / a[hit], 0.0), 0.0)
+        out = np.zeros(vals.shape)
+        out[hit] = np.nextafter(float(top) / _capped_inverse(phis[0], y, tol), np.inf)
+        if np.isinf(out).any():
+            raise NoBracket("no bracket below the largest float")
+        return out, dict(dispatch="two_valued", tol=tol)
+    return None
+
+
+def _ladder_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis,
+                  tol: float, prune: bool) -> tuple[np.ndarray, dict]:
+    """The Orlicz field by the ladder sweep, and its counts, in four steps.
 
     1. Ladder (_ladder). Per function, summed-area tables of Phi(f/lam_k)
        on a geometric ladder lam_k (ratio 1.01, or wider past _MAX_RUNGS
@@ -867,22 +942,7 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        were just read from it), so the walk holds at most twice the
        members that survived the last trim, plus one block. The trim at
        the end reads the final LB, runs the same comparison on the same
-       floats and leaves exactly the candidates. _fold and _floor work
-       per run of members whose sides agree on every axis but the last
-       (one run per s_0 in 2-D, per (s_0, s_1) in 3-D, one in 1-D), over
-       a table of shape (levels, leading positions..., n_last) built
-       within the call. A member of last-axis span [l, l + s) with k = floor(log2
-       s) is the union of its two level-k windows [l, l + 2**k) and
-       [l + s - 2**k, l + s). _fold raises both entries to the member's
-       value, then pushes every level down into the two halves of its
-       windows, so level 0 holds the max over the members at each
-       leading position that contain each cell; one cover pass over the
-       leading axes then raises LB. _floor builds the min table of the
-       leading-axis window min of LB (level k the min over [x, x +
-       2**k)), and a member's floor is the min of its two entries. Max
-       and min are exact and do not depend on grouping or order, so both
-       give the per-shape window passes bit for bit, in O(leading
-       positions * n_last * log n_last) memory per run. A skipped R has
+       floats and leaves exactly the candidates. A skipped R has
        prod N(R) <= prod U(R) < min_R LB <= LB(x) <= field(x) at every
        cell x of R (floating products are monotone in each factor), so it
        is never the maximum at any cell it covers and the field does not
@@ -903,38 +963,15 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     positive somewhere on it) as a candidate, and folds no LB. The two
     modes agree bit for bit: each candidate gets the same rows and hints
     in both, and luxemburg_batch stops each row on its own, so a norm does
-    not depend on which other rows share its batch. Provenance counts rects_solved
-    (candidates), pruned (live members skipped) and ladder_rungs (tables
-    built, over all functions).
+    not depend on which other rows share its batch. The counts are
+    rects_solved (candidates), pruned (live members skipped) and
+    ladder_rungs (tables built, over all functions).
     """
-    _check_tol(tol)
-    count = _checked_inputs(fs, basis, budget)
-    forms = [_power_form(p) for p in phis]
-    if None not in forms and len({q for q, _ in forms}) == 1:
-        q = forms[0][0]
-        scale = math.prod(s for _, s in forms)
-        if q == 1.0 and scale == 1.0:
-            return _field(fs, _average_sweep([fs], basis)[0], basis, count, **prov,
-                          dispatch="average")
-        es = [int(np.frexp(f.values.max())[1]) for f in fs]
-        swept = _power_sweep([f.with_values(np.ldexp(f.values, -e) ** q)
-                              for f, e in zip(fs, es)], fs, basis, q, tol)
-        if swept is not None:
-            out = np.ldexp(swept ** (1.0 / q) * scale, sum(es))
-            return _field(fs, out, basis, count, **prov, dispatch="power_mean")
-    if len(fs) == 1:
-        vals = fs[0].values
-        top = vals.max()
-        if top > 0 and np.all((vals == 0) | (vals == top)):
-            return _field(fs, _two_valued(fs[0], phis[0], basis, tol), basis, count, **prov,
-                          dispatch="two_valued", tol=tol)
-
     shape = fs[0].shape
     shapes = list(basis.shapes(shape))
     out = np.zeros(shape)
     if not shapes or not all(np.any(f.values > 0) for f in fs):
-        return _field(fs, out, basis, count, **prov, pruned=0, rects_solved=0,
-                      ladder_rungs=0, tol=tol)
+        return out, dict(pruned=0, rects_solved=0, ladder_rungs=0, tol=tol)
     n_max = max(math.prod(s) for s in shapes)
     least = float(_average_sweep([fs], basis)[0].min()) if len(fs) == 1 else 0.0
     ladders = [_ladder(f, phi, n_max, least) for f, phi in zip(fs, phis)]
@@ -972,78 +1009,12 @@ def _orlicz_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     # under prune LB is final, and the trim leaves exactly the candidates
     lo, sides, lo_hint, hi_hint, *_ = (_trimmed(kept, lb) if prune
                                        else map(np.concatenate, zip(*kept)))
-    kept.clear()  # the solve needs only the concatenated copies
     solved = len(lo)
     value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
                       for j, (f, phi) in enumerate(zip(fs, phis)))
     _fold(out, lo, sides, value)
-    return _field(fs, out, basis, count, **prov, pruned=live - solved,
-                  rects_solved=solved, ladder_rungs=sum(lad.rungs for lad in ladders),
-                  tol=tol)
-
-
-def _power_sweep(powered: list[GridFunction], fs: list[GridFunction], basis: Basis,
-                 q: float, tol: float) -> np.ndarray | None:
-    """The average sweep A of the g_j = (f_j / 2**e_j)**q, or None where its
-    rounding could move the field A**(1/q) by more than tol.
-
-    A box sum taken from prefix sums is a difference of 2**d running sums
-    of up to sum g_j, each rounded along a path of at most L = sum of the
-    grid's sides additions; err_j = 2**d sqrt(L) u sum g_j (u = 2**-53)
-    takes their rounding as a random walk. That is not the worst case
-    (L u sum g_j per running sum, which would refuse every grid from 128^2
-    on), but it is well above what the sums show: over every box of sides
-    1 to 5 in uniform and lognormal grids of 40 to 256^2 cells, g = f^2
-    and f^6, the largest error was 6.7 u sum g, against 90 u sum g for
-    err_j at 256^2. Each factor's mean at a cell's best member is at least
-    the product A there (the others are at most 1), so A >= sum_j err_j /
-    (q tol) keeps the relative error of A**(1/q) within tol. A cell that
-    reads 0 is a true 0 when every g_j at a positive f_j exceeds err_j
-    (none underflows, and a member on which every f_j has mass has a
-    positive computed product). A large q (the conjugate of a power near
-    1), or a local basis far from the maximum, fails this, and the ladder
-    solves those inputs instead.
-    """
-    d = fs[0].ndim
-    spread = 2.0 ** d * math.sqrt(sum(fs[0].shape)) * _UNIT_ROUNDOFF
-    errs = [spread * float(g.values.sum()) for g in powered]
-    swept = _average_sweep([powered], basis)[0]
-    live = swept > 0
-    if live.any() and swept[live].min() < sum(errs) / (q * tol):
-        return None
-    if not live.all() and any(np.any(g.values[f.values > 0] <= err)
-                              for g, f, err in zip(powered, fs, errs)):
-        return None
-    return swept
-
-
-@np.errstate(divide="ignore")  # t = 0 gives inf, which raises NoBracket below
-def _two_valued(f: GridFunction, phi: YoungFunction, basis: Basis, tol: float) -> np.ndarray:
-    """The Orlicz field of f = c chi_E, c > 0: c / Phi^{-1}(1 / M_B chi_E).
-
-    On a member R, ||c chi_E||_{Phi,R} = c / Phi^{-1}(|R| / |E cap R|)
-    (mean_R Phi(c chi_E / lam) = Phi(c / lam) |E cap R| / |R|), and
-    Phi^{-1} is nondecreasing, so the sup over the members containing x
-    is c / Phi^{-1}(1 / a(x)), a = M_B chi_E the average sweep of the
-    indicator under the same basis; cells where a = 0 stay 0. Every box
-    sum of the indicator is an exact integer, so a(x) is k / n rounded
-    once and 1 / a(x) is rounded twice: y two ULPs lower is at most n / k.
-    y is clamped at Phi(cap) (_capped_inverse), since Phi^{-1} is the cap
-    past it, and inverse solves each distinct y once. It returns t with
-    Phi(t) <= y <= n / k, within a factor 1 + tol below the exact inverse,
-    and c / t is rounded up one ULP, so the field sits on the solver's
-    side of the exact one, within tol of it. A c / t past the float range
-    raises NoBracket, as the solver does when no lam up to the largest
-    float is feasible.
-    """
-    a = _average_sweep([[f.with_values((f.values > 0).astype(float))]], basis)[0]
-    hit = a > 0
-    y = np.nextafter(np.nextafter(1.0 / a[hit], 0.0), 0.0)
-    out = np.zeros(f.shape)
-    out[hit] = np.nextafter(float(f.values.max()) / _capped_inverse(phi, y, tol), np.inf)
-    if np.isinf(out).any():
-        raise NoBracket("no bracket below the largest float")
-    return out
+    return out, dict(pruned=live - solved, rects_solved=solved,
+                     ladder_rungs=sum(lad.rungs for lad in ladders), tol=tol)
 
 
 def _trimmed(kept: list[list[np.ndarray]], lb: np.ndarray) -> list[np.ndarray]:
@@ -1061,17 +1032,12 @@ def orlicz_maximal(f: GridFunction, phi: YoungFunction, basis: Basis = Basis(),
                    prune: bool = True) -> MaximalField:
     """Pointwise sup of Luxemburg norms over basis members containing x.
 
-    Three inputs skip the solver (see _orlicz_field). Phi(t) = t makes the
-    Luxemburg norm the plain average, so Power(r=1) runs the average sweep
-    of strong_maximal and inherits its exact arithmetic (dispatch
-    "average"); other uncapped powers and the conjugates of uncapped
-    powers, c t^q, use the closed form c^{1/q} (mean_R f^q)^{1/q}
-    (dispatch "power_mean") where its rounding stays within tol; and an
-    f whose values are 0 and one c > 0 gets c / Phi^{-1}(1 / M_B chi_E)
-    from one average sweep and one inverse call that solves each
-    distinct y once (dispatch "two_valued"). Otherwise the ladder sweep runs, and pruning skips
-    members that provably cannot raise the field, so prune on and off
-    give the same field bit for bit.
+    Where the norm has a closed form, one average sweep answers
+    (_closed_form: Power(r=1) runs strong_maximal's sweep with its exact
+    arithmetic, dispatch "average"; see there for "power_mean" and
+    "two_valued"). Otherwise the ladder sweep runs (_ladder_field), and
+    pruning skips members that provably cannot raise the field, so prune
+    on and off give the same field bit for bit.
     """
     return _orlicz_field([f], [phi], basis, budget, tol, prune,
                          operator="orlicz_maximal", phi=young_to_json(phi))
