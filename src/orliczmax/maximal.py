@@ -825,9 +825,9 @@ def _closed_form(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis
       g_j = (f_j / 2**e_j)**q to the 1/q, times prod_j c_j^{1/q} and
       2**(sum e_j): q = 1 with every c_j = 1 is the plain average sweep
       of the f_j (dispatch "average", exact), anything else is dispatch
-      "power_mean". 2**(e_j-1) <= max f_j < 2**e_j, so g_j does not
-      overflow and scaling an input by a power of two scales the field
-      exactly.
+      "power_mean", which records the tol its guard reads. 2**(e_j-1) <=
+      max f_j < 2**e_j, so g_j does not overflow and scaling an input by
+      a power of two scales the field exactly.
       A guard refuses "power_mean" where the prefix sums' rounding could
       move the field A**(1/q) by more than tol, and the input goes on.
       A box sum taken from prefix sums is a difference of 2**d running
@@ -881,7 +881,7 @@ def _closed_form(fs: list[GridFunction], phis: list[YoungFunction], basis: Basis
                                              for g, f, err in zip(powered, fs, errs)))
         if not refused:
             return (np.ldexp(swept ** (1.0 / q) * scale, sum(es)),
-                    dict(dispatch="power_mean"))
+                    dict(dispatch="power_mean", tol=tol))
     vals = fs[0].values
     top = vals.max()
     if len(fs) == 1 and top > 0 and np.all((vals == 0) | (vals == top)):

@@ -163,6 +163,24 @@ def test_orlicz_average_dispatch():
     assert np.array_equal(mo, ms)
 
 
+def test_every_orlicz_provenance_but_the_exact_average_records_tol():
+    # tol decides whether the power_mean guard admits an input (1e-13
+    # sends this grid to the ladder), so that dispatch records it too
+    f = rand_grid((24, 24), seed=1)
+    spike = np.zeros((6, 6))
+    spike[2, 3] = 1.5
+    calls = [(f, Power(1.0), 1e-9), (f, Power(2.0), 1e-9), (f, Power(2.0), 1e-13),
+             (grid(spike), PowerLog(1.8, 1.0), 1e-9),
+             (grid(np.zeros((4, 4))), PowerLog(1.8, 1.0), 1e-9)]
+    provs = [orlicz_maximal(g, phi, tol=tol).provenance for g, phi, tol in calls]
+    provs.append(multilinear_orlicz_maximal([f, f], [Power(2.0)] * 2, tol=1e-8).provenance)
+    tols = [tol for _, _, tol in calls] + [1e-8]
+    assert [p.get("dispatch") for p in provs] == ["average", "power_mean", None, "two_valued",
+                                                  None, "power_mean"]
+    assert "tol" not in provs[0]
+    assert [p["tol"] for p in provs[1:]] == tols[1:]
+
+
 def test_orlicz_power_closed_form_matches_bisection():
     f = rand_grid((12, 12), seed=9)
     fast = orlicz_maximal(f, Power(2.0)).field.values
