@@ -1059,14 +1059,17 @@ def multilinear_orlicz_maximal(fs: list[GridFunction], phis: list[YoungFunction]
 
 
 def indicator_far_field(ys: np.ndarray, phi: YoungFunction | None = None) -> np.ndarray:
-    """Rectangle-basis field of the unit-box indicator at far points.
+    """Rectangle-basis field of the unit-box indicator at points y of R^n.
 
-    For a point y with every coordinate above 1 the best rectangle is the
-    anchored box [0, y_1] x ... x [0, y_n], giving 1/(y_1 ... y_n) for the
-    average and 1/Phi^{-1}(y_1 ... y_n) for the Luxemburg norm.
+    A rectangle's average of the indicator is the product over the axes of
+    the share of its side inside [0, 1], and the best side through y_i has
+    share 1 / max(1, y_i, 1 - y_i): [0, 1] itself, or stretched to reach
+    y_i. So the average gives 1/P and the Luxemburg norm 1/Phi^{-1}(P),
+    with P = prod_i max(1, y_i, 1 - y_i); at far points (every y_i >= 1)
+    P = y_1 ... y_n, the anchored box [0, y_1] x ... x [0, y_n].
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    prods = np.prod(ys, axis=-1)
+    prods = np.prod(np.maximum(np.maximum(ys, 1.0 - ys), 1.0), axis=-1)
     if phi is None:
         return 1.0 / prods
     return 1.0 / inverse(phi, prods)

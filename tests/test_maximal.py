@@ -15,7 +15,8 @@ from orliczmax.maximal import (CUBES, DYADIC, Basis, _window_extreme, indicator_
                                multilinear_maximal, multilinear_orlicz_maximal,
                                orlicz_maximal, strong_maximal)
 from orliczmax.verify import ProbeSuite
-from orliczmax.young import Power, PowerLog, PowerLogLog, Tabulated, _power_form, complementary
+from orliczmax.young import (Power, PowerLog, PowerLogLog, Tabulated, _power_form, complementary,
+                             inverse)
 
 
 def grid(vals, spacing=0.5):
@@ -288,6 +289,19 @@ def test_indicator_far_field_formula():
     ys = np.array([[2.0, 3.0], [4.0, 1.6]])
     vals = indicator_far_field(ys)
     assert np.allclose(vals, 1.0 / (ys[:, 0] * ys[:, 1]))
+
+
+def test_indicator_far_field_off_the_far_region():
+    # inside the box the sup is 1; on an axis through y < 0 the best side
+    # is [y, 1], through y > 1 it is [0, y]; far points keep their bits
+    near = np.array([[0.5, 0.5], [-1.0, 2.0], [0.5, 4.0]])
+    far = np.array([[2.0, 3.0], [4.0, 1.6]])
+    phi = PowerLog(1.8, 1.0)
+    assert indicator_far_field(near).tolist() == [1.0, 0.25, 0.25]
+    assert np.array_equal(indicator_far_field(near, phi),
+                          1.0 / inverse(phi, np.array([1.0, 4.0, 4.0])))
+    assert np.array_equal(indicator_far_field(far), 1.0 / np.prod(far, axis=-1))
+    assert np.array_equal(indicator_far_field(far, phi), 1.0 / inverse(phi, np.prod(far, axis=-1)))
 
 
 def test_input_digest_covers_geometry():
