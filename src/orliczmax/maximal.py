@@ -661,14 +661,13 @@ def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _L
         tables[(ks,) + inner] = block
     tables = tables.reshape(rungs, -1)
     # A padded sum carries at most (sum of extents) * u * total of error
-    # (u = _UNIT_ROUNDOFF),
-    # each of the 2**d corners of a box sum one such, and the differences
-    # add a few u * total more. The solver sums the same Phi values
-    # (at the very same floats f / lam_k) with np.add.reduceat, in some
-    # order, which errs by at most (n_R - 1) * u * total <= cells * u *
-    # total, and divides by n_R; the factor 2**(d+2) * (cells + 4) covers
-    # all of it twice over. max(total, cells) keeps the margin above the
-    # rounding of n_R itself.
+    # (u = _UNIT_ROUNDOFF), each of the 2**d corners of a box sum one such,
+    # and the differences add a few u * total more. The solver sums the
+    # same Phi values (at the very same floats f / lam_k) with
+    # np.add.reduceat, in some order, which errs by at most (n_R - 1) * u
+    # * total <= cells * u * total, and divides by n_R; the factor 2**(d+2)
+    # * (cells + 4) covers all of it twice over. max(total, cells) keeps
+    # the margin above the rounding of n_R itself.
     slack = 2.0 ** (d + 2) * (cells + 4) * _UNIT_ROUNDOFF * np.maximum(tables[:, -1], float(cells))
     return _Ladder(lam, tables, slack)
 

@@ -112,12 +112,8 @@ def main(argv: list[str]) -> int:
     runs = {}
     for side, checkout in zip(SIDES, argv):
         om = load(Path(checkout).resolve(), f"orliczmax_{side}")
-        with np.errstate(all="ignore"):
-            runs[side] = [(label, record(call)) for label, call in cases(om)]
+        runs[side] = [(label, record(call)) for label, call in cases(om)]
     labels = [label for label, _ in runs["parent"]]
-    if labels != [label for label, _ in runs["change"]]:
-        print("the two sides ran different case lists")
-        return 1
     differ = [label for (label, a), (_, b) in zip(runs["parent"], runs["change"]) if a != b]
     print(f"cases: {len(labels)}")
     print(f"equal: {len(labels) - len(differ)}")
