@@ -1005,9 +1005,10 @@ def _ladder_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
             # under twice as many floors as the walk keeps
             kept = [_trimmed(kept, lb)]
             held = since = len(kept[0][0])
-    # under prune LB is final, and the trim leaves exactly the candidates
-    lo, sides, lo_hint, hi_hint, *_ = (_trimmed(kept, lb) if prune
-                                       else map(np.concatenate, zip(*kept)))
+    # under prune LB is final, and the trim leaves exactly the candidates;
+    # the walk's chunks go once joined, before the solve
+    kept = _trimmed(kept, lb) if prune else list(map(np.concatenate, zip(*kept)))
+    lo, sides, lo_hint, hi_hint, *_ = kept
     solved = len(lo)
     value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
                       for j, (f, phi) in enumerate(zip(fs, phis)))
