@@ -13,6 +13,7 @@ early), which prints nothing more. An --out file is written before its
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,6 +245,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache  # every default below is a constant; the budget variable is read per run
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="orliczmax", description="Orlicz maximal operator laboratory")
     sub = top.add_subparsers(dest="command", required=True)

@@ -616,24 +616,36 @@ def _capped_inverse(phi: YoungFunction, ys: np.ndarray, tol: float = 1e-10) -> n
     return inverse(phi, ys, tol)
 
 
+@functools.lru_cache(maxsize=16)
+def _ladder_range(phi: YoungFunction, n_max: int) -> tuple[float, float]:
+    """(Phi^{-1}(n_max), Phi^{-1}(1)) for _ladder, solved once per (phi, n_max).
+
+    The frozen dataclass families hash by value, Tabulated and
+    NumericComplement by identity.
+    """
+    t_n, t_1 = _capped_inverse(phi, np.array([float(n_max), 1.0]))
+    return float(t_n), float(t_1)
+
+
 def _ladder(f: GridFunction, phi: YoungFunction, n_max: int, least: float) -> _Ladder:
     """The ladder of one function, for members of at most n_max cells.
 
     A member R with a positive value has min f+ / Phi^{-1}(n_max) <=
     ||f||_{Phi,R} <= max f / Phi^{-1}(1), where min f+ is the least
-    positive value; both inverses come from one call. The rungs are
-    lam_lo * q**k up to lam_hi. A positive least, the least M_B f over the
-    grid, raises lam_lo to least / (q**2 Phi^{-1}(1)), two rungs of the
-    ratio q below a value the field reaches at every cell by Jensen (see
-    _orlicz_field): members whose norms sit lower never reach the field,
-    and rungs down there would only resolve them. Each rung's Phi values
-    are clipped at 4 * cells, so a cell whose Phi is +inf (a cap, a
-    complement past its slope, an overflow) alone puts any member above
-    n_R, and every table entry stays finite.
+    positive value; both inverses come from one call, cached per
+    (phi, n_max) (_ladder_range). The rungs are lam_lo * q**k up to
+    lam_hi. A positive least, the least M_B f over the grid, raises lam_lo
+    to least / (q**2 Phi^{-1}(1)), two rungs of the ratio q below a value
+    the field reaches at every cell by Jensen (see _orlicz_field): members
+    whose norms sit lower never reach the field, and rungs down there would
+    only resolve them. Each rung's Phi values are clipped at 4 * cells, so
+    a cell whose Phi is +inf (a cap, a complement past its slope, an
+    overflow) alone puts any member above n_R, and every table entry stays
+    finite.
     """
     vals = f.values
     positive = vals[vals > 0]
-    t_n, t_1 = _capped_inverse(phi, np.array([float(n_max), 1.0]))
+    t_n, t_1 = _ladder_range(phi, n_max)
     log_lo = math.log(positive.min()) - math.log(t_n)
     log_hi = math.log(positive.max()) - math.log(t_1)
     jensen = math.log(least) - math.log(t_1) if least > 0 else -math.inf
@@ -1066,10 +1078,11 @@ def indicator_far_field(ys: np.ndarray, phi: YoungFunction | None = None) -> np.
     share 1 / max(1, y_i, 1 - y_i): [0, 1] itself, or stretched to reach
     y_i. So the average gives 1/P and the Luxemburg norm 1/Phi^{-1}(P),
     with P = prod_i max(1, y_i, 1 - y_i); at far points (every y_i >= 1)
-    P = y_1 ... y_n, the anchored box [0, y_1] x ... x [0, y_n].
+    P = y_1 ... y_n, the anchored box [0, y_1] x ... x [0, y_n]. Past an
+    explicit cap, P > Phi(cap), Phi^{-1}(P) is the cap (_capped_inverse).
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     prods = np.prod(np.maximum(np.maximum(ys, 1.0 - ys), 1.0), axis=-1)
     if phi is None:
         return 1.0 / prods
-    return 1.0 / inverse(phi, prods)
+    return 1.0 / _capped_inverse(phi, prods)

@@ -269,6 +269,32 @@ def test_bad_tol_is_a_json_error(capsys, tmp_path, tol):
     assert not dst.exists()
 
 
+def test_one_parser_serves_every_call_of_a_process():
+    # the parser is built once per process; a call that fails to parse
+    # leaves nothing behind for the next one
+    src = str(Path(orliczmax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    bad = ["young", "eval", "--phi", '{"kind": "power", "r": 2}', "--which", "nope"]
+    good = ["young", "eval", "--phi", '{"kind": "power", "r": 2}', "--at", "1,3"]
+
+    def fresh(*calls):
+        """stdout and stderr of main over calls in one new process, and their exit codes."""
+        code = ("from orliczmax.cli import main, _build_parser\n"
+                f"codes = [main(argv) for argv in {[argv for argv, _ in calls]!r}]\n"
+                f"assert codes == {[rc for _, rc in calls]!r}, codes\n"
+                "assert _build_parser.cache_info().misses == 1\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr
+
+    out_bad, err_bad = fresh((bad, 1))
+    out_good, err_good = fresh((good, 0))
+    assert json.loads(err_bad)["error"] == "ArgumentError"
+    assert json.loads(out_good)["values"] == [1.0, 9.0]
+    assert fresh((bad, 1), (good, 0)) == (out_bad + out_good, err_bad + err_good)
+
+
 def test_closed_stdout_exits_three_without_a_traceback():
     # as under `| head -c 100`, but deterministic: the pipe has no reader
     # before the command starts, so its first write fails

@@ -304,6 +304,40 @@ def test_indicator_far_field_off_the_far_region():
     assert np.array_equal(indicator_far_field(far, phi), 1.0 / inverse(phi, np.prod(far, axis=-1)))
 
 
+def test_indicator_far_field_past_a_cap_is_one_over_the_cap():
+    # P = 400 > Phi(10) = 100, so Phi^{-1}(P) is the cap 10, solved as
+    # Phi^{-1}(100) to the solver's tol; inside the cap the values keep
+    # their bits
+    phi = Power(2.0, domain_cap=10.0)
+    inside = np.array([[2.0, 3.0], [0.5, 4.0], [5.0, 20.0]])
+    far = indicator_far_field([20.0, 20.0], phi)
+    assert far.tolist() == [pytest.approx(0.1, rel=1e-9)]
+    assert np.array_equal(far, 1.0 / inverse(phi, np.array([100.0])))
+    assert np.array_equal(indicator_far_field(inside, phi),
+                          1.0 / inverse(phi, np.array([6.0, 4.0, 100.0])))
+
+
+def test_ladder_range_is_solved_once_per_young_function_and_shape(monkeypatch):
+    calls = []
+
+    def counting(*args, real=maximal.inverse):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(maximal, "inverse", counting)
+    maximal._ladder_range.cache_clear()
+    f = rand_grid((7, 6), seed=51)
+    first = orlicz_maximal(f, PowerLog(1.8, 1.0))
+    assert calls
+    calls.clear()
+    again = orlicz_maximal(rand_grid((7, 6), seed=52), PowerLog(1.8, 1.0))
+    second = orlicz_maximal(f, PowerLog(1.8, 1.0))
+    assert calls == []
+    assert again.field.values.shape == (7, 6)
+    assert second.field.values.tobytes() == first.field.values.tobytes()
+    assert second.provenance == first.provenance
+
+
 def test_input_digest_covers_geometry():
     vals = np.arange(36.0)
     a = strong_maximal(grid(vals.reshape(4, 9))).provenance["inputs"]
