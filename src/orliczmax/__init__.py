@@ -9,7 +9,6 @@ submodule sits in `sys.modules` unrun (`importlib.util.LazyLoader`), and
 reading any attribute of it runs it.
 """
 
-import importlib
 import importlib.util
 import sys
 import threading
