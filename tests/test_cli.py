@@ -278,7 +278,7 @@ def test_one_parser_serves_every_call_of_a_process():
     good = ["young", "eval", "--phi", '{"kind": "power", "r": 2}', "--at", "1,3"]
 
     def fresh(*calls):
-        """stdout and stderr of main over calls in one new process, and their exit codes."""
+        """stdout and stderr of one new process running main on each (argv, exit code) call."""
         code = ("from orliczmax.cli import main, _build_parser\n"
                 f"codes = [main(argv) for argv in {[argv for argv, _ in calls]!r}]\n"
                 f"assert codes == {[rc for _, rc in calls]!r}, codes\n"
