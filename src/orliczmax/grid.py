@@ -281,15 +281,45 @@ def rect_average(sat: SummedAreaTable, rect: Rect) -> float:
 
 
 class RowBlocks(list):
-    """Matrices of different row lengths, one batch for luxemburg_batch.
+    """Rows of different lengths, one batch for luxemburg_batch.
 
-    A list of 2-D matrices whose shape reads (rows, mean cells per row), so
+    Either a list of 2-D matrices, or (RowBlocks.flat) one flat array of
+    cells holding the rows end to end next to their lengths, which
+    luxemburg_batch reads as it is. A flat batch builds its matrices only
+    when iterated: one per run of consecutive rows of one length, as views
+    of the cells. Either way shape reads (rows, mean cells per row), so
     code that sizes a batch by np.shape (the benchmark's layer counters,
     bench/spans.py) counts its rows and cells as it would a matrix's.
     """
 
+    cells: np.ndarray | None = None
+    lengths: np.ndarray | None = None
+
+    @classmethod
+    def flat(cls, cells: np.ndarray, lengths: np.ndarray) -> "RowBlocks":
+        """The rows laid end to end in cells, lengths[i] cells for row i (each >= 1)."""
+        rows = cls()
+        rows.cells = np.asarray(cells, dtype=float)
+        rows.lengths = np.asarray(lengths, dtype=np.intp)
+        return rows
+
+    def __iter__(self):
+        if self.lengths is None:
+            return super().__iter__()
+        ends = np.cumsum(self.lengths)
+        return (self.cells[ends[i] - c:ends[j - 1]].reshape(j - i, c)
+                for (c,), i, j in _shape_runs(self.lengths[:, None]))
+
+    def __len__(self) -> int:
+        if self.lengths is None:
+            return super().__len__()
+        return len(_shape_runs(self.lengths[:, None]))
+
     @property
     def shape(self) -> tuple[int, float]:
+        if self.lengths is not None:
+            rows = self.lengths.size
+            return rows, self.cells.size / max(rows, 1)
         rows = sum(len(a) for a in self)
         return rows, sum(np.size(a) for a in self) / max(rows, 1)
 
@@ -338,9 +368,11 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
                     hi_hint: np.ndarray | None = None) -> np.ndarray:
     """Luxemburg norms of the rows of matrices under the normalized mean.
 
-    rows is a 2-D matrix, or a sequence of them of any row lengths (one per
-    length, say, as RowBlocks); the norms come back in the concatenated
-    row order, and the hints follow that order. Returns per-row
+    rows is a 2-D matrix, a sequence of them of any row lengths (one per
+    length, say, as RowBlocks), or a flat RowBlocks, whose cells and
+    lengths are read as they are (row maxima by np.maximum.reduceat, no
+    matrix built); the norms come back in the concatenated row order, and
+    the hints follow that order. Returns per-row
     inf{lam > 0 : G(lam) <= 1}, G(lam) = mean Phi(row / lam); all-zero rows
     give 0. Each row is one problem of young._solve_bracketed on log G over
     log lam, from the start bracket [m * 1e-14, m * 1e3] (m the row
@@ -376,19 +408,29 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
     unless 0 < tol < 1.
     """
     _check_tol(tol)
-    mats = _matrices(rows)
-    lengths = np.concatenate([np.full(len(a), a.shape[1], dtype=np.intp) for a in mats])
+    if isinstance(rows, RowBlocks) and rows.lengths is not None:
+        cells, lengths = rows.cells, rows.lengths
+        vmax = (np.maximum.reduceat(cells, np.cumsum(lengths) - lengths) if lengths.size
+                else np.zeros(0))
+    else:
+        mats = _matrices(rows)
+        lengths = np.concatenate([np.full(len(a), a.shape[1], dtype=np.intp) for a in mats])
+        vmax = np.concatenate([a.max(axis=1) for a in mats])
+        cells = None
     out = np.zeros(lengths.size)
-    vmax = np.concatenate([a.max(axis=1) for a in mats])
     active = vmax > 0
     if not np.any(active):
         return out
+    if cells is None:
+        cells = np.concatenate([a.ravel() for a in mats])
+    # copied even when every row is nonzero: skipping the copy measured
+    # 1.4x slower on the holder suite's solves, in process
+    cells = cells[np.repeat(active, lengths)]
+    lengths = lengths[active]
     # log-space iterates are not scale-equivariant to the bit; solving the
     # row scaled into [1/2, 1) makes power-of-two scalings exact
     e = np.frexp(vmax[active])[1]
     m = np.ldexp(vmax[active], -e)
-    cells = np.concatenate([a.ravel() for a in mats])[np.repeat(active, lengths)]
-    lengths = lengths[active]
     with np.errstate(over="ignore"):
         lo = m * 1e-14 if lo_hint is None else np.ldexp(np.asarray(lo_hint, float)[active], -e)
         hi = m * 1e3 if hi_hint is None else np.ldexp(np.asarray(hi_hint, float)[active], -e)
@@ -429,10 +471,10 @@ def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: Young
     lo, sides and the optional hints are per box, in any order and any mix
     of shapes; a box's cells form its row in C order. The rows are taken
     shape by shape (a stable sort) and solved one run of at most _RUN_CELLS
-    cells at a time by luxemburg_batch. A run's cells come from one flat
-    gather, and its rows go in as one matrix per cell count; the solver's
-    norms do not depend on which rows share a batch, and they come back in
-    input order.
+    cells at a time by luxemburg_batch. A run's rows, ordered by cell
+    count, come from one flat gather and go in as one flat RowBlocks of
+    those cells and counts; the solver's norms do not depend on which rows
+    share a batch, and they come back in input order.
     """
     order = np.argsort(np.ravel_multi_index((sides - 1).T, values.shape), kind="stable")
     ncells = np.prod(sides, axis=1)
@@ -446,12 +488,9 @@ def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: Young
         # integer matmul is slow on long arrays: one multiply per axis
         offsets = sum(c * g for c, g in zip(_unravel(sides[run]).T, strides))
         cells = flat[np.repeat(lo[run] @ strides, n) + offsets]
-        start = np.cumsum(n) - n
-        out[run] = luxemburg_batch(
-            RowBlocks(cells[start[i]:start[i] + (j - i) * c].reshape(j - i, c)
-                      for (c,), i, j in _shape_runs(n[:, None])),
-            phi, tol, None if lo_hint is None else lo_hint[run],
-            None if hi_hint is None else hi_hint[run])
+        out[run] = luxemburg_batch(RowBlocks.flat(cells, n), phi, tol,
+                                   None if lo_hint is None else lo_hint[run],
+                                   None if hi_hint is None else hi_hint[run])
     return out
 
 

@@ -36,9 +36,12 @@ field, every member whose upper bound cannot reach it is skipped, and
 the few members left are solved by grid._box_norms, the box-norm gather
 the weight constants share. Its per-cell suprema and its per-member
 minima of the lower envelope go through range-extreme tables over the
-last axis (_fold, _floor), built per call for each run of members whose
-other sides agree, and one _window_extreme pass per run over the leading
-axes, which the average sweep uses alone.
+last axis (_fold, _floor), one per group of members whose leading sides
+have the same levels floor(log2 s), in any order: each member is the
+union of 2**d power-of-two windows (_windows, computed once per search
+block), whose starts sit on the ladder's padded strides, and each group
+takes one _window_extreme pass of its window sides over the leading axes,
+which the average sweep uses alone.
 
 The work is proportional to the number of basis members, so that count is
 the budget currency; exceeding the cap raises BudgetExceeded before any
@@ -60,7 +63,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, GeometryMismatch, NoBracket, NonFinite
 from .grid import (_UNIT_ROUNDOFF, GridFunction, SummedAreaTable, _box_index, _box_norms,
-                   _box_sums, _members, _position_grid, _runs, _shape_runs)
+                   _box_sums, _members, _position_grid, _runs)
 from .young import YoungFunction, _check_tol, _power_form, inverse, young_to_json
 
 __all__ = [
@@ -733,6 +736,7 @@ class _Block(NamedTuple):
     base: np.ndarray          # flat index of the low corner in a padded table
     steps: list[np.ndarray]   # flat offset of the side along each axis
     ncells: np.ndarray        # n_R as floats
+    windows: tuple            # the members' (idx, key) of _windows
 
 
 def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
@@ -740,72 +744,158 @@ def _blocks(grid_shape: tuple[int, ...], shapes: list[tuple[int, ...]]):
     padded = tuple(n + 1 for n in grid_shape)
     sizes = np.prod(_position_grid(grid_shape, shapes), axis=1)
     for a, b in _runs(sizes, _SEARCH_BLOCK):
-        lo, sides = _members(grid_shape, shapes[a:b])
-        yield _Block(lo, sides, *_box_index(padded, lo, sides),
-                     np.prod(sides, axis=1).astype(float))
+        yield _block(grid_shape, padded, shapes[a:b], sizes[a:b])
 
 
-def _level_index(table: np.ndarray, lo: np.ndarray, last: np.ndarray):
-    """Level k = floor(log2 s) of each member's last side s, and the flat
-    indices in table, of shape (levels, leading positions..., n), of the
-    level-k entries at [l, l + 2**k) and [l + s - 2**k, l + s): the two
-    windows that together make up the member's last-axis span [l, l + s)."""
-    k = np.frexp(last)[1] - 1
-    strides = np.array(table.strides) // table.itemsize
-    left = k * strides[0] + lo @ strides[1:]
-    return k, left, left + last - (1 << k)
+def _block(grid_shape, padded, shapes, sizes) -> _Block:
+    """The _Block of the members of shapes, sizes[j] of shape j; built in a
+    call of its own, so the generator above holds no block between yields."""
+    shapes = np.array(shapes, dtype=np.intp).reshape(len(shapes), len(grid_shape))
+    lo, sides = _members(grid_shape, shapes)
+    base, steps = _box_index(padded, lo, sides)
+    # a product along a short axis is slow: one per shape, repeated
+    return _Block(lo, sides, base, steps, np.repeat(np.prod(shapes, axis=1), sizes).astype(float),
+                  _windows(grid_shape, base, shapes, sizes))
 
 
-def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray) -> None:
+# bits per leading level in a _windows key (levels stay below 64)
+_KEY_BITS = 6
+
+
+def _windows(grid_shape: tuple[int, ...], base: np.ndarray, shapes: np.ndarray,
+             counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Where each member's 2**d windows sit in the tables of _fold and _floor.
+
+    A member of sides s has level k_i = floor(log2 s_i) on axis i, and its
+    span [l, l + s) there is the union of the windows [l, l + 2**k) and
+    [l + s - 2**k, l + s); the member is the union of the 2**d products of
+    one window per axis. Its table holds the members of its leading levels
+    (key, the levels packed _KEY_BITS apiece) and has shape (levels,
+    n_0 + 1, ..., n_last + 1): the ladder's padded strides behind a level
+    axis. Returns idx, of shape (members, 2**d), the flat index of each
+    window's start at level k_last in that table, and key. base is each
+    member's low corner on the padded strides (_Block.base), so a window
+    is base plus an offset that depends on the shape alone: shapes is
+    (u, d), the sides of counts[j] consecutive members each, or of one
+    member each when counts is None. idx[:, 0], the lowest window, is
+    base + k_last * (cells of the padded grid).
+    """
+    d = len(grid_shape)
+    padded = np.add(grid_shape, 1)
+    strides = np.cumprod((1, *padded[:0:-1].tolist()))[::-1].tolist()
+    k = (np.frexp(np.arange(max(grid_shape) + 1))[1] - 1)[shapes]  # floor(log2 s)
+    idx = np.empty((len(shapes), 1 << d), dtype=np.intp)
+    np.multiply(k[:, -1], int(padded.prod()), out=idx[:, 0])
+    if counts is None:
+        idx[:, 0] += base
+    for i in range(d):  # the windows of axes < i, then each moved up on axis i
+        shift = (shapes[:, i] - (1 << k[:, i])) * strides[i]
+        np.add(idx[:, :1 << i], shift[:, None], out=idx[:, 1 << i:2 << i])
+    key = np.zeros(len(shapes), dtype=np.intp)
+    for i in range(d - 1):
+        key = key << _KEY_BITS | k[:, i]
+    if counts is not None:
+        idx, key = np.repeat(idx, counts, axis=0), np.repeat(key, counts)
+        idx += base[:, None]
+    return idx, key
+
+
+def _groups(key: np.ndarray, d: int):
+    """(leading window sides, members) per group of equal key: the members
+    as a slice where key is sorted, as indices otherwise."""
+    if key.size == 0:
+        return
+    order = None
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
+    for a, b in zip(cuts, cuts[1:]):
+        k, mask = int(key[a]), (1 << _KEY_BITS) - 1
+        lead = tuple(1 << ((k >> _KEY_BITS * i) & mask) for i in range(d - 2, -1, -1))
+        yield lead, slice(a, b) if order is None else order[a:b]
+
+
+def _member_windows(shape: tuple[int, ...], lo: np.ndarray, sides: np.ndarray):
+    """_windows of members given by low corners and sides, one shape each."""
+    padded = tuple(n + 1 for n in shape)
+    return _windows(shape, lo @ np.cumprod((1,) + padded[:0:-1])[::-1], sides)
+
+
+def _table(idx: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
+    """Room for the deepest table the windows idx ask for; each group fills its own levels."""
+    levels = int(idx[:, 0].max()) // math.prod(padded) + 1 if len(idx) else 0
+    return np.empty((levels,) + padded)
+
+
+def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray,
+          windows: tuple | None = None) -> None:
     """Raises each cell of out to value[i] of every member i covering it.
 
-    Per run of members whose sides agree on every axis but the last,
-    table[k, p, x] is the max of the members at leading position p put in
-    at the window [x, x + 2**k) of the last axis, each member in the two
-    level-k windows that make up its span (_level_index). Every level is
-    then pushed down into the two halves of its windows, so level 0 holds
-    at (p, x) the max over the members at p whose span contains x; one
-    cover pass over the leading axes raises out. Max is exact, so out is
-    the per-shape window-max fold bit for bit, however the members are
-    split into calls.
+    Per group of members whose leading sides have the same levels
+    (_windows; a caller that has them for lo and sides passes them),
+    table[k, p, x] is the max of the members put in at the window of
+    leading start p and last-axis span [x, x + 2**k), each member in its
+    2**d windows. Every level is then pushed down into the two halves of
+    its windows, so level 0 holds at (p, x) the max over the members whose
+    windows start at p and cover x; one cover pass of the group's
+    power-of-two window sides over the leading axes raises out. Max is
+    exact, so out is the per-shape window-max fold bit for bit, however
+    the members are ordered or split into calls.
     """
+    idx, key = _member_windows(out.shape, lo, sides) if windows is None else windows
     n = out.shape[-1]
-    for lead, a, b in _shape_runs(sides[:, :-1]):
-        positions = tuple(_position_grid(out.shape[:-1], lead))
-        t = np.full((n.bit_length(),) + positions + (n,), -np.inf)
-        k, left, right = _level_index(t, lo[a:b], sides[a:b, -1])
-        flat = t.reshape(-1)
-        np.maximum.at(flat, left, value[a:b])
-        np.maximum.at(flat, right, value[a:b])
-        for j in range(int(k.max()), 0, -1):
+    padded = tuple(e + 1 for e in out.shape)
+    size = math.prod(padded)
+    table = _table(idx, padded)
+    for lead, members in _groups(key, out.ndim):
+        w = idx[members]
+        t = table[:int(w[:, 0].max()) // size + 1]
+        t.fill(-np.inf)
+        flat, v = t.reshape(-1), value[members]
+        for col in w.T:
+            np.maximum.at(flat, col, v)
+        for j in range(len(t) - 1, 0, -1):
             h = 1 << (j - 1)
             np.maximum(t[j - 1], t[j], out=t[j - 1])
             np.maximum(t[j - 1, ..., h:], t[j, ..., :-h], out=t[j - 1, ..., h:])
-        np.maximum(out, _window_extremes(t[0], lead, cover=True), out=out)
+        starts = t[(0, *(slice(e - s + 1) for e, s in zip(out.shape, lead)), slice(n))]
+        np.maximum(out, _window_extremes(starts, lead, cover=True), out=out)
 
 
-def _floor(lb: np.ndarray, lo: np.ndarray, sides: np.ndarray) -> np.ndarray:
+def _floor(lb: np.ndarray, lo: np.ndarray, sides: np.ndarray,
+           windows: tuple | None = None) -> np.ndarray:
     """min of lb over each member.
 
-    Per run of members as _fold takes them, the leading-axis window min of
-    lb (one _window_extremes pass) becomes a range-minimum table over the
-    last axis (Bender & Farach-Colton, LATIN 2000): table[k, p, x] is the
+    Per group of members as _fold takes them, the leading-axis window min
+    of lb (one _window_extremes pass of the group's power-of-two sides)
+    becomes a range-minimum table over the last axis (Bender &
+    Farach-Colton, LATIN 2000), laid out as _fold's: table[k, p, x] is the
     min over [x, x + 2**k), built level by level up to the largest level
-    the run asks for. A member's floor is the min of its two level-k
-    entries (_level_index), whose windows make up its span. Min is exact,
-    so each floor is the per-shape window min bit for bit.
+    the group asks for. A member's floor is the min of its 2**d entries,
+    whose windows make up the member: one gather per window column of the
+    group. Min is exact, so each floor is the per-shape window min bit for
+    bit, however the members are ordered or split into calls.
     """
-    out = np.empty(len(lo))
-    for lead, a, b in _shape_runs(sides[:, :-1]):
-        w = _window_extremes(lb, lead, take_min=True)
-        t = np.full((w.shape[-1].bit_length(),) + w.shape, np.inf)
-        t[0] = w
-        k, left, right = _level_index(t, lo[a:b], sides[a:b, -1])
-        for j in range(1, int(k.max()) + 1):
+    idx, key = _member_windows(lb.shape, lo, sides) if windows is None else windows
+    padded = tuple(e + 1 for e in lb.shape)
+    size = math.prod(padded)
+    table = _table(idx, padded)
+    out = np.empty(len(idx))
+    for lead, members in _groups(key, lb.ndim):
+        w = idx[members]
+        t = table[:int(w[:, 0].max()) // size + 1]
+        t.fill(np.inf)
+        mins = _window_extremes(lb, lead, take_min=True)
+        t[(0, *(slice(e) for e in mins.shape))] = mins
+        for j in range(1, len(t)):
             h = 1 << (j - 1)
             np.minimum(t[j - 1, ..., :-h], t[j - 1, ..., h:], out=t[j, ..., :-h])
         flat = t.reshape(-1)
-        out[a:b] = np.minimum(flat[left], flat[right])
+        v = flat[w[:, 0]]
+        for col in w.T[1:]:
+            np.minimum(v, flat[col], out=v)
+        out[members] = v
     return out
 
 
@@ -943,8 +1033,10 @@ def _ladder_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
        _floor. The members are walked once: per block, the search of
        step 2 gives L and U together, the block's prod L is folded into
        LB, and each member's floor is read from that LB, which holds
-       this block and every earlier one. The live members whose prod U *
-       (1 + 4 tol)**m reaches it are kept with their hints. LB only
+       this block and every earlier one; the fold and the floors share
+       the block's windows (_windows). The live members whose prod U *
+       (1 + 4 tol)**m reaches it are kept with their hints and windows,
+       which the trims and the final fold read again. LB only
        grows, so a floor read mid-walk is never above the floor of the
        final LB and the kept members are a superset of the candidates.
        Whenever the kept members have doubled since the last trim, and
@@ -991,26 +1083,28 @@ def _ladder_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
 
     lb = np.zeros(shape)
     widen = (1.0 + 4.0 * tol) ** len(fs)
-    # per block, the kept members' low corners, sides, (members, m) hints
-    # and, under prune, prod U * widen
+    # per block, the kept members' low corners, sides, window idx and key
+    # (_windows), (members, m) hints and, under prune, prod U * widen
     kept = []
     live = held = since = 0
     for blk in _blocks(shape, shapes):
         brackets = [_brackets(lad, blk) for lad in ladders]
         keep = np.logical_and.reduce([_box_sums(t, blk.base, blk.steps) > 0 for t in supports])
         live += int(keep.sum())
-        chunk = [blk.lo, blk.sides, *(np.stack([b[i] for b in brackets], axis=1) for i in (2, 3))]
+        chunk = [blk.lo, blk.sides, *blk.windows,
+                 *(np.stack([b[i] for b in brackets], axis=1) for i in (2, 3))]
         if prune:
             # a member on which some f_j vanishes has S = 0 <= n_R on every
             # rung of that f_j, hence L_j = 0: it adds nothing to LB
             low = math.prod(b[0] for b in brackets)
             if np.isinf(low).any():  # prod N >= prod L = inf: the field is not finite
                 raise NonFinite(_OVERFLOW)
-            _fold(lb, blk.lo, blk.sides, low)
+            _fold(lb, blk.lo, blk.sides, low, blk.windows)
             chunk.append(math.prod(b[1] for b in brackets) * widen)
-            keep &= chunk[-1] >= _floor(lb, blk.lo, blk.sides)
+            keep &= chunk[-1] >= _floor(lb, blk.lo, blk.sides, blk.windows)
         kept.append([a[keep] for a in chunk])
         held += int(keep.sum())
+        del blk, brackets, chunk  # no longer held while the next block is built
         if prune and held > 2 * since:
             # trimmed whenever it has doubled, the superset stays under
             # twice what survives the floors so far, and the trims read
@@ -1020,11 +1114,11 @@ def _ladder_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     # under prune LB is final, and the trim leaves exactly the candidates;
     # the walk's chunks go once joined, before the solve
     kept = _trimmed(kept, lb) if prune else list(map(np.concatenate, zip(*kept)))
-    lo, sides, lo_hint, hi_hint, *_ = kept
+    lo, sides, idx, key, lo_hint, hi_hint, *_ = kept
     solved = len(lo)
     value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
                       for j, (f, phi) in enumerate(zip(fs, phis)))
-    _fold(out, lo, sides, value)
+    _fold(out, lo, sides, value, (idx, key))
     return out, dict(pruned=live - solved, rects_solved=solved,
                      ladder_rungs=sum(lad.rungs for lad in ladders), tol=tol)
 
@@ -1034,7 +1128,7 @@ def _trimmed(kept: list[list[np.ndarray]], lb: np.ndarray) -> list[np.ndarray]:
     against this lb) first cut to the members whose prod U * widen, its
     last array, reaches their floor in lb."""
     for chunk in kept[:-1]:
-        c = chunk[-1] >= _floor(lb, chunk[0], chunk[1])
+        c = chunk[-1] >= _floor(lb, chunk[0], chunk[1], (chunk[2], chunk[3]))
         chunk[:] = [a[c] for a in chunk]
     return list(map(np.concatenate, zip(*kept)))
 

@@ -55,7 +55,7 @@ def _eval_shim(raw: Callable[[np.ndarray], np.ndarray], t, domain_cap):
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0) or np.any(np.isnan(arr)):
+    if not (arr >= 0).all():  # NaN fails the test too
         raise ValueError("Young functions are evaluated on t >= 0")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = raw(arr)

@@ -286,6 +286,59 @@ def test_row_blocks_report_rows_and_cells_as_a_matrix_does():
     assert rows * per_row == pytest.approx(sum(m.size for m in mats), rel=1e-15)
 
 
+def flat_blocks(mats):
+    """The rows of mats laid end to end, as one flat RowBlocks."""
+    return RowBlocks.flat(np.concatenate([m.ravel() for m in mats]),
+                          np.repeat([m.shape[1] for m in mats], [len(m) for m in mats]))
+
+
+@pytest.mark.parametrize("run_cells", [grid._RUN_CELLS, 50])
+def test_flat_row_blocks_give_the_bits_of_their_matrices(solver_phi, run_cells, monkeypatch):
+    # rows of 1 to 300 cells, all-zero rows and extreme scales; at 50
+    # cells a run the batch is cut into many runs
+    monkeypatch.setattr(grid, "_RUN_CELLS", run_cells)
+    starts = []
+    power_bracket = grid._power_bracket
+
+    def recording(cells, lengths, *args):
+        starts.append(len(lengths))
+        return power_bracket(cells, lengths, *args)
+
+    monkeypatch.setattr(grid, "_power_bracket", recording)
+    mats = mixed_matrices(np.random.default_rng(7))
+    flat = flat_blocks(mats)
+    m = np.concatenate([a.max(axis=1) for a in mats])
+    lo, hi = m / 9.0, m * 4.0
+    for hints in ({}, {"lo_hint": lo, "hi_hint": hi}):
+        want = luxemburg_batch(RowBlocks(mats), solver_phi, **hints)
+        assert luxemburg_batch(flat, solver_phi, **hints).tobytes() == want.tobytes()
+    # a power form starts at its closed form where no hints are given, on
+    # as many rows of the matrices (first half of the runs) as of the flat
+    assert bool(starts) == (grid._power_form(solver_phi) is not None)
+    assert sum(starts[:len(starts) // 2]) == sum(starts[len(starts) // 2:])
+
+
+def test_flat_row_blocks_iterate_to_their_matrices_and_read_their_shape():
+    mats = mixed_matrices(np.random.default_rng(7))
+    flat = flat_blocks(mats)
+    for _ in range(2):  # each iteration builds the matrices afresh
+        got = list(flat)
+        assert [a.shape for a in got] == [a.shape for a in mats]
+        assert all(np.array_equal(a, b) for a, b in zip(got, mats))
+    assert len(flat) == len(mats) and np.shape(flat) == np.shape(RowBlocks(mats))
+    empty = RowBlocks.flat(np.zeros(0), np.zeros(0, dtype=np.intp))
+    assert list(empty) == [] and np.shape(empty) == (0, 0.0)
+    assert luxemburg_batch(empty, PowerLog(1.8, 1.0)).shape == (0,)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0, math.nan])
+def test_box_norms_refuse_a_tol_outside_0_1(tol):
+    lo = np.array([[0, 0], [1, 1]], dtype=np.intp)
+    sides = np.array([[2, 2], [1, 2]], dtype=np.intp)
+    with pytest.raises(ValueError, match="tol"):
+        grid._box_norms(np.ones((3, 3)), lo, sides, PowerLog(1.8, 1.0), tol)
+
+
 def test_luxemburg_hint_past_the_float_range_of_a_tiny_row():
     # scaled with the row into [1/2, 1), a hint of 1e10 above a row of
     # 1e-300 overflows; the solver walks down from the largest float instead

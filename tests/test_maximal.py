@@ -892,6 +892,58 @@ def test_fold_and_floor_tables_equal_per_shape_passes(shape, basis, subset):
         assert np.array_equal(floors, want_floor), step
 
 
+def alternating_levels(sides):
+    """An order of the members in which neighbours' levels floor(log2 s)
+    on the first axis alternate in parity while both parities last."""
+    level = np.frexp(sides[:, 0])[1]
+    odd, even = np.flatnonzero(level % 2), np.flatnonzero(level % 2 == 0)
+    both = min(len(odd), len(even))
+    return np.concatenate([np.stack([odd[:both], even[:both]], axis=1).ravel(),
+                           odd[both:], even[both:]])
+
+
+@pytest.mark.parametrize("order", ["shuffled", "alternating"])
+@pytest.mark.parametrize("basis", BRUTE_BASES[:3], ids=BRUTE_BASIS_IDS[:3])
+@pytest.mark.parametrize("shape", [(9,), (40,), (9, 8), (5, 4, 3), (6, 7, 5)], ids=str)
+def test_fold_and_floor_tables_do_not_lean_on_member_order(shape, basis, order):
+    # the tables group members by the levels of their leading sides; the
+    # groups must come out right whatever order the members come in
+    rng = np.random.default_rng(66)
+    lo, sides = gridmod._members(shape, list(basis.shapes(shape)))
+    perm = rng.permutation(len(lo)) if order == "shuffled" else alternating_levels(sides)
+    lo, sides = lo[perm], sides[perm]
+    if order == "alternating":
+        flips = np.frexp(sides[:-1, 0])[1] % 2 != np.frexp(sides[1:, 0])[1] % 2
+        assert flips.mean() > 0.5
+    value = np.round(rng.random(len(lo)), 1) * (rng.random(len(lo)) < 0.67)
+    lb = np.round(rng.random(shape), 1) * (rng.random(shape) < 0.67)
+    want_field, want_floor = fold_reference(shape, lo, sides, value), floor_reference(lb, lo, sides)
+    for step in (len(lo), 7):
+        out = np.zeros(shape)
+        floors = fed_in_calls(out, lb, lo, sides, value, step)
+        assert np.array_equal(out, want_field), step
+        assert np.array_equal(floors, want_floor), step
+    # the same members with the windows passed in, as the sweep passes them
+    windows = maximal._member_windows(shape, lo, sides)
+    out = np.zeros(shape)
+    maximal._fold(out, None, None, value, windows)
+    assert np.array_equal(out, want_field)
+    assert np.array_equal(maximal._floor(lb, None, None, windows), want_floor)
+
+
+@pytest.mark.parametrize("shape", [(40,), (9, 8), (6, 7, 5)], ids=str)
+def test_block_windows_equal_those_of_its_members(shape, monkeypatch):
+    # a block computes each shape's offsets once; they must be the
+    # per-member windows, in blocks that cut the shapes into several
+    monkeypatch.setattr(maximal, "_SEARCH_BLOCK", 50)
+    blocks = list(maximal._blocks(shape, list(Basis().shapes(shape))))
+    assert len(blocks) > 1
+    for blk in blocks:
+        idx, key = maximal._member_windows(shape, blk.lo, blk.sides)
+        assert np.array_equal(blk.windows[0], idx) and np.array_equal(blk.windows[1], key)
+        assert np.array_equal(idx[:, 0] % np.prod(np.add(shape, 1)), blk.base)
+
+
 @pytest.mark.parametrize("shape", [(9, 8), (5, 4, 3)], ids=str)
 def test_orlicz_sweep_is_exact_when_search_blocks_cut_leading_runs(shape, monkeypatch):
     f = rand_grid(shape, seed=61)

@@ -48,6 +48,29 @@ def test_non_convex_params_rejected():
         PowerLogLog(1.5, 1.0, 2.0)
 
 
+# Phi at +inf of each family: a closed form of inf / inf (PowerLog,
+# PowerLogLog) gives NaN, which the evaluation passes through as it is
+EVAL_AT_INF = [(Power(2.0), np.inf), (PowerLog(1.8, 1.0), np.nan),
+               (PowerLogLog(2.0, 1.5, 1.5), np.nan),
+               (Tabulated([(0.5, 0.0), (1.0, 0.5), (2.0, 3.0), (8.0, 64.0)]), np.inf),
+               (complementary(Power(1.5)), np.inf), (complementary(PowerLog(2.0, 1.0)), np.inf)]
+EVAL_IDS = ["power", "power_log", "power_log_log", "tabulated", "complement", "complement_log"]
+
+
+@pytest.mark.parametrize("phi, at_inf", EVAL_AT_INF, ids=EVAL_IDS)
+def test_eval_rejects_nan_and_negatives_and_takes_signed_zero_and_inf(phi, at_inf):
+    for bad in (np.nan, -1.0, -np.inf, -1e-300, np.array([1.0, np.nan]),
+                np.array([[2.0, 0.5], [-3.0, 1.0]])):
+        with pytest.raises(ValueError, match=r"^Young functions are evaluated on t >= 0$"):
+            phi.eval(bad)
+    vals = phi.eval(np.array([-0.0, np.inf, 0.0, 2.0]))
+    assert np.array_equal(vals[:3], [0.0, at_inf, 0.0], equal_nan=True)
+    assert not np.signbit(vals[[0, 2]]).any()  # -0.0 gives +0.0
+    assert vals[3] == phi.eval(2.0) > 0.0
+    assert np.array_equal([phi.eval(-0.0), phi.eval(np.inf)], [0.0, at_inf], equal_nan=True)
+    assert not np.signbit(phi.eval(-0.0))
+
+
 def test_domain_cap_is_infinite_beyond():
     phi = Power(2.0, domain_cap=10.0)
     vals = phi.eval(np.array([5.0, 10.0, 11.0]))

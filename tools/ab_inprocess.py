@@ -11,11 +11,12 @@ and at most that difference elsewhere. Then, for every round and every
 case, it times one batch of calls on each side; the side that goes first
 alternates from round to round, so slow drift of the machine falls on
 both alike. A batch repeats the call enough times to take about BATCH_S
-on the parent, the same count on both sides. It prints, per case, each
-side's median and minimum time per call, the change/parent ratio of the
-medians and of the minima, and the rounds the change won; --out also
-writes them as JSON, with each case's allowed difference. Standard
-library and numpy only.
+on the parent, or SHORT_BATCH_S for a case whose call takes under
+SHORT_CALL_S there (a batch of a few milliseconds cannot resolve it), the
+same count on both sides. It prints, per case, each side's median and
+minimum time per call, the change/parent ratio of the medians and of the
+minima, and the rounds the change won; --out also writes them as JSON,
+with each case's allowed difference. Standard library and numpy only.
 """
 
 import argparse
@@ -34,6 +35,8 @@ import numpy as np
 SIDES = ("parent", "change")
 SEED = 1
 BATCH_S = 0.02  # wall time of one batch of calls on the parent
+SHORT_CALL_S = 1e-3  # calls shorter than this on the parent...
+SHORT_BATCH_S = 0.1  # ...take batches of at least this long
 
 
 def load(checkout: Path, name: str):
@@ -173,7 +176,11 @@ CASES = {
     "strong 96x96": Case(strong((96, 96)), 0.0),
     "bilinear 64x64": Case(bilinear((64, 64)), 0.0),
     "strong 128x128": Case(strong((128, 128)), 0.0),
+    "orlicz 8x8": Case(orlicz((8, 8)), 1e-9),
     "orlicz 12x12": Case(orlicz((12, 12)), 1e-9),
+    # the first Orlicz walks past one search block (_SEARCH_BLOCK members)
+    "orlicz 32x32": Case(orlicz((32, 32)), 1e-9),
+    "orlicz 64x64": Case(orlicz((64, 64)), 1e-9),
     # the per-shape pass: cube bases and 1-D grids
     "cubes 16^3": Case(cubes((16, 16, 16)), 0.0),
     "cubes 24x24": Case(cubes((24, 24)), 0.0),
@@ -239,7 +246,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         once = timed(calls[case]["parent"], 1)
-        reps[case] = max(1, round(BATCH_S / once))
+        reps[case] = max(1, round((SHORT_BATCH_S if once < SHORT_CALL_S else BATCH_S) / once))
 
     times = {case: {side: [] for side in SIDES} for case in args.cases}
     for r in range(args.rounds):

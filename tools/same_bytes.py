@@ -9,13 +9,22 @@ function below, four bilinear pairs per shape and basis, and the
 overflow, budget and tol = 0 error cases. A case's record is the sha1 of
 the field's bytes and its provenance as sorted-key JSON, or of the
 exception's type and message. Prints the case count, the number equal,
-the first differing labels and each side's sha1 over all records, and
-exits 1 on any difference. Standard library and numpy only.
+the first differing labels and each side's sha1 over all records. Then
+it runs the command line's `verify` in process on each side, for every
+suite of VERIFY_SUITES at every seed of VERIFY_SEEDS (a config of only
+that seed, read from one path both sides share), and compares the exit
+code and the stdout text, byte for byte; it prints the run count, the
+number equal and the first differing runs. It exits 1 on any difference.
+Standard library and numpy only.
 """
 
+import contextlib
 import hashlib
+import importlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +36,8 @@ SEED = 1
 SHAPES = [(9,), (40,), (7, 6), (12, 12), (13, 11), (20, 17), (5, 4, 3), (6, 5, 4)]
 TOL = 1e-9
 SHOWN = 10  # differing labels printed
+VERIFY_SUITES = ("t2", "t12", "holder", "covering", "counterexample")
+VERIFY_SEEDS = (0, 1, 7)
 
 
 def bases(om) -> dict:
@@ -105,14 +116,33 @@ def record(call) -> str:
     return h.hexdigest()
 
 
+def verify_runs(om, configs: dict[int, str]) -> list[tuple[str, str]]:
+    """(label, exit code and stdout) of `verify` for every suite and seed."""
+    cli = importlib.import_module(f"{om.__name__}.cli")
+    runs = []
+    for suite in VERIFY_SUITES:
+        for seed, path in configs.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(["verify", "--suite", suite, "--config", path])
+            runs.append((f"verify {suite} seed={seed}", f"{rc}\n{out.getvalue()}"))
+    return runs
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_bytes.py PARENT CHANGE", file=sys.stderr)
         return 2
-    runs = {}
-    for side, checkout in zip(SIDES, argv):
-        om = load(Path(checkout).resolve(), f"orliczmax_{side}")
-        runs[side] = [(label, record(call)) for label, call in cases(om)]
+    runs, verified = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = {}
+        for seed in VERIFY_SEEDS:
+            configs[seed] = str(Path(tmp) / f"seed-{seed}.json")
+            Path(configs[seed]).write_text(json.dumps({"seed": seed}))
+        for side, checkout in zip(SIDES, argv):
+            om = load(Path(checkout).resolve(), f"orliczmax_{side}")
+            runs[side] = [(label, record(call)) for label, call in cases(om)]
+            verified[side] = verify_runs(om, configs)
     labels = [label for label, _ in runs["parent"]]
     differ = [label for (label, a), (_, b) in zip(runs["parent"], runs["change"]) if a != b]
     print(f"cases: {len(labels)}")
@@ -122,7 +152,13 @@ def main(argv: list[str]) -> int:
         print(f"{side} sha1: {total}")
     for label in differ[:SHOWN]:
         print(f"differs: {label}")
-    return 1 if differ else 0
+    vdiffer = [label for (label, a), (_, b) in zip(verified["parent"], verified["change"])
+               if a != b]
+    print(f"verify runs: {len(verified['parent'])}")
+    print(f"verify equal: {len(verified['parent']) - len(vdiffer)}")
+    for label in vdiffer[:SHOWN]:
+        print(f"differs: {label}")
+    return 1 if differ or vdiffer else 0
 
 
 if __name__ == "__main__":
