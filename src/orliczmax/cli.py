@@ -21,9 +21,7 @@ import sys
 import numpy as np
 
 from .bp import classify
-from .covering import (RectFamily, cf_overlap_check, choose_cf_subfamily,
-                       largest_passing_delta, select_scattered, verify_scattered,
-                       weight_growth_sweep)
+from .covering import RectFamily, _covering_report
 from .errors import (BudgetExceeded, NoBracket, NonFinite, OrliczMaxError,
                      VerdictConflict)
 from .grid import GridFunction, Rect, read_grid, write_grid
@@ -190,20 +188,8 @@ def _cmd_covering(args) -> dict:
     if args.weight:
         fam_kwargs["weight"] = read_grid(args.weight)
     fam = RectFamily(tuple(fam_cfg["shape"]), _rects_from(fam_cfg["rects"]), **fam_kwargs)
-    sel = select_scattered(fam, args.alpha)
-    out = {
-        "family_size": len(fam),
-        "selection": sel.to_dict(),
-        "verification": verify_scattered(fam, sel),
-    }
-    if args.weight:
-        out["growth"] = weight_growth_sweep(fam, sel, fam.weight)
-    if fam.ndim >= 2:
-        sub = choose_cf_subfamily(fam)
-        out["cf_subfamily"] = sub
-        out["cf_check"] = cf_overlap_check(fam, sub, args.delta, fam.ndim)
-        out["largest_delta"] = largest_passing_delta(fam, sub, fam.ndim)
-    return out
+    return {"family_size": len(fam),
+            **_covering_report(fam, args.alpha, args.delta, fam.weight)}
 
 
 def _cmd_verify(args) -> dict:

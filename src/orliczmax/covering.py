@@ -276,3 +276,21 @@ def largest_passing_delta(family: RectFamily, subset: list[int] | tuple[int, ...
         else:
             hi = mid
     return lo
+
+
+def _covering_report(family: RectFamily, alpha: float, delta: float,
+                     weight: GridFunction | None) -> dict:
+    """The scattered selection at alpha and its verification, the weight's
+    growth sweep unless weight is None, and from two dimensions on the
+    default CF subfamily, its overlap check at delta and its largest
+    passing delta."""
+    sel = select_scattered(family, alpha)
+    out = {"selection": sel.to_dict(), "verification": verify_scattered(family, sel)}
+    if weight is not None:
+        out["growth"] = weight_growth_sweep(family, sel, weight)
+    if family.ndim >= 2:
+        sub = choose_cf_subfamily(family)
+        out["cf_subfamily"] = sub
+        out["cf_check"] = cf_overlap_check(family, sub, delta, family.ndim)
+        out["largest_delta"] = largest_passing_delta(family, sub, family.ndim)
+    return out

@@ -10,7 +10,9 @@ are its scalar form. The member layer, which the maximal sweeps and the
 weight constants share, is the vector form: boxes are (boxes, d) arrays of
 low corners and sides, _members enumerates them shape by shape,
 SummedAreaTable.averages reads their means (through the gather _box_sums)
-and _box_norms their Luxemburg norms (through luxemburg_batch).
+and _box_norms their Luxemburg norms, each solver run of boxes handed to
+luxemburg_batch as one RowBlocks: the rows' cells laid end to end next to
+their lengths, the one batch form the solver reads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -239,21 +241,14 @@ def _members(grid_shape: tuple[int, ...],
     return _unravel(positions), np.repeat(shapes, np.prod(positions, axis=1), axis=0)
 
 
-def _shape_runs(sides: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
-    """(row, a, b) for each run [a, b) of equal consecutive rows of a (boxes, k)
-    array; the caller picks the axes compared by the columns it passes, and
-    k = 0 gives one run."""
-    # one comparison per axis: np.any along a short last axis is ten times slower
-    changed = np.zeros(max(len(sides) - 1, 0), dtype=bool)
-    for a in sides.T:
-        changed |= a[1:] != a[:-1]
-    cuts = [0, *(np.flatnonzero(changed) + 1).tolist(), len(sides)]
-    return [(tuple(sides[a].tolist()), a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+def _strides(shape) -> np.ndarray:
+    """The element strides of a C-ordered array of shape."""
+    return np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
 
 
 def _box_index(padded: tuple[int, ...], lo: np.ndarray, sides: np.ndarray):
     """_box_sums' idx and steps for (boxes, d) lo and sides in a C-ordered padded table."""
-    strides = np.cumprod((1,) + tuple(padded[:0:-1]))[::-1]
+    strides = _strides(padded)
     return lo @ strides, list((sides * strides).T)
 
 
@@ -280,58 +275,40 @@ def rect_average(sat: SummedAreaTable, rect: Rect) -> float:
     return float(np.ldexp(sat._scaled_sum(rect) / rect.ncells, sat.exponent))
 
 
-class RowBlocks(list):
-    """Rows of different lengths, one batch for luxemburg_batch.
+class RowBlocks(NamedTuple):
+    """Rows of any lengths laid end to end: the batch luxemburg_batch solves.
 
-    Either a list of 2-D matrices, or (RowBlocks.flat) one flat array of
-    cells holding the rows end to end next to their lengths, which
-    luxemburg_batch reads as it is. A flat batch builds its matrices only
-    when iterated: one per run of consecutive rows of one length, as views
-    of the cells. Either way shape reads (rows, mean cells per row), so
-    code that sizes a batch by np.shape (the benchmark's layer counters,
+    Row i is lengths[i] (at least one) consecutive cells of cells, after
+    the rows before it. shape reads (rows, mean cells per row), so code
+    that sizes a batch by np.shape (the benchmark's layer counters,
     bench/spans.py) counts its rows and cells as it would a matrix's.
     """
 
-    cells: np.ndarray | None = None
-    lengths: np.ndarray | None = None
-
-    @classmethod
-    def flat(cls, cells: np.ndarray, lengths: np.ndarray) -> "RowBlocks":
-        """The rows laid end to end in cells, lengths[i] cells for row i (each >= 1)."""
-        rows = cls()
-        rows.cells = np.asarray(cells, dtype=float)
-        rows.lengths = np.asarray(lengths, dtype=np.intp)
-        return rows
-
-    def __iter__(self):
-        if self.lengths is None:
-            return super().__iter__()
-        ends = np.cumsum(self.lengths)
-        return (self.cells[ends[i] - c:ends[j - 1]].reshape(j - i, c)
-                for (c,), i, j in _shape_runs(self.lengths[:, None]))
-
-    def __len__(self) -> int:
-        if self.lengths is None:
-            return super().__len__()
-        return len(_shape_runs(self.lengths[:, None]))
+    cells: np.ndarray
+    lengths: np.ndarray
 
     @property
     def shape(self) -> tuple[int, float]:
-        if self.lengths is not None:
-            rows = self.lengths.size
-            return rows, self.cells.size / max(rows, 1)
-        rows = sum(len(a) for a in self)
-        return rows, sum(np.size(a) for a in self) / max(rows, 1)
+        rows = self.lengths.size
+        return rows, self.cells.size / max(rows, 1)
 
 
-def _matrices(rows) -> list[np.ndarray]:
-    """rows as a list of 2-D float matrices: one matrix, or each of a sequence."""
-    if isinstance(rows, np.ndarray) or len(rows) == 0 or np.ndim(rows[0]) < 2:
-        rows = [rows]
-    mats = [np.asarray(m, dtype=float) for m in rows]
-    if any(m.ndim != 2 for m in mats):
-        raise ValueError("rows must be a 2d matrix or a sequence of 2d matrices")
-    return mats
+def _row_blocks(rows) -> RowBlocks:
+    """rows as one RowBlocks of floats: as it is, or the rows of one 2-D
+    matrix or of each of a sequence of them, in order."""
+    if isinstance(rows, RowBlocks):
+        cells, lengths = np.asarray(rows.cells, dtype=float), np.asarray(rows.lengths, np.intp)
+    else:
+        if isinstance(rows, np.ndarray) or len(rows) == 0 or np.ndim(rows[0]) < 2:
+            rows = [rows]
+        mats = [np.asarray(m, dtype=float) for m in rows]
+        if any(m.ndim != 2 for m in mats):
+            raise ValueError("rows must be a 2d matrix or a sequence of 2d matrices")
+        cells = np.concatenate([m.ravel() for m in mats])
+        lengths = np.concatenate([np.full(len(m), m.shape[1], dtype=np.intp) for m in mats])
+    if lengths.size and lengths.min() < 1:
+        raise ValueError("every row needs at least one cell")
+    return RowBlocks(cells, lengths)
 
 
 # cells per solver run of luxemburg_batch (whole rows, at least one)
@@ -366,13 +343,12 @@ def _runs(sizes, limit: int):
 def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
                     lo_hint: np.ndarray | None = None,
                     hi_hint: np.ndarray | None = None) -> np.ndarray:
-    """Luxemburg norms of the rows of matrices under the normalized mean.
+    """Luxemburg norms of the rows of a batch under the normalized mean.
 
-    rows is a 2-D matrix, a sequence of them of any row lengths (one per
-    length, say, as RowBlocks), or a flat RowBlocks, whose cells and
-    lengths are read as they are (row maxima by np.maximum.reduceat, no
-    matrix built); the norms come back in the concatenated row order, and
-    the hints follow that order. Returns per-row
+    rows is a RowBlocks, or a 2-D matrix or a sequence of them of any row
+    lengths, whose rows are laid end to end into one RowBlocks first; a
+    row without cells raises ValueError. The norms come back in that row
+    order, and the hints follow it. Returns per-row
     inf{lam > 0 : G(lam) <= 1}, G(lam) = mean Phi(row / lam); all-zero rows
     give 0. Each row is one problem of young._solve_bracketed on log G over
     log lam, from the start bracket [m * 1e-14, m * 1e3] (m the row
@@ -396,33 +372,27 @@ def luxemburg_batch(rows, phi: YoungFunction, tol: float = 1e-9,
     multiplied back, so scaling a row by a power of two scales its norm
     exactly.
 
-    The nonzero rows of all matrices, in order, are cut into consecutive
-    runs of whole rows of at most _RUN_CELLS cells (a longer row is a run
-    of its own), which bounds the working set of a batch of any size. Each
+    The row maxima are one np.maximum.reduceat over the cells. The nonzero
+    rows, in order, are cut into consecutive runs of whole rows of at most
+    _RUN_CELLS cells (a longer row is a run of its own), which bounds the
+    working set of a batch of any size. Each
     run is one _solve_bracketed call over its rows laid end to end as
     segments of one flat array: a probe is one Phi call over the cells of
     every open row of the run, and each G is its segment's np.add.reduceat
     sum over its cell count. That sum reads only its own segment, and each
     row stops on its own, so a row's result is the same whichever rows
-    share its run or its batch, in whichever matrix. Raises ValueError
+    share its run or its batch. Raises ValueError
     unless 0 < tol < 1.
     """
     _check_tol(tol)
-    if isinstance(rows, RowBlocks) and rows.lengths is not None:
-        cells, lengths = rows.cells, rows.lengths
-        vmax = (np.maximum.reduceat(cells, np.cumsum(lengths) - lengths) if lengths.size
-                else np.zeros(0))
-    else:
-        mats = _matrices(rows)
-        lengths = np.concatenate([np.full(len(a), a.shape[1], dtype=np.intp) for a in mats])
-        vmax = np.concatenate([a.max(axis=1) for a in mats])
-        cells = None
+    cells, lengths = _row_blocks(rows)
     out = np.zeros(lengths.size)
+    if not lengths.size:
+        return out
+    vmax = np.maximum.reduceat(cells, np.cumsum(lengths) - lengths)
     active = vmax > 0
     if not np.any(active):
         return out
-    if cells is None:
-        cells = np.concatenate([a.ravel() for a in mats])
     # copied even when every row is nonzero: skipping the copy measured
     # 1.4x slower on the holder suite's solves, in process
     cells = cells[np.repeat(active, lengths)]
@@ -472,14 +442,14 @@ def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: Young
     of shapes; a box's cells form its row in C order. The rows are taken
     shape by shape (a stable sort) and solved one run of at most _RUN_CELLS
     cells at a time by luxemburg_batch. A run's rows, ordered by cell
-    count, come from one flat gather and go in as one flat RowBlocks of
-    those cells and counts; the solver's norms do not depend on which rows
-    share a batch, and they come back in input order.
+    count, come from one flat gather and go in as one RowBlocks of those
+    cells and counts; the solver's norms do not depend on which rows share
+    a batch, and they come back in input order.
     """
     order = np.argsort(np.ravel_multi_index((sides - 1).T, values.shape), kind="stable")
     ncells = np.prod(sides, axis=1)
     flat = values.ravel()
-    strides = np.cumprod((1,) + values.shape[:0:-1])[::-1]
+    strides = _strides(values.shape)
     out = np.empty(len(order))
     for a, b in _runs(ncells[order], _RUN_CELLS):
         run = order[a:b]
@@ -488,7 +458,7 @@ def _box_norms(values: np.ndarray, lo: np.ndarray, sides: np.ndarray, phi: Young
         # integer matmul is slow on long arrays: one multiply per axis
         offsets = sum(c * g for c, g in zip(_unravel(sides[run]).T, strides))
         cells = flat[np.repeat(lo[run] @ strides, n) + offsets]
-        out[run] = luxemburg_batch(RowBlocks.flat(cells, n), phi, tol,
+        out[run] = luxemburg_batch(RowBlocks(cells, n), phi, tol,
                                    None if lo_hint is None else lo_hint[run],
                                    None if hi_hint is None else hi_hint[run])
     return out

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, GeometryMismatch, NoBracket, NonFinite
 from .grid import (_UNIT_ROUNDOFF, GridFunction, SummedAreaTable, _box_index, _box_norms,
-                   _box_sums, _members, _position_grid, _runs)
+                   _box_sums, _members, _position_grid, _runs, _strides)
 from .young import YoungFunction, _check_tol, _power_form, inverse, young_to_json
 
 __all__ = [
@@ -763,7 +763,7 @@ _KEY_BITS = 6
 
 
 def _windows(grid_shape: tuple[int, ...], base: np.ndarray, shapes: np.ndarray,
-             counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+             counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each member's 2**d windows sit in the tables of _fold and _floor.
 
     A member of sides s has level k_i = floor(log2 s_i) on axis i, and its
@@ -776,27 +776,24 @@ def _windows(grid_shape: tuple[int, ...], base: np.ndarray, shapes: np.ndarray,
     window's start at level k_last in that table, and key. base is each
     member's low corner on the padded strides (_Block.base), so a window
     is base plus an offset that depends on the shape alone: shapes is
-    (u, d), the sides of counts[j] consecutive members each, or of one
-    member each when counts is None. idx[:, 0], the lowest window, is
-    base + k_last * (cells of the padded grid).
+    (u, d), the sides of counts[j] consecutive members each (members of
+    shapes of their own are counts of ones). idx[:, 0], the lowest window,
+    is base + k_last * (cells of the padded grid).
     """
     d = len(grid_shape)
     padded = np.add(grid_shape, 1)
-    strides = np.cumprod((1, *padded[:0:-1].tolist()))[::-1].tolist()
+    strides = _strides(padded).tolist()
     k = (np.frexp(np.arange(max(grid_shape) + 1))[1] - 1)[shapes]  # floor(log2 s)
     idx = np.empty((len(shapes), 1 << d), dtype=np.intp)
     np.multiply(k[:, -1], int(padded.prod()), out=idx[:, 0])
-    if counts is None:
-        idx[:, 0] += base
     for i in range(d):  # the windows of axes < i, then each moved up on axis i
         shift = (shapes[:, i] - (1 << k[:, i])) * strides[i]
         np.add(idx[:, :1 << i], shift[:, None], out=idx[:, 1 << i:2 << i])
     key = np.zeros(len(shapes), dtype=np.intp)
     for i in range(d - 1):
         key = key << _KEY_BITS | k[:, i]
-    if counts is not None:
-        idx, key = np.repeat(idx, counts, axis=0), np.repeat(key, counts)
-        idx += base[:, None]
+    idx, key = np.repeat(idx, counts, axis=0), np.repeat(key, counts)
+    idx += base[:, None]
     return idx, key
 
 
@@ -816,25 +813,18 @@ def _groups(key: np.ndarray, d: int):
         yield lead, slice(a, b) if order is None else order[a:b]
 
 
-def _member_windows(shape: tuple[int, ...], lo: np.ndarray, sides: np.ndarray):
-    """_windows of members given by low corners and sides, one shape each."""
-    padded = tuple(n + 1 for n in shape)
-    return _windows(shape, lo @ np.cumprod((1,) + padded[:0:-1])[::-1], sides)
-
-
 def _table(idx: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
     """Room for the deepest table the windows idx ask for; each group fills its own levels."""
     levels = int(idx[:, 0].max()) // math.prod(padded) + 1 if len(idx) else 0
     return np.empty((levels,) + padded)
 
 
-def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray,
-          windows: tuple | None = None) -> None:
+def _fold(out: np.ndarray, value: np.ndarray, windows: tuple) -> None:
     """Raises each cell of out to value[i] of every member i covering it.
 
-    Per group of members whose leading sides have the same levels
-    (_windows; a caller that has them for lo and sides passes them),
-    table[k, p, x] is the max of the members put in at the window of
+    windows is the members' (idx, key) of _windows, value one per member.
+    Per group of members whose leading sides have the same levels (equal
+    key), table[k, p, x] is the max of the members put in at the window of
     leading start p and last-axis span [x, x + 2**k), each member in its
     2**d windows. Every level is then pushed down into the two halves of
     its windows, so level 0 holds at (p, x) the max over the members whose
@@ -843,7 +833,7 @@ def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray,
     exact, so out is the per-shape window-max fold bit for bit, however
     the members are ordered or split into calls.
     """
-    idx, key = _member_windows(out.shape, lo, sides) if windows is None else windows
+    idx, key = windows
     n = out.shape[-1]
     padded = tuple(e + 1 for e in out.shape)
     size = math.prod(padded)
@@ -863,9 +853,8 @@ def _fold(out: np.ndarray, lo: np.ndarray, sides: np.ndarray, value: np.ndarray,
         np.maximum(out, _window_extremes(starts, lead, cover=True), out=out)
 
 
-def _floor(lb: np.ndarray, lo: np.ndarray, sides: np.ndarray,
-           windows: tuple | None = None) -> np.ndarray:
-    """min of lb over each member.
+def _floor(lb: np.ndarray, windows: tuple) -> np.ndarray:
+    """min of lb over each member of windows, the members' (idx, key) of _windows.
 
     Per group of members as _fold takes them, the leading-axis window min
     of lb (one _window_extremes pass of the group's power-of-two sides)
@@ -877,7 +866,7 @@ def _floor(lb: np.ndarray, lo: np.ndarray, sides: np.ndarray,
     group. Min is exact, so each floor is the per-shape window min bit for
     bit, however the members are ordered or split into calls.
     """
-    idx, key = _member_windows(lb.shape, lo, sides) if windows is None else windows
+    idx, key = windows
     padded = tuple(e + 1 for e in lb.shape)
     size = math.prod(padded)
     table = _table(idx, padded)
@@ -1099,9 +1088,9 @@ def _ladder_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
             low = math.prod(b[0] for b in brackets)
             if np.isinf(low).any():  # prod N >= prod L = inf: the field is not finite
                 raise NonFinite(_OVERFLOW)
-            _fold(lb, blk.lo, blk.sides, low, blk.windows)
+            _fold(lb, low, blk.windows)
             chunk.append(math.prod(b[1] for b in brackets) * widen)
-            keep &= chunk[-1] >= _floor(lb, blk.lo, blk.sides, blk.windows)
+            keep &= chunk[-1] >= _floor(lb, blk.windows)
         kept.append([a[keep] for a in chunk])
         held += int(keep.sum())
         del blk, brackets, chunk  # no longer held while the next block is built
@@ -1118,7 +1107,7 @@ def _ladder_field(fs: list[GridFunction], phis: list[YoungFunction], basis: Basi
     solved = len(lo)
     value = math.prod(_box_norms(f.values, lo, sides, phi, tol, lo_hint[:, j], hi_hint[:, j])
                       for j, (f, phi) in enumerate(zip(fs, phis)))
-    _fold(out, lo, sides, value, (idx, key))
+    _fold(out, value, (idx, key))
     return out, dict(pruned=live - solved, rects_solved=solved,
                      ladder_rungs=sum(lad.rungs for lad in ladders), tol=tol)
 
@@ -1128,7 +1117,7 @@ def _trimmed(kept: list[list[np.ndarray]], lb: np.ndarray) -> list[np.ndarray]:
     against this lb) first cut to the members whose prod U * widen, its
     last array, reaches their floor in lb."""
     for chunk in kept[:-1]:
-        c = chunk[-1] >= _floor(lb, chunk[0], chunk[1], (chunk[2], chunk[3]))
+        c = chunk[-1] >= _floor(lb, (chunk[2], chunk[3]))
         chunk[:] = [a[c] for a in chunk]
     return list(map(np.concatenate, zip(*kept)))
 

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bp import classify
-from .covering import (RectFamily, cf_overlap_check, choose_cf_subfamily,
-                       largest_passing_delta, select_scattered, verify_scattered,
-                       weight_growth_sweep)
+from .covering import RectFamily, _covering_report
 from .errors import DegenerateSet
 from .grid import GridFunction, Rect, RowBlocks, luxemburg_batch, norm_lp
 from .maximal import Basis, _strong_fields, orlicz_maximal, strong_maximal
@@ -366,7 +364,7 @@ def holder_orlicz_suite(phi: YoungFunction, suite: ProbeSuite = ProbeSuite(),
     rng = np.random.default_rng([suite.seed, 0x401D])
     sizes = [int(s) for s in rng.integers(2, 65, size=40)]
     per = -(-triples // len(sizes))
-    fmats, gmats = RowBlocks(), RowBlocks()
+    fmats, gmats = [], []
     for sz in sizes:
         fmat = np.abs(rng.normal(size=(per, sz)))
         gmat = np.abs(rng.normal(size=(per, sz)))
@@ -379,8 +377,10 @@ def holder_orlicz_suite(phi: YoungFunction, suite: ProbeSuite = ProbeSuite(),
             gmat[1] = 1.0
         fmats.append(fmat)
         gmats.append(gmat)
-    nf = luxemburg_batch(fmats, phi)
-    ng = luxemburg_batch(gmats, phibar)
+    # RowBlocks, not lists: np.shape of a list of mixed-width matrices fails
+    lengths = np.repeat(sizes, per)
+    nf = luxemburg_batch(RowBlocks(np.concatenate([f.ravel() for f in fmats]), lengths), phi)
+    ng = luxemburg_batch(RowBlocks(np.concatenate([g.ravel() for g in gmats]), lengths), phibar)
     mean_fg = np.concatenate([np.mean(f * g, axis=1) for f, g in zip(fmats, gmats)])
     denom = 2.0 * nf * ng
     ratio = np.where(denom > 0.0, mean_fg / np.maximum(denom, 1e-300), 0.0)
@@ -496,16 +496,10 @@ def run_suite(name: str, config: dict | None = None) -> dict:
         for _ in range(int(cfg.get("family_size", 40))):
             rects.append(_rand_rect(shape, rng))
         fam = RectFamily(shape, tuple(rects))
-        alpha = float(cfg.get("alpha", 0.5))
-        sel = select_scattered(fam, alpha)
-        out["selection"] = sel.to_dict()
-        out["verification"] = verify_scattered(fam, sel)
-        w = suite.weight_field(shape[0])
-        out["growth"] = weight_growth_sweep(fam, sel, w)
-        sub = choose_cf_subfamily(fam)
-        out["cf_check"] = cf_overlap_check(fam, sub, float(cfg.get("delta", 0.1)),
-                                           suite.dims)
-        out["largest_delta"] = largest_passing_delta(fam, sub, suite.dims)
+        report = _covering_report(fam, float(cfg.get("alpha", 0.5)),
+                                 float(cfg.get("delta", 0.1)), suite.weight_field(shape[0]))
+        del report["cf_subfamily"]
+        out.update(report)
     else:
         raise ValueError(f"unknown suite {name!r}")
     return out

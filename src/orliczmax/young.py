@@ -51,7 +51,9 @@ _CHECK_POINTS = np.geomspace(1e-6, 1e8, 365)
 
 
 def _eval_shim(raw: Callable[[np.ndarray], np.ndarray], t, domain_cap):
-    """Common scalar/array plumbing for all families."""
+    """Common scalar/array plumbing for all families: Phi(0) = 0, Phi(t) =
+    inf past the domain cap, and Phi(inf) its limit inf where the raw form
+    reads NaN there (inf / inf for PowerLog and PowerLogLog)."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -60,6 +62,7 @@ def _eval_shim(raw: Callable[[np.ndarray], np.ndarray], t, domain_cap):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = raw(arr)
     out = np.where(arr == 0.0, 0.0, out)
+    np.copyto(out, np.inf, where=np.isnan(out))
     if domain_cap is not None:
         out = np.where(arr > domain_cap, np.inf, out)
     return float(out[0]) if scalar else out

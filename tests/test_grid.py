@@ -198,7 +198,7 @@ def check_mixed_rows(phi, run_cells, monkeypatch):
     rows = [row[None] for m in mats for row in m]
     m = np.array([row.max() for row in rows])
     lo, hi = m / 9.0, m * 4.0
-    batch = luxemburg_batch(RowBlocks(mats), phi)
+    batch = luxemburg_batch(mats, phi)
     assert batch.shape == (len(rows),)
     # consecutive runs of the nonzero rows, each as long as the bound allows
     expected, run = [], []
@@ -209,7 +209,8 @@ def check_mixed_rows(phi, run_cells, monkeypatch):
                 run = []
             run.append(row.size)
     assert runs == expected + [run]
-    hinted = luxemburg_batch(mats, phi, lo_hint=lo, hi_hint=hi)
+    # the same rows as one RowBlocks
+    hinted = luxemburg_batch(flat_blocks(mats), phi, lo_hint=lo, hi_hint=hi)
     for i, row in enumerate(rows):
         assert batch[i] == luxemburg_batch(row, phi)[0]
         assert hinted[i] == luxemburg_batch(row, phi, lo_hint=lo[i:i + 1],
@@ -237,7 +238,7 @@ def test_box_norms_equal_single_row_solves_in_input_order(solver_phi, shape, mon
     batch, calls = grid.luxemburg_batch, []
 
     def recording(rows, *args):
-        calls.append([np.shape(m) for m in rows])
+        calls.append(rows.lengths.tolist())
         return batch(rows, *args)
 
     monkeypatch.setattr(grid, "luxemburg_batch", recording)
@@ -257,11 +258,12 @@ def test_box_norms_equal_single_row_solves_in_input_order(solver_phi, shape, mon
         assert plain[i] == batch(row, solver_phi)[0]
         assert hinted[i] == batch(row, solver_phi, lo_hint=lo_hint[i:i + 1],
                                   hi_hint=hi_hint[i:i + 1])[0]
-    # every run within 50 cells or one row, some with two shapes, and some
-    # shape with more than 50 cells in all, so cut between runs
-    assert all(sum(r * c for r, c in call) <= 50 or call == [(1, call[0][1])]
-               for call in calls)
-    assert any(len(call) > 1 for call in calls)
+    # every run within 50 cells or one row, in cell-count order, some with
+    # two cell counts, and some shape with more than 50 cells in all, so
+    # cut between runs
+    assert all(sum(call) <= 50 or len(call) == 1 for call in calls)
+    assert all(call == sorted(call) for call in calls)
+    assert any(len(set(call)) > 1 for call in calls)
     kinds, counts = np.unique(sides, axis=0, return_counts=True)
     assert np.any(counts * np.prod(kinds, axis=1) > 50)
 
@@ -279,17 +281,21 @@ def test_box_norms_of_no_boxes_call_no_solver(monkeypatch):
         luxemburg_batch([], PowerLog(1.8, 1.0))
 
 
+def flat_blocks(mats):
+    """The rows of mats laid end to end, as one RowBlocks."""
+    return RowBlocks(np.concatenate([m.ravel() for m in mats]),
+                     np.repeat([m.shape[1] for m in mats], [len(m) for m in mats]))
+
+
 def test_row_blocks_report_rows_and_cells_as_a_matrix_does():
     mats = mixed_matrices(np.random.default_rng(7))
-    rows, per_row = np.shape(RowBlocks(mats))
+    rows, per_row = np.shape(flat_blocks(mats))
     assert rows == 4 * len(mats)
     assert rows * per_row == pytest.approx(sum(m.size for m in mats), rel=1e-15)
-
-
-def flat_blocks(mats):
-    """The rows of mats laid end to end, as one flat RowBlocks."""
-    return RowBlocks.flat(np.concatenate([m.ravel() for m in mats]),
-                          np.repeat([m.shape[1] for m in mats], [len(m) for m in mats]))
+    assert np.shape(flat_blocks(mats[4:5])) == mats[4].shape
+    empty = RowBlocks(np.zeros(0), np.zeros(0, dtype=np.intp))
+    assert np.shape(empty) == (0, 0.0)
+    assert luxemburg_batch(empty, PowerLog(1.8, 1.0)).shape == (0,)
 
 
 @pytest.mark.parametrize("run_cells", [grid._RUN_CELLS, 50])
@@ -310,7 +316,7 @@ def test_flat_row_blocks_give_the_bits_of_their_matrices(solver_phi, run_cells, 
     m = np.concatenate([a.max(axis=1) for a in mats])
     lo, hi = m / 9.0, m * 4.0
     for hints in ({}, {"lo_hint": lo, "hi_hint": hi}):
-        want = luxemburg_batch(RowBlocks(mats), solver_phi, **hints)
+        want = luxemburg_batch(mats, solver_phi, **hints)
         assert luxemburg_batch(flat, solver_phi, **hints).tobytes() == want.tobytes()
     # a power form starts at its closed form where no hints are given, on
     # as many rows of the matrices (first half of the runs) as of the flat
@@ -318,17 +324,22 @@ def test_flat_row_blocks_give_the_bits_of_their_matrices(solver_phi, run_cells, 
     assert sum(starts[:len(starts) // 2]) == sum(starts[len(starts) // 2:])
 
 
-def test_flat_row_blocks_iterate_to_their_matrices_and_read_their_shape():
-    mats = mixed_matrices(np.random.default_rng(7))
-    flat = flat_blocks(mats)
-    for _ in range(2):  # each iteration builds the matrices afresh
-        got = list(flat)
-        assert [a.shape for a in got] == [a.shape for a in mats]
-        assert all(np.array_equal(a, b) for a, b in zip(got, mats))
-    assert len(flat) == len(mats) and np.shape(flat) == np.shape(RowBlocks(mats))
-    empty = RowBlocks.flat(np.zeros(0), np.zeros(0, dtype=np.intp))
-    assert list(empty) == [] and np.shape(empty) == (0, 0.0)
-    assert luxemburg_batch(empty, PowerLog(1.8, 1.0)).shape == (0,)
+def test_luxemburg_batch_refuses_a_row_without_cells():
+    phi = PowerLog(1.8, 1.0)
+    for rows in (np.zeros((3, 0)), [np.ones((2, 4)), np.zeros((1, 0))]):
+        with pytest.raises(ValueError):
+            luxemburg_batch(rows, phi)
+
+
+def test_luxemburg_batch_refuses_a_flat_row_without_cells():
+    # a zero length would make the row maxima read the next row's first cell
+    with pytest.raises(ValueError, match="at least one cell"):
+        luxemburg_batch(RowBlocks(np.ones(5), np.array([2, 0, 3])), PowerLog(1.8, 1.0))
+
+
+def test_luxemburg_batch_of_a_matrix_without_rows_is_empty():
+    out = luxemburg_batch(np.zeros((0, 5)), PowerLog(1.8, 1.0))
+    assert out.shape == (0,) and out.dtype == float
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0, math.nan])

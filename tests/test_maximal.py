@@ -843,10 +843,16 @@ def test_orlicz_sweep_is_exact_across_search_and_solve_blocks(monkeypatch):
     assert np.array_equal(multilinear_orlicz_maximal([f, g], phis).field.values, want[1])
 
 
+def shape_runs(sides):
+    """(sides, i, j) for each run [i, j) of equal consecutive rows of sides."""
+    cuts = [0, *(np.flatnonzero(np.any(sides[1:] != sides[:-1], axis=1)) + 1), len(sides)]
+    return [(tuple(sides[i].tolist()), i, j) for i, j in zip(cuts, cuts[1:]) if i < j]
+
+
 def fold_reference(shape, lo, sides, value):
     """The per-shape fold: one plane of positions and one cover pass per shape."""
     out = np.zeros(shape)
-    for s, i, j in gridmod._shape_runs(sides):
+    for s, i, j in shape_runs(sides):
         plane = np.zeros(gridmod._position_grid(shape, s))
         plane[tuple(lo[i:j].T)] = value[i:j]
         np.maximum(out, maximal._window_extremes(plane, s, cover=True), out=out)
@@ -857,7 +863,14 @@ def floor_reference(lb, lo, sides):
     """The per-shape floor: each member's min of lb, from one window-min plane per shape."""
     return np.concatenate([np.empty(0)] + [
         maximal._window_extremes(lb, s, take_min=True)[tuple(lo[i:j].T)]
-        for s, i, j in gridmod._shape_runs(sides)])
+        for s, i, j in shape_runs(sides)])
+
+
+def member_windows(shape, lo, sides):
+    """_windows of members given by low corners and sides, each of a shape
+    of its own (counts of ones)."""
+    base = lo @ gridmod._strides(np.add(shape, 1))
+    return maximal._windows(shape, base, sides, np.ones(len(lo), dtype=np.intp))
 
 
 def fed_in_calls(out, lb, lo, sides, value, step):
@@ -865,8 +878,9 @@ def fed_in_calls(out, lb, lo, sides, value, step):
     members; returns the floors."""
     floors = [np.empty(0)]
     for a in range(0, len(lo), step):
-        maximal._fold(out, lo[a:a + step], sides[a:a + step], value[a:a + step])
-        floors.append(maximal._floor(lb, lo[a:a + step], sides[a:a + step]))
+        windows = member_windows(lb.shape, lo[a:a + step], sides[a:a + step])
+        maximal._fold(out, value[a:a + step], windows)
+        floors.append(maximal._floor(lb, windows))
     return np.concatenate(floors)
 
 
@@ -923,12 +937,6 @@ def test_fold_and_floor_tables_do_not_lean_on_member_order(shape, basis, order):
         floors = fed_in_calls(out, lb, lo, sides, value, step)
         assert np.array_equal(out, want_field), step
         assert np.array_equal(floors, want_floor), step
-    # the same members with the windows passed in, as the sweep passes them
-    windows = maximal._member_windows(shape, lo, sides)
-    out = np.zeros(shape)
-    maximal._fold(out, None, None, value, windows)
-    assert np.array_equal(out, want_field)
-    assert np.array_equal(maximal._floor(lb, None, None, windows), want_floor)
 
 
 @pytest.mark.parametrize("shape", [(40,), (9, 8), (6, 7, 5)], ids=str)
@@ -939,7 +947,7 @@ def test_block_windows_equal_those_of_its_members(shape, monkeypatch):
     blocks = list(maximal._blocks(shape, list(Basis().shapes(shape))))
     assert len(blocks) > 1
     for blk in blocks:
-        idx, key = maximal._member_windows(shape, blk.lo, blk.sides)
+        idx, key = member_windows(shape, blk.lo, blk.sides)
         assert np.array_equal(blk.windows[0], idx) and np.array_equal(blk.windows[1], key)
         assert np.array_equal(idx[:, 0] % np.prod(np.add(shape, 1)), blk.base)
 
@@ -967,10 +975,11 @@ def test_orlicz_sweep_makes_a_few_window_passes_per_leading_run(monkeypatch):
 
     monkeypatch.setattr(maximal, "_window_extreme", counting)
     orlicz_maximal(rand_grid((12, 12), seed=44), PowerLog(1.8, 1.0))
-    # 12 runs of leading sides (one per s0): one pass each to fold LB, to
-    # build the floors in the search and to fold the field, plus 12 in the
-    # average sweep behind the ladder's Jensen start, 48 in all (the trims
-    # skip the last block, here every member); per-shape passes made 766
+    # 4 level groups of leading sides (floor(log2 s0) = 0..3): one pass
+    # each to fold LB, to build the floors in the search and to fold the
+    # field, plus 12 (one per s0) in the average sweep behind the ladder's
+    # Jensen start, 24 in all (the trims skip the last block, here every
+    # member); per-shape passes made 766, one pass per run of s0 made 48
     assert len(calls) <= 5 * 12
 
 
@@ -1109,7 +1118,7 @@ def test_orlicz_prune_is_exact_when_a_solve_chunk_mixes_cell_counts(monkeypatch,
     lengths = []
 
     def recording(rows, *args, **kwargs):
-        lengths.append({np.shape(m)[1] for m in rows})
+        lengths.append(set(rows.lengths.tolist()))
         return luxemburg_batch(rows, *args, **kwargs)
 
     monkeypatch.setattr(gridmod, "luxemburg_batch", recording)

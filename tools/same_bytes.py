@@ -1,14 +1,20 @@
-"""Check that two checkouts give the same Orlicz fields and provenance, byte for byte.
+"""Check that two checkouts give the same Orlicz fields, norms and reports, byte for byte.
 
     python3 tools/same_bytes.py ../parent .
 
 Imports `src/orliczmax` of each checkout under its own package name (as
-`tools/ab_inprocess.py` does) and calls `maximal._orlicz_field` of each on
-one case list, with prune on and off: every shape, basis, input and Young
-function below, four bilinear pairs per shape and basis, and the
-overflow, budget and tol = 0 error cases. A case's record is the sha1 of
-the field's bytes and its provenance as sorted-key JSON, or of the
-exception's type and message. Prints the case count, the number equal,
+`tools/ab_inprocess.py` does) and runs one case list on each. It calls
+`maximal._orlicz_field` with prune on and off: every shape, basis, input
+and Young function below, four bilinear pairs per shape and basis, and
+the overflow, budget and tol = 0 error cases. Under each of the solver
+tests' Young functions (SOLVER_PHIS of `tests/conftest.py`) it calls
+`luxemburg_batch` on one matrix and on a list of matrices of mixed row
+lengths with all-zero and one-cell rows, each with and without hints,
+and an exhaustive `bump_constant` on a 2-D and a 3-D grid, which solves
+every member's norm through `grid._box_norms`. A case's record is the
+sha1 of its output bytes (a field's bytes and its provenance as
+sorted-key JSON, a norm array's bytes, a report as sorted-key JSON), or
+of the exception's type and message. Prints the case count, the number equal,
 the first differing labels and each side's sha1 over all records. Then
 it runs the command line's `verify` in process on each side, for every
 suite of VERIFY_SUITES at every seed of VERIFY_SEEDS (a config of only
@@ -66,6 +72,33 @@ def phis(om) -> dict:
             **{f"Power({r:g})": om.Power(r) for r in (1.0, 2.0, 2.5)}}
 
 
+def solver_phis(om) -> dict:
+    """The Young functions of the solver tests (SOLVER_PHIS of tests/conftest.py)."""
+    return {"Power(2)": om.Power(2.0), "PowerLog(1.8,1)": om.PowerLog(1.8, 1.0),
+            "Tabulated": om.Tabulated([(0.5, 0.0), (1.0, 0.5), (2.0, 3.0), (8.0, 64.0)]),
+            "complement(Power(1.5))": om.complementary(om.Power(1.5)),
+            "Power(2,cap=10)": om.Power(2.0, domain_cap=10.0),
+            "complement(PowerLog(2,1))": om.complementary(om.PowerLog(2.0, 1.0))}
+
+
+def solver_rows() -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Matrices of 1 to 130 cells per row, each with an all-zero row, a
+    half-zero row and rows of scales 1e-3 to 1e3 (one of them near
+    1e-150, one near 1e150), and per row a low and a high hint about its
+    maximum, some on the wrong side of the norm."""
+    rng = np.random.default_rng(SEED)
+    mats = []
+    for length in (1, 2, 3, 8, 9, 17, 64, 130):
+        rows = np.exp(rng.standard_normal((5, length))) * np.geomspace(1e-3, 1e3, 5)[:, None]
+        rows[1] = 0.0
+        rows[2, ::2] = 0.0
+        mats.append(rows)
+    mats[2][0] *= 1e-150
+    mats[-2][3] *= 1e150
+    top = np.concatenate([m.max(axis=1) for m in mats])
+    return mats, top * rng.uniform(1e-3, 2.0, top.size), top * rng.uniform(0.5, 1e3, top.size)
+
+
 # (input, Young function) per factor of a bilinear case
 PAIRS = [(("lognormal", "PowerLog(1.8,1)"), ("zero-heavy", "PowerLog(1.8,1)")),
          (("lognormal", "Power(2)"), ("step", "Power(2)")),
@@ -73,8 +106,15 @@ PAIRS = [(("lognormal", "PowerLog(1.8,1)"), ("zero-heavy", "PowerLog(1.8,1)")),
          (("step", "complement(Power(1.5))"), ("lognormal", "PowerLogLog(2,1.5,1.5)"))]
 
 
+def field_bytes(result) -> bytes:
+    """A MaximalField's values and its provenance as sorted-key JSON."""
+    return (np.ascontiguousarray(result.field.values).tobytes()
+            + json.dumps(result.provenance, sort_keys=True).encode())
+
+
 def cases(om):
-    """(label, call) for every case, the call taking no argument."""
+    """(label, call) for every case, the call taking no argument and
+    returning the bytes to compare."""
     grid = om.GridFunction
     young = phis(om)
     for shape in SHAPES:
@@ -86,34 +126,49 @@ def cases(om):
                 for fname, f in fs.items():
                     for pname, phi in young.items():
                         yield (f"{where} {fname} {pname}",
-                               lambda f=f, phi=phi, basis=basis, prune=prune:
-                               om.maximal._orlicz_field([f], [phi], basis, om.DEFAULT_BUDGET,
-                                                        TOL, prune))
+                               lambda f=f, phi=phi, basis=basis, prune=prune: field_bytes(
+                                   om.maximal._orlicz_field([f], [phi], basis,
+                                                            om.DEFAULT_BUDGET, TOL, prune)))
                 for i, pair in enumerate(PAIRS):
                     yield (f"{where} bilinear {i}",
-                           lambda pair=pair, fs=fs, basis=basis, prune=prune:
-                           om.maximal._orlicz_field([fs[k] for k, _ in pair],
-                                                    [young[p] for _, p in pair], basis,
-                                                    om.DEFAULT_BUDGET, TOL, prune))
+                           lambda pair=pair, fs=fs, basis=basis, prune=prune: field_bytes(
+                               om.maximal._orlicz_field([fs[k] for k, _ in pair],
+                                                        [young[p] for _, p in pair], basis,
+                                                        om.DEFAULT_BUDGET, TOL, prune)))
     big = grid((24, 24), (0.0, 0.0), (1.0, 1.0), inputs((24, 24))["lognormal"] * 1e200)
     small = grid((12, 12), (0.0, 0.0), (1.0, 1.0), inputs((12, 12))["lognormal"])
     log = young["PowerLog(1.8,1)"]
-    yield ("error overflow", lambda: om.multilinear_orlicz_maximal([big, big], [log, log]))
-    yield ("error budget", lambda: om.orlicz_maximal(small, log, budget=10))
-    yield ("error tol=0", lambda: om.orlicz_maximal(small, log, tol=0.0))
+    yield ("error overflow",
+           lambda: field_bytes(om.multilinear_orlicz_maximal([big, big], [log, log])))
+    yield ("error budget", lambda: field_bytes(om.orlicz_maximal(small, log, budget=10)))
+    yield ("error tol=0", lambda: field_bytes(om.orlicz_maximal(small, log, tol=0.0)))
+    mats, lo, hi = solver_rows()
+    one = slice(len(lo) - len(mats[-1]), None)  # the hints of the last matrix's rows
+    exhaustive = om.RectFamilySpec(mode="exhaustive")
+    couples = [[grid(shape, (0.0,) * len(shape), (1.0,) * len(shape), a)
+                for a in np.exp(np.random.default_rng(SEED + i).standard_normal((2,) + shape))]
+               for i, shape in enumerate([(8, 7), (5, 4, 3)])]
+    for pname, phi in solver_phis(om).items():
+        for rows, label, hints in ((mats[-1], "matrix", (lo[one], hi[one])),
+                                   (mats, "mixed matrices", (lo, hi))):
+            yield (f"luxemburg_batch {label} {pname}",
+                   lambda rows=rows, phi=phi: om.luxemburg_batch(rows, phi).tobytes())
+            yield (f"luxemburg_batch {label} hinted {pname}",
+                   lambda rows=rows, phi=phi, hints=hints:
+                   om.luxemburg_batch(rows, phi, lo_hint=hints[0], hi_hint=hints[1]).tobytes())
+        for u, v in couples:
+            yield (f"bump_constant {u.shape} {pname}",
+                   lambda u=u, v=v, phi=phi: json.dumps(
+                       om.bump_constant(u, v, phi, 2.0, exhaustive).to_dict(),
+                       sort_keys=True).encode())
 
 
 def record(call) -> str:
-    """sha1 of a call's field bytes and sorted provenance, or of its exception."""
-    h = hashlib.sha1()
+    """sha1 of a call's output bytes, or of its exception."""
     try:
-        result = call()
+        return hashlib.sha1(call()).hexdigest()
     except Exception as exc:  # the error is the output under comparison
-        h.update(f"{type(exc).__name__}: {exc}".encode())
-    else:
-        h.update(np.ascontiguousarray(result.field.values).tobytes())
-        h.update(json.dumps(result.provenance, sort_keys=True).encode())
-    return h.hexdigest()
+        return hashlib.sha1(f"{type(exc).__name__}: {exc}".encode()).hexdigest()
 
 
 def verify_runs(om, configs: dict[int, str]) -> list[tuple[str, str]]:
