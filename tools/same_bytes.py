@@ -16,11 +16,16 @@ sha1 of its output bytes (a field's bytes and its provenance as
 sorted-key JSON, a norm array's bytes, a report as sorted-key JSON), or
 of the exception's type and message. Prints the case count, the number equal,
 the first differing labels and each side's sha1 over all records. Then
-it runs the command line's `verify` in process on each side, for every
+it runs the command line in process on each side: `verify` for every
 suite of VERIFY_SUITES at every seed of VERIFY_SEEDS (a config of only
-that seed, read from one path both sides share), and compares the exit
-code and the stdout text, byte for byte; it prints the run count, the
-number equal and the first differing runs. It exits 1 on any difference.
+that seed), `young probe` of both kinds, `bp check` in both modes,
+`weights test` of every kind, `covering demo` with and without a weight,
+and `maximal` in the strong and the Orlicz form. Their input files are
+written once, before either side runs, to one temporary directory, so
+both sides read the same paths. It compares each run's exit code, its
+stdout text and the bytes of the grid and sidecar that `maximal` writes;
+it prints the run count, the number equal and the first differing runs.
+It exits 1 on any difference.
 Standard library and numpy only.
 """
 
@@ -171,33 +176,84 @@ def record(call) -> str:
         return hashlib.sha1(f"{type(exc).__name__}: {exc}".encode()).hexdigest()
 
 
-def verify_runs(om, configs: dict[int, str]) -> list[tuple[str, str]]:
-    """(label, exit code and stdout) of `verify` for every suite and seed."""
+PHI = '{"kind": "power_log", "alpha": 1.8, "beta": 1.0}'
+
+
+def cli_inputs(om, tmp: Path) -> list[tuple[str, list[str], Path | None]]:
+    """Write the input files of the command-line runs to tmp and return
+    (label, argv, the grid path `maximal` writes or None) for every run."""
     cli = importlib.import_module(f"{om.__name__}.cli")
-    runs = []
-    for suite in VERIFY_SUITES:
-        for seed, path in configs.items():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(["verify", "--suite", suite, "--config", path])
-            runs.append((f"verify {suite} seed={seed}", f"{rc}\n{out.getvalue()}"))
+
+    def path(name: str, content=None) -> str:
+        if content is not None:
+            (tmp / name).write_text(json.dumps(content))
+        return str(tmp / name)
+
+    grids = {}
+    for seed, name in enumerate(("f", "u", "v", "w", "nu", "w1", "w2")):
+        grids[name] = path(f"{name}.grid")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["gen", "--kind", "random", "--shape", "8,8", "--seed", str(seed),
+                      "--out", grids[name]])
+    runs = [(f"verify {suite} seed={seed}",
+             ["verify", "--suite", suite, "--config", path(f"seed-{seed}.json", {"seed": seed})],
+             None)
+            for suite in VERIFY_SUITES for seed in VERIFY_SEEDS]
+    runs += [(f"young probe {which}", ["young", "probe", "--phi", PHI, "--which", which], None)
+             for which in ("doubling", "submultiplicative")]
+    runs += [(f"bp check {mode}", ["bp", "check", "--phi", PHI, "--p", "2", "--mode", mode],
+              None) for mode in ("bp", "bp_star")]
+    family = {"mode": "stratified", "count": 32, "seed": 1}
+    configs = {
+        "bump": {"u": grids["u"], "v": grids["v"], "phi": json.loads(PHI), "p": 2.0,
+                 "family": family},
+        "power-bump": {"nu": grids["nu"], "ws": [grids["w1"], grids["w2"]], "p": 1.5,
+                       "ps": [3.0, 3.0], "r": 1.5, "family": family},
+        "ap": {"w": grids["w"], "p": 2.0, "basis": "cube"},
+        "sawyer": {"u": grids["u"], "v": grids["v"], "p": 2.0, "family": {"count": 8}},
+        "condA": {"w": grids["w"], "lambda": 0.5, "sampler": {"count": 16, "seed": 2}},
+    }
+    runs += [(f"weights {kind}",
+              ["weights", "test", "--kind", kind, "--config", path(f"{kind}.json", cfg)], None)
+             for kind, cfg in configs.items()]
+    rects = {"shape": [8, 8], "rects": [{"lo": [0, 0], "hi": [5, 6]}, {"lo": [2, 1], "hi": [8, 4]},
+                                        {"lo": [4, 4], "hi": [7, 8]}, {"lo": [1, 5], "hi": [3, 7]}]}
+    demo = ["covering", "demo", "--family", path("family.json", rects), "--alpha", "0.4"]
+    runs += [("covering demo", demo, None),
+             ("covering demo weighted", demo + ["--weight", grids["w"]], None)]
+    out = tmp / "m.grid"
+    maximal = ["maximal", "--input", grids["f"], "--out", str(out)]
+    runs += [("maximal strong", maximal, out), ("maximal orlicz", maximal + ["--phi", PHI], out)]
     return runs
+
+
+def cli_runs(om, runs) -> list[tuple[str, bytes]]:
+    """(label, exit code, stdout and written files) of every command-line run."""
+    cli = importlib.import_module(f"{om.__name__}.cli")
+    outputs = []
+    for label, argv, written in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(argv)
+        got = f"{rc}\n{out.getvalue()}".encode()
+        if written is not None:
+            got += written.read_bytes() + Path(f"{written}.json").read_bytes()
+        outputs.append((label, got))
+    return outputs
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_bytes.py PARENT CHANGE", file=sys.stderr)
         return 2
-    runs, verified = {}, {}
+    runs, ran = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        configs = {}
-        for seed in VERIFY_SEEDS:
-            configs[seed] = str(Path(tmp) / f"seed-{seed}.json")
-            Path(configs[seed]).write_text(json.dumps({"seed": seed}))
+        argvs = None
         for side, checkout in zip(SIDES, argv):
             om = load(Path(checkout).resolve(), f"orliczmax_{side}")
+            argvs = argvs or cli_inputs(om, Path(tmp))
             runs[side] = [(label, record(call)) for label, call in cases(om)]
-            verified[side] = verify_runs(om, configs)
+            ran[side] = cli_runs(om, argvs)
     labels = [label for label, _ in runs["parent"]]
     differ = [label for (label, a), (_, b) in zip(runs["parent"], runs["change"]) if a != b]
     print(f"cases: {len(labels)}")
@@ -207,13 +263,12 @@ def main(argv: list[str]) -> int:
         print(f"{side} sha1: {total}")
     for label in differ[:SHOWN]:
         print(f"differs: {label}")
-    vdiffer = [label for (label, a), (_, b) in zip(verified["parent"], verified["change"])
-               if a != b]
-    print(f"verify runs: {len(verified['parent'])}")
-    print(f"verify equal: {len(verified['parent']) - len(vdiffer)}")
-    for label in vdiffer[:SHOWN]:
+    cdiffer = [label for (label, a), (_, b) in zip(ran["parent"], ran["change"]) if a != b]
+    print(f"cli runs: {len(ran['parent'])}")
+    print(f"cli equal: {len(ran['parent']) - len(cdiffer)}")
+    for label in cdiffer[:SHOWN]:
         print(f"differs: {label}")
-    return 1 if differ or vdiffer else 0
+    return 1 if differ or cdiffer else 0
 
 
 if __name__ == "__main__":
