@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, VerdictConflict
-from .young import Power, PowerLog, PowerLogLog, YoungFunction, phi_n_eval
+from .young import Power, PowerLog, PowerLogLog, YoungFunction, _plain, phi_n_eval
 
 __all__ = [
     "TailIntegralTrace",
@@ -75,19 +75,7 @@ class TailIntegralTrace:
     mode: str
     mesh_per_decade: int
 
-    def to_dict(self) -> dict:
-        return {
-            "cutoffs": list(self.cutoffs),
-            "partials": list(self.partials),
-            "rho": self.rho,
-            "sigma": self.sigma,
-            "kappa": self.kappa,
-            "c": self.c,
-            "p": self.p,
-            "n": self.n,
-            "mode": self.mode,
-            "mesh_per_decade": self.mesh_per_decade,
-        }
+    to_dict = _plain
 
 
 @dataclass(frozen=True)
@@ -104,8 +92,7 @@ class Verdict:
                     f"(mode={self.trace.mode}, p={self.trace.p}, n={self.trace.n})"
                 )
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "analytic": self.analytic, "trace": self.trace.to_dict()}
+    to_dict = _plain
 
 
 def _cumulative_partials(phi, p, n, mode, c, cutoffs, per_decade) -> np.ndarray:

@@ -13,6 +13,7 @@ early), which prints nothing more. An --out file is written before its
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -150,7 +151,7 @@ def _cmd_maximal(args) -> dict:
 
 
 def _family_spec(cfg: dict) -> RectFamilySpec:
-    allowed = {"mode", "count", "seed", "exhaustive_limit"}
+    allowed = {f.name for f in dataclasses.fields(RectFamilySpec)}
     return RectFamilySpec(**{k: v for k, v in cfg.items() if k in allowed})
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, GeometryMismatch
 from .grid import GridFunction, Rect
+from .young import _plain
 
 __all__ = [
     "RectFamily",
@@ -68,10 +69,8 @@ class RectFamily:
         return sorted(range(len(self.rects)), key=lambda i: -self.rects[i].ncells)
 
     def to_dict(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "rects": [{"lo": list(r.lo), "hi": list(r.hi)} for r in self.rects],
-        }
+        # the weight grid stays out of the JSON form
+        return {"shape": list(self.shape), "rects": _plain(self.rects)}
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,7 @@ class ScatterSelection:
             raise ValueError("alpha must lie in [0, 1]")
         object.__setattr__(self, "kept", kept)
 
-    def to_dict(self) -> dict:
-        return {"kept": list(self.kept), "alpha": self.alpha}
+    to_dict = _plain
 
 
 def select_scattered(family: RectFamily, alpha: float) -> ScatterSelection:

@@ -64,7 +64,7 @@ import numpy as np
 from .errors import BudgetExceeded, GeometryMismatch, NoBracket, NonFinite
 from .grid import (_UNIT_ROUNDOFF, GridFunction, SummedAreaTable, _box_index, _box_norms,
                    _box_sums, _members, _position_grid, _runs, _strides)
-from .young import YoungFunction, _check_tol, _power_form, inverse, young_to_json
+from .young import YoungFunction, _check_tol, _plain, _power_form, inverse, young_to_json
 
 __all__ = [
     "RECTANGLES",
@@ -133,8 +133,7 @@ class Basis:
         # positions factor across axes for uncoupled side choices
         return math.prod(sum(e - s + 1 for s in self.side_choices(e)) for e in grid_shape)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "min_side": self.min_side, "max_side": self.max_side}
+    to_dict = _plain
 
 
 @dataclass(frozen=True)

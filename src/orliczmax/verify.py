@@ -20,8 +20,8 @@ from .errors import DegenerateSet
 from .grid import GridFunction, Rect, RowBlocks, luxemburg_batch, norm_lp
 from .maximal import Basis, _strong_fields, orlicz_maximal, strong_maximal
 from .weights import SetSamplerSpec, bump_constant, condition_A_estimate
-from .young import (Power, PowerLog, YoungFunction, complementary, inverse, tabulate,
-                    young_to_json)
+from .young import (Power, PowerLog, YoungFunction, _plain, complementary, inverse,
+                    tabulate, young_to_json)
 
 __all__ = [
     "ProbeSuite",
@@ -75,15 +75,7 @@ class ProbeSuite:
         vals = 0.25 + _draw("bump", g.shape, rng)
         return g.with_values(vals)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "resolutions": list(self.resolutions),
-            "extent": self.extent,
-            "dims": self.dims,
-            "per_kind": self.per_kind,
-            "kinds": list(self.kinds),
-        }
+    to_dict = _plain
 
 
 _KIND_TAG = {"indicator": 1, "union": 2, "bump": 3, "spike": 4}
@@ -141,19 +133,7 @@ class RatioReport:
     skipped: int = 0
     ratio_form: str = "norm_quotient"
 
-    def to_dict(self) -> dict:
-        return {
-            "probe": self.probe,
-            "ratio_form": self.ratio_form,
-            "rows": list(self.rows),
-            "sup_ratio": self.sup_ratio,
-            "median_ratio": self.median_ratio,
-            "by_resolution": {str(k): v for k, v in self.by_resolution.items()},
-            "trend_factor": self.trend_factor,
-            "certificates": self.certificates,
-            "expect_unbounded": self.expect_unbounded,
-            "skipped": self.skipped,
-        }
+    to_dict = _plain
 
 
 def _make_report(probe: str, rows: list[dict], certificates: dict,

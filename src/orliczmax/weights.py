@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateSet, GeometryMismatch
 from .grid import GridFunction, Rect, SummedAreaTable, _box_norms, _members
 from .maximal import CUBES, Basis, _strong_fields, strong_maximal
-from .young import YoungFunction
+from .young import YoungFunction, _plain
 
 __all__ = [
     "WeightSystem",
@@ -130,13 +130,7 @@ class RectFamilySpec:
             lo.append([int(rng.integers(0, e - x + 1)) for e, x in zip(shape, s)])
         return np.array(lo, dtype=np.intp), np.array(sides, dtype=np.intp)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-            "exhaustive_limit": self.exhaustive_limit,
-        }
+    to_dict = _plain
 
 
 def _log_uniform_index(rng: np.random.Generator, n: int) -> int:
@@ -172,8 +166,7 @@ class SetSamplerSpec:
             out.append(rects)
         return out
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "max_rects": self.max_rects, "seed": self.seed}
+    to_dict = _plain
 
 
 @dataclass(frozen=True)
@@ -191,16 +184,7 @@ class ConditionReport:
     family: dict
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sup_constant": self.sup_constant,
-            "argmax_rect": None if self.argmax_rect is None
-            else {"lo": list(self.argmax_rect.lo), "hi": list(self.argmax_rect.hi)},
-            "samples_evaluated": self.samples_evaluated,
-            "family": self.family,
-            "extra": self.extra,
-        }
+    to_dict = _plain
 
 
 def _report(kind: str, evaluate, shape: tuple[int, ...], family: RectFamilySpec,
@@ -389,7 +373,7 @@ def condition_A_estimate(w: GridFunction, lam: float,
     vals = _condition_A_values(w, lam, sets)
     arr = np.asarray(vals)
     best = int(np.argmax(arr))
-    witness = [{"lo": list(r.lo), "hi": list(r.hi)} for r in sets[best]]
+    witness = _plain(sets[best])
     return ConditionReport(
         kind="condition_A",
         sup_constant=float(arr[best]),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -689,6 +689,20 @@ class SamplingSpec:
         return np.geomspace(self.t_lo, self.t_hi, self.count)
 
 
+def _plain(value):
+    """The JSON form of a record, and the to_dict of every record class: a
+    dataclass becomes the dict of its fields in declaration order (so a Rect
+    is {"lo": [...], "hi": [...]}), a tuple or list a list, a dict the same
+    dict with str keys; anything else stays itself."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class ProbeReport:
     kind: str
@@ -698,15 +712,7 @@ class ProbeReport:
     tol: float
     samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "max_ratio": self.max_ratio,
-            "argmax": list(self.argmax),
-            "passed": self.passed,
-            "tol": self.tol,
-            "samples": self.samples,
-        }
+    to_dict = _plain
 
 
 def probe_submultiplicative(phi: YoungFunction, samples: SamplingSpec = SamplingSpec(),

@@ -11,7 +11,7 @@ import pytest
 
 import orliczmax
 from orliczmax.cli import main
-from orliczmax.grid import GridFunction, read_grid, write_grid
+from orliczmax.grid import GridFunction, Rect, read_grid, write_grid
 
 
 def run(capsys, *argv):
@@ -310,3 +310,74 @@ def test_closed_stdout_exits_three_without_a_traceback():
         os.close(w)
     assert proc.returncode == 3
     assert proc.stderr == b""
+
+
+def test_every_record_prints_in_its_fixed_json_form():
+    from orliczmax.bp import CONVERGES, TailIntegralTrace, Verdict
+    from orliczmax.covering import RectFamily, ScatterSelection
+    from orliczmax.maximal import DYADIC, Basis
+    from orliczmax.verify import ProbeSuite, RatioReport
+    from orliczmax.weights import ConditionReport, RectFamilySpec, SetSamplerSpec
+    from orliczmax.young import ProbeReport
+
+    trace = TailIntegralTrace((10.0, 100.0), (0.5, 0.75), 0.1, 0.2, 0.3, 1.0, 2.0, 2,
+                              "bp_star", 40)
+    trace_dict = {"cutoffs": [10.0, 100.0], "partials": [0.5, 0.75], "rho": 0.1,
+                  "sigma": 0.2, "kappa": 0.3, "c": 1.0, "p": 2.0, "n": 2, "mode": "bp_star",
+                  "mesh_per_decade": 40}
+    rect = Rect((0, 1), (2, 3))
+    weight = GridFunction((4, 4), (0.0, 0.0), (1.0, 1.0), np.ones((4, 4)))
+    ratio = RatioReport("lp_bound", ({"test": "spike-0", "resolution": 8, "ratio": 1.5},
+                                     {"test": "spike-0", "resolution": 16, "ratio": 3.0}),
+                        3.0, 2.25, {8: 1.5, 16: 3.0}, 2.0, {"cert": {"label": "Converges"}},
+                        skipped=1)
+    condition = ConditionReport("ap", 1.25, rect, 9, {"mode": "auto", "basis": {"kind": "cubes"}},
+                                {"p": 2.0})
+    expected = [
+        (ProbeReport("doubling", 2.5, (1.0, 3.0), True, 1e-9, 64),
+         {"kind": "doubling", "max_ratio": 2.5, "argmax": [1.0, 3.0], "passed": True,
+          "tol": 1e-9, "samples": 64}),
+        (trace, trace_dict),
+        (Verdict(CONVERGES, trace, None),
+         {"label": CONVERGES, "analytic": None, "trace": trace_dict}),
+        (Basis(DYADIC, 2, 8), {"kind": DYADIC, "min_side": 2, "max_side": 8}),
+        (ScatterSelection((0, 2), 0.5), {"kept": [0, 2], "alpha": 0.5}),
+        (RectFamilySpec("stratified", 8, 3),
+         {"mode": "stratified", "count": 8, "seed": 3, "exhaustive_limit": 200_000}),
+        (SetSamplerSpec(4, 2, 5), {"count": 4, "max_rects": 2, "seed": 5}),
+        (condition,
+         {"kind": "ap", "sup_constant": 1.25, "argmax_rect": {"lo": [0, 1], "hi": [2, 3]},
+          "samples_evaluated": 9, "family": {"mode": "auto", "basis": {"kind": "cubes"}},
+          "extra": {"p": 2.0}}),
+        (ConditionReport("condition_A", 0.5, None, 4, {}),
+         {"kind": "condition_A", "sup_constant": 0.5, "argmax_rect": None,
+          "samples_evaluated": 4, "family": {}, "extra": {}}),
+        (ProbeSuite(seed=2), {"seed": 2, "resolutions": [8, 16], "extent": 8.0, "dims": 2,
+                              "per_kind": 2,
+                              "kinds": ["indicator", "union", "bump", "spike"]}),
+        (ratio,
+         {"probe": "lp_bound", "ratio_form": "norm_quotient",
+          "rows": [{"test": "spike-0", "resolution": 8, "ratio": 1.5},
+                   {"test": "spike-0", "resolution": 16, "ratio": 3.0}],
+          "sup_ratio": 3.0, "median_ratio": 2.25, "by_resolution": {"8": 1.5, "16": 3.0},
+          "trend_factor": 2.0, "certificates": {"cert": {"label": "Converges"}},
+          "expect_unbounded": False, "skipped": 1}),
+        (RectFamily((4, 4), (rect, Rect((1, 1), (4, 3))), weight),
+         {"shape": [4, 4], "rects": [{"lo": [0, 1], "hi": [2, 3]},
+                                     {"lo": [1, 1], "hi": [4, 3]}]}),
+    ]
+    for record, form in expected:
+        assert record.to_dict() == form, type(record).__name__
+    # weights._draw prints the basis dict in an error message
+    assert list(Basis().to_dict()) == ["kind", "min_side", "max_side"]
+    # by_resolution keys are strings, so "16" sorts before "8"
+    assert json.dumps(ratio.to_dict(), sort_keys=True) == (
+        '{"by_resolution": {"16": 3.0, "8": 1.5}, "certificates": {"cert": {"label": '
+        '"Converges"}}, "expect_unbounded": false, "median_ratio": 2.25, "probe": "lp_bound", '
+        '"ratio_form": "norm_quotient", "rows": [{"ratio": 1.5, "resolution": 8, "test": '
+        '"spike-0"}, {"ratio": 3.0, "resolution": 16, "test": "spike-0"}], "skipped": 1, '
+        '"sup_ratio": 3.0, "trend_factor": 2.0}')
+    assert json.dumps(condition.to_dict(), sort_keys=True) == (
+        '{"argmax_rect": {"hi": [2, 3], "lo": [0, 1]}, "extra": {"p": 2.0}, "family": '
+        '{"basis": {"kind": "cubes"}, "mode": "auto"}, "kind": "ap", "samples_evaluated": 9, '
+        '"sup_constant": 1.25}')
