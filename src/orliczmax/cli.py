@@ -60,7 +60,10 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path} must hold a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _basis_from(args_basis: str, min_side: int = 1, max_side: int | None = None) -> Basis:
@@ -151,6 +154,8 @@ def _cmd_maximal(args) -> dict:
 
 
 def _family_spec(cfg: dict) -> RectFamilySpec:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"family must be a JSON object, not {type(cfg).__name__}")
     allowed = {f.name for f in dataclasses.fields(RectFamilySpec)}
     return RectFamilySpec(**{k: v for k, v in cfg.items() if k in allowed})
 

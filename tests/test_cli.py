@@ -115,6 +115,18 @@ def test_weights_ap_config(capsys, tmp_path):
     assert rep["sup_constant"] >= 1.0
 
 
+@pytest.mark.parametrize("config", [[1], {"p": 2.0, "family": [1]}, {"p": 2.0, "family": "x"}],
+                         ids=["top_level_list", "family_list", "family_string"])
+def test_config_that_is_not_an_object_is_a_json_error(capsys, tmp_path, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "weights", "test", "--kind", "ap", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_covering_demo(capsys, tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({
