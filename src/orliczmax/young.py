@@ -568,8 +568,8 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
     """Generalized inverse sup{t >= 0 : Phi(t) <= y}.
 
     Each positive y is one problem of _solve_bracketed on log Phi(t) / y
-    over log t. Where Phi's formula inverts exactly (an uncapped Power, a
-    Tabulated: _closed_inverse), the start bracket is the closed form g
+    over log t. Where Phi's formula inverts exactly (a Power or a
+    Tabulated, capped or not: _closed_inverse), the start bracket is the closed form g
     widened to [g (1 - tol/3), g (1 + tol/3)]: one probe of both ends
     certifies it, and an end the probe refutes moves by the bracket
     search. Every other family starts at [1, 1]. The returned t_lo has
@@ -618,7 +618,7 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
 def _closed_inverse(phi: YoungFunction, y: np.ndarray) -> np.ndarray | None:
     """Phi^{-1}(y) from Phi's own formula, where it inverts exactly, else None.
 
-    An uncapped Power(r) gives y**(1/r). A Tabulated inverts the law of
+    A Power(r), capped or not, gives y**(1/r). A Tabulated inverts the law of
     the piece p = searchsorted(knot values, y, side="right"), the piece
     whose left knot is the last one with value <= y (so a plateau gives its
     right end): T_p (y / Y_p)**(1 / K_p), or T_p + y (W_p / C_p) on a
@@ -626,7 +626,7 @@ def _closed_inverse(phi: YoungFunction, y: np.ndarray) -> np.ndarray | None:
     segment, or out of float range) comes out nan, inf or 0. Only the exact
     classes qualify: a subclass may evaluate differently.
     """
-    if type(phi) is Power and phi.domain_cap is None:
+    if type(phi) is Power:
         return y ** (1.0 / phi.r)
     if type(phi) is not Tabulated:
         return None

@@ -375,14 +375,31 @@ def test_inverse_stops_once_its_ends_are_adjacent_floats(phi, y, tol, monkeypatc
     assert phi.eval(t) <= y < phi.eval(np.nextafter(t, np.inf))
 
 
-def test_closed_form_skips_subclasses_and_capped_powers():
+def test_closed_form_skips_subclasses_and_inexact_families():
     class Sub(Power):
         pass
 
     assert young._closed_inverse(Sub(2.0), np.array([4.0])) is None
-    assert young._closed_inverse(Power(2.0, domain_cap=10.0), np.array([4.0])) is None
     assert young._closed_inverse(PowerLog(1.8, 1.0), np.array([4.0])) is None
     assert young._closed_inverse(Power(2.0), np.array([4.0]))[0] == 2.0
+    assert young._closed_inverse(Power(2.0, domain_cap=10.0), np.array([4.0]))[0] == 2.0
+
+
+def test_capped_power_inverse_below_the_cap_is_the_uncapped_one(monkeypatch):
+    # y up to Phi(cap) = 100, where the closed form meets the cap itself
+    y = np.concatenate([[50.0, 3.0], np.geomspace(1e-8, 100.0, 200)])
+    calls = []
+    raw = Power._raw
+
+    def counting(self, t):
+        calls.append(t.size)
+        return raw(self, t)
+
+    monkeypatch.setattr(Power, "_raw", counting)
+    capped = inverse(Power(2.0, domain_cap=10.0), y[:2])
+    assert calls == [1, 4]  # Phi(cap), then one probe of both ends of both brackets
+    assert np.array_equal(capped, inverse(Power(2.0), y[:2]))
+    assert np.array_equal(inverse(Power(2.0, domain_cap=10.0), y), inverse(Power(2.0), y))
 
 
 def test_tabulated_interpolates_between_knots():
