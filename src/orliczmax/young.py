@@ -569,10 +569,10 @@ def inverse(phi: YoungFunction, y, tol: float = 1e-10):
 
     Each positive y is one problem of _solve_bracketed on log Phi(t) / y
     over log t. Where Phi's formula inverts exactly (a Power or a
-    Tabulated, capped or not: _closed_inverse), the start bracket is the closed form g
-    widened to [g (1 - tol/3), g (1 + tol/3)]: one probe of both ends
-    certifies it, and an end the probe refutes moves by the bracket
-    search. Every other family starts at [1, 1]. The returned t_lo has
+    Tabulated, capped or not: _closed_inverse), the start bracket is the
+    closed form g widened to [g (1 - tol/3), g (1 + tol/3)]: one probe of
+    both ends certifies it, and an end the probe refutes moves by the
+    bracket search. Every other family starts at [1, 1]. The returned t_lo has
     Phi(t_lo) <= y exactly and lies within a factor 1 + tol below the exact
     inverse; where Phi jumps to +inf the bracket closes on the jump point.
     A y so small that t_lo underflows gives 0. A Tabulated Phi is one

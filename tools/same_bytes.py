@@ -216,8 +216,9 @@ def cli_inputs(om, tmp: Path) -> list[tuple[str, list[str], Path | None]]:
     runs += [(f"weights {kind}",
               ["weights", "test", "--kind", kind, "--config", path(f"{kind}.json", cfg)], None)
              for kind, cfg in configs.items()]
-    rects = {"shape": [8, 8], "rects": [{"lo": [0, 0], "hi": [5, 6]}, {"lo": [2, 1], "hi": [8, 4]},
-                                        {"lo": [4, 4], "hi": [7, 8]}, {"lo": [1, 5], "hi": [3, 7]}]}
+    rects = {"shape": [8, 8],
+             "rects": [{"lo": [0, 0], "hi": [5, 6]}, {"lo": [2, 1], "hi": [8, 4]},
+                       {"lo": [4, 4], "hi": [7, 8]}, {"lo": [1, 5], "hi": [3, 7]}]}
     demo = ["covering", "demo", "--family", path("family.json", rects), "--alpha", "0.4"]
     runs += [("covering demo", demo, None),
              ("covering demo weighted", demo + ["--weight", grids["w"]], None)]
